@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .perms import compose, identity, invert, is_perm, sign
@@ -593,12 +593,29 @@ class Triangulation:
 
     # -- isomorphism ----------------------------------------------------
 
-    def _component_rep(self, f0: int, rho0: Tuple[int, ...]) -> Tuple:
+    def _components(self) -> List[List[int]]:
+        """Facets grouped by connected component, each group in ascending order."""
+        uf = self._facet_components()
+        comps: Dict[int, List[int]] = {}
+        for f in range(self.facet_count):
+            comps.setdefault(uf.find(f), []).append(f)
+        return list(comps.values())
+
+    def _component_rep(self, f0: int, rho0: Tuple[int, ...]) -> Iterator[Tuple]:
+        """Rows of the component of f0, relabelled by a walk from the start flag (f0, rho0).
+
+        Facets are numbered in breadth-first order from f0, whose corner c
+        becomes corner rho0[c]; a newly reached facet takes the corner
+        relabelling that makes its gluing to the facet that reached it
+        the identity.  Row k lists, per relabelled slot, the number of
+        the target facet followed by the relabelled corner map.  Rows
+        are yielded one at a time, so a caller comparing against known
+        rows can stop at the first that differs.
+        """
         L = self.dimension + 1
         index = {f0: 0}
         order = [f0]
         relab = {f0: rho0}
-        table = []
         qi = 0
         while qi < len(order):
             f = order[qi]
@@ -615,36 +632,36 @@ class Triangulation:
                     relab[t] = rho_t
                 new_pi = compose(relab[t], compose(pi, rho_inv))
                 row.append((index[t],) + new_pi)
-            table.append(tuple(row))
+            yield tuple(row)
             qi += 1
-        return tuple(table)
 
     def canonical_form(self, max_work: int = 5_000_000) -> Tuple:
         """Labelling-independent normal form, minimised over all start flags.
 
-        Intended for small inputs (zoo members, links); the work bound
-        guards against accidental use on big complexes.
+        Each component contributes the least of its row tables over all
+        m*(n+1)! start flags, each table walked in full; the components'
+        tables are sorted.  Two triangulations are isomorphic exactly
+        when their forms are equal, but `isomorphic_to` decides that
+        far more cheaply.  Intended for small inputs (zoo members,
+        links): the work estimate is checked before any walk starts and
+        raises TriangulationError above `max_work`.
         """
-        m = self.facet_count
         L = self.dimension + 1
         n_perms = 1
         for q in range(2, L + 1):
             n_perms *= q
-        comps: Dict[int, List[int]] = {}
-        uf = self._facet_components()
-        for f in range(m):
-            comps.setdefault(uf.find(f), []).append(f)
-        work = sum(len(c) * n_perms * len(c) * L for c in comps.values())
+        comps = self._components()
+        work = sum(len(c) * n_perms * len(c) * L for c in comps)
         if work > max_work:
             raise TriangulationError(
                 "canonical form would need about %d steps, above the %d limit" % (work, max_work)
             )
         reps = []
-        for facets in comps.values():
+        for facets in comps:
             best = None
             for f0 in facets:
                 for rho0 in permutations(range(L)):
-                    rep = self._component_rep(f0, rho0)
+                    rep = tuple(self._component_rep(f0, rho0))
                     if best is None or rep < best:
                         best = rep
             reps.append(best)
@@ -652,6 +669,40 @@ class Triangulation:
         return tuple(reps)
 
     def isomorphic_to(self, other: "Triangulation") -> bool:
+        """True when some facet bijection with corner bijections carries these gluings onto other's.
+
+        A rooted matcher: each component of self is walked once from its
+        least facet with identity corners, and matches an unmatched
+        component of other of the same size when some start flag there
+        yields exactly those rows.  Each walk in other stops at the first
+        row that differs.  Matching components greedily is sound because
+        isomorphism of components is an equivalence relation.
+
+        There is no work cap.  A walk that fails usually stops within a
+        few rows, so the cost is far below `canonical_form`'s; only
+        near-isomorphic components, whose walks agree on long prefixes
+        from many starts, approach its estimate of m*(n+1)! walks of m
+        rows each.
+        """
         if self.dimension != other.dimension or self.facet_count != other.facet_count:
             return False
-        return self.canonical_form() == other.canonical_form()
+        mine = self._components()
+        theirs = other._components()
+        if sorted(map(len, mine)) != sorted(map(len, theirs)):
+            return False
+        starts = list(permutations(range(self.dimension + 1)))
+        for facets in mine:
+            rows = list(self._component_rep(facets[0], starts[0]))
+            for k, cand in enumerate(theirs):
+                # a walk covers its whole component, so on equal sizes zip
+                # compares every row of both
+                if len(cand) == len(rows) and any(
+                    all(a == b for a, b in zip(rows, other._component_rep(g0, rho0)))
+                    for g0 in cand
+                    for rho0 in starts
+                ):
+                    del theirs[k]
+                    break
+            else:
+                return False
+        return True

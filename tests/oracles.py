@@ -337,3 +337,19 @@ def monodromy_order(gluings) -> int:
                     new.add(c)
         frontier = new
     return len(group)
+
+
+# --- isomorphism by exhaustive normal forms ---------------------------------
+
+
+def isomorphic_by_canonical_form(A, B) -> bool:
+    """Equal dimension, facet count and canonical form.
+
+    The slow path that `Triangulation.isomorphic_to` is checked against.
+    Unlike the rest of this module it calls the library, because
+    `canonical_form` is itself the exhaustive reference: it walks every
+    component from every start flag and never stops early.
+    """
+    if A.dimension != B.dimension or A.facet_count != B.facet_count:
+        return False
+    return A.canonical_form() == B.canonical_form()

@@ -299,6 +299,7 @@ def test_criterion_11_inclusion_epimorphisms():
 
 
 def test_criterion_12_round_trip_and_determinism():
+    done = timed(10.0)
     zoo_members = [
         double_simplex(2),
         double_simplex(3),
@@ -324,3 +325,4 @@ def test_criterion_12_round_trip_and_determinism():
     x = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3"], stdin_text=doc)
     y = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3"], stdin_text=doc)
     assert x == y
+    done()

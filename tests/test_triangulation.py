@@ -1,9 +1,14 @@
 """Gluing validation, face classes, covers and isomorphism."""
 
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from multisect.io import load_stream
+from multisect.subdivide import stellar_facet
 from multisect.triangulation import Triangulation, TriangulationError, face_key, parse_face_key
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
@@ -13,6 +18,37 @@ ID4 = (0, 1, 2, 3)
 def doubled_rows(n):
     ident = tuple(range(n + 1))
     return [[(1, ident)] * (n + 1), [(0, ident)] * (n + 1)]
+
+
+def twisted_chain():
+    """Two 3-simplices glued along all faces, one gluing twisted; non-orientable."""
+    text = (pathlib.Path(__file__).parent / "fixtures" / "twisted_chain.txt").read_text()
+    return load_stream(text)[0]
+
+
+def relabel(T, rng):
+    """T with its facets renumbered and the corners of each facet permuted by rng."""
+    m, L = T.facet_count, T.dimension + 1
+    facet = rng.sample(range(m), m)
+    corner = [rng.sample(range(L), L) for _ in range(m)]
+    # old (f, i) -> (t, pi) becomes new (facet[f], corner[f][i]) -> (facet[t], pi'),
+    # where pi' sends corner[f][c] to corner[t][pi[c]]
+    rows = [[None] * L for _ in range(m)]
+    for f, row in enumerate(T.gluings):
+        for i, (t, pi) in enumerate(row):
+            new_pi = [0] * L
+            for c in range(L):
+                new_pi[corner[f][c]] = corner[t][pi[c]]
+            rows[facet[f]][corner[f][i]] = (facet[t], tuple(new_pi))
+    return Triangulation(T.dimension, rows)
+
+
+def disjoint_union(*parts):
+    rows = []
+    for T in parts:
+        offset = len(rows)
+        rows += [[(t + offset, pi) for t, pi in row] for row in T.gluings]
+    return Triangulation(parts[0].dimension, rows)
 
 
 def test_doubled_simplex_valid():
@@ -216,18 +252,95 @@ def test_census_is_input_order_independent(order):
 
 
 def test_isomorphic_to_distinguishes_twisted_double():
-    import pathlib
-
-    from multisect.io import load_stream
-
-    here = pathlib.Path(__file__).parent
-    twisted, _ = load_stream((here / "fixtures" / "twisted_chain.txt").read_text())
+    twisted = twisted_chain()
     plain = Triangulation(3, doubled_rows(3))
     assert twisted.facet_count == plain.facet_count == 2
     assert not twisted.summary().orientable
     assert not twisted.isomorphic_to(plain)
     assert twisted.isomorphic_to(twisted)
 
+
+def test_canonical_form_refuses_above_work_limit():
+    with pytest.raises(TriangulationError, match="limit"):
+        cross_sphere(2).canonical_form(max_work=1)
+
+
+# (name, A, B): each member against itself, the orientation covers against
+# what they cover or resemble, and the negative pairs the matcher must reject
+ISO_PAIRS = [
+    (name, T, T)
+    for name, T in [
+        ("double_simplex(2)", double_simplex(2)),
+        ("double_simplex(3)", double_simplex(3)),
+        ("double_simplex(4)", double_simplex(4)),
+        ("cross_sphere(2)", cross_sphere(2)),
+        ("cross_sphere(3)", cross_sphere(3)),
+        ("cross_projective(2)", cross_projective(2)),
+        ("cross_projective(3)", cross_projective(3)),
+        ("cross_projective(4)", cross_projective(4)),
+        ("twisted_chain", twisted_chain()),
+    ]
+] + [
+    (name, A.orientation_double_cover(), B)
+    for name, A, B in [
+        ("cover(cross_projective(2))~cross_sphere(2)", cross_projective(2), cross_sphere(2)),
+        ("cover(cross_projective(3))~cross_sphere(3)", cross_projective(3), cross_sphere(3)),
+        ("cover(double_simplex(3))~double_simplex(3)^2", double_simplex(3),
+         disjoint_union(double_simplex(3), double_simplex(3))),
+        ("cover(twisted_chain)~cover(double_simplex(3))", twisted_chain(),
+         double_simplex(3).orientation_double_cover()),
+    ]
+] + [
+    ("twisted_chain~doubled_rows(3)", twisted_chain(), Triangulation(3, doubled_rows(3))),
+]
+
+
+@pytest.mark.parametrize("name, A, B", ISO_PAIRS, ids=[name for name, _, _ in ISO_PAIRS])
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=3)
+def test_isomorphic_to_agrees_with_canonical_forms(name, A, B, rng):
+    C = relabel(B, rng)
+    assert A.isomorphic_to(C) == C.isomorphic_to(A) == oracles.isomorphic_by_canonical_form(A, C)
+
+
+@given(st.sampled_from([2, 3]), st.data())
+@settings(max_examples=40)
+def test_isomorphic_to_agrees_on_stellar_towers(n, data):
+    # towers of stellar moves have few symmetries, so most start flags are
+    # rejected, and about half of the pairs are not isomorphic
+    picks = st.lists(st.integers(0, 99), min_size=4, max_size=4)
+    towers = []
+    for _ in range(2):
+        T = double_simplex(n)
+        for p in data.draw(picks):
+            T = stellar_facet(T, p % T.facet_count)
+        towers.append(T)
+    A, B = towers[0], relabel(towers[1], data.draw(st.randoms(use_true_random=False)))
+    assert A.isomorphic_to(B) == oracles.isomorphic_by_canonical_form(A, B)
+
+
+def test_isomorphic_to_matches_components_in_any_order():
+    A, B = double_simplex(3), cross_projective(3)
+    rng = random.Random(3)
+    assert disjoint_union(A, B).isomorphic_to(relabel(disjoint_union(B, A), rng))
+    tw = twisted_chain()
+    assert disjoint_union(A, tw, A).isomorphic_to(relabel(disjoint_union(tw, A, A), rng))
+    assert not disjoint_union(A, tw, A).isomorphic_to(disjoint_union(tw, A, tw))
+
+
+def test_isomorphic_to_tells_equal_sized_components_apart():
+    ds3 = double_simplex(3)
+    mixed, plain = disjoint_union(ds3, twisted_chain()), disjoint_union(ds3, ds3)
+    assert not mixed.isomorphic_to(plain)
+    assert not plain.isomorphic_to(mixed)
+
+
+def test_isomorphic_to_needs_equal_component_sizes():
+    ds2 = double_simplex(2)
+    split, whole = disjoint_union(ds2, ds2), cross_projective(2)
+    assert split.facet_count == whole.facet_count == 4
+    assert not split.isomorphic_to(whole)
+    assert not whole.isomorphic_to(split)
 
 def test_from_vertex_facets_orthants():
     ids = {}
