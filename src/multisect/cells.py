@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import FacePoset, Triangulation, TriangulationError
 from .unionfind import UnionFind
 from . import gf2
 
@@ -31,7 +32,7 @@ def _labels_of(partition_or_labels) -> Tuple[int, ...]:
 
 def class_label_multisets(T: Triangulation, partition_or_labels) -> List[Tuple[int, ...]]:
     """Sorted label multiset of every face class; index = class id."""
-    labels = _labels_of(T and partition_or_labels)
+    labels = _labels_of(partition_or_labels)
     fp = T.face_poset
     if len(labels) != fp.dim_start[1]:
         raise TriangulationError(
@@ -40,8 +41,24 @@ def class_label_multisets(T: Triangulation, partition_or_labels) -> List[Tuple[i
     out: List[Tuple[int, ...]] = []
     for cid in range(fp.n_classes):
         f, corners = fp.canonical(cid)
-        out.append(tuple(sorted(labels[fp.class_of(f, (c,))] for c in corners)))
+        row = fp.facet_vertices[f]
+        out.append(tuple(sorted(labels[row[c]] for c in corners)))
     return out
+
+
+class Cube(NamedTuple):
+    """One cell read off its canonical incarnation.
+
+    The labels of multiplicity two span the cube's directions; corners
+    of a label of higher multiplicity (a cell that is not a cube) appear
+    in neither `fixed` nor `pairs`.
+    """
+
+    facet: int
+    corners: Tuple[int, ...]              # canonical corners, ascending
+    fixed: Tuple[int, ...]                # corners whose label occurs once
+    dirs: Tuple[int, ...]                 # doubled labels, ascending
+    pairs: Tuple[Tuple[int, int], ...]    # (lo, hi) corners of each doubled label
 
 
 @dataclass(eq=False)
@@ -145,51 +162,30 @@ class CellComplex:
         if D <= 0:
             return True
         fp = self.triangulation.face_poset
-        maps_cache: Dict[int, Dict[int, Dict[int, int]]] = {}
-
-        def inc_maps(cid: int) -> Dict[int, Dict[int, int]]:
-            if cid not in maps_cache:
-                maps_cache[cid] = fp.incarnation_maps(cid)
-            return maps_cache[cid]
-
         # per codim-1 cell: list of (top cell, transfer sign)
         incidences: Dict[int, List[Tuple[int, int]]] = {}
         for i, d in enumerate(self.dims):
             if d != D:
                 continue
-            f, corners = fp.canonical(self.cells[i])
-            by_label: Dict[int, List[int]] = {}
-            for c in corners:
-                by_label.setdefault(self.labels[fp.class_of(f, (c,))], []).append(c)
-            dirs = sorted(l for l, cs in by_label.items() if len(cs) == 2)
-            for t, l in enumerate(dirs):
-                lo, hi = sorted(by_label[l])
+            f, corners, _, _, pairs = self.cubes[i]
+            for t, (lo, hi) in enumerate(pairs):
                 for deleted, side in ((lo, 1), (hi, 0)):
-                    rest = tuple(c for c in corners if c != deleted)
-                    gcid = fp.class_of(f, rest)
-                    g = self._index(gcid)
-                    enc = f * fp.M + sum(1 << c for c in rest)
-                    phi = inc_maps(gcid)[enc]
+                    gcid, phi = fp.corner_map(f, (c for c in corners if c != deleted))
                     flips = 1
-                    for l2 in dirs:
-                        if l2 == l:
-                            continue
-                        a, b = sorted(by_label[l2])
-                        if phi[a] > phi[b]:
+                    for t2, (a, b) in enumerate(pairs):
+                        if t2 != t and phi[a] > phi[b]:
                             flips = -flips
                     sign = flips * (1 if (t + side) % 2 == 0 else -1)
-                    incidences.setdefault(g, []).append((i, sign))
-        eps: Dict[int, int] = {}
-        pending = []
-        for g, inc in incidences.items():
+                    incidences.setdefault(self._index(gcid), []).append((i, sign))
+        adj: Dict[int, List[Tuple[int, int]]] = {}
+        for inc in incidences.values():
             if len(inc) != 2:
                 return False
-            pending.append(inc)
-        adj: Dict[int, List[Tuple[int, int]]] = {}
-        for (a, sa), (b, sb) in pending:
+            (a, sa), (b, sb) = inc
             rel = -sa * sb  # eps_b = rel * eps_a
             adj.setdefault(a, []).append((b, rel))
             adj.setdefault(b, []).append((a, rel))
+        eps: Dict[int, int] = {}
         for i, d in enumerate(self.dims):
             if d != D or i in eps:
                 continue
@@ -213,13 +209,32 @@ class CellComplex:
             raise TriangulationError("face class %d is not a cell of this complex" % cid)
         return i
 
-    @property
+    @cached_property
     def _cell_index(self) -> Dict[int, int]:
-        idx = getattr(self, "_idx_cache", None)
-        if idx is None:
-            idx = {cid: i for i, cid in enumerate(self.cells)}
-            object.__setattr__(self, "_idx_cache", idx)
-        return idx
+        return {cid: i for i, cid in enumerate(self.cells)}
+
+    @cached_property
+    def cubes(self) -> Tuple[Cube, ...]:
+        """The cube record of every cell, index-aligned with `cells`."""
+        fp = self.triangulation.face_poset
+        labels = self.labels
+        # cells with the same corners and corner labels share everything but the facet
+        shapes: Dict[Tuple, Tuple] = {}
+        out = []
+        for cid in self.cells:
+            f, corners = fp.canonical(cid)
+            row = fp.facet_vertices[f]
+            key = (corners, tuple(labels[row[c]] for c in corners))
+            shape = shapes.get(key)
+            if shape is None:
+                groups: Dict[int, List[int]] = {}
+                for c, l in zip(*key):
+                    groups.setdefault(l, []).append(c)
+                dirs = tuple(sorted(l for l, cs in groups.items() if len(cs) == 2))
+                fixed = tuple(cs[0] for cs in groups.values() if len(cs) == 1)
+                shape = shapes[key] = (corners, fixed, dirs, tuple(tuple(groups[l]) for l in dirs))
+            out.append(Cube(f, *shape))
+        return tuple(out)
 
     def summary(self) -> dict:
         out = {
@@ -261,9 +276,9 @@ def extract(
         dims.append(len(corners) - len(S))
         mults.append(ms)
         ch = []
+        row = fp.facet_vertices[f]
         for c in corners:
-            lab = labels[fp.class_of(f, (c,))]
-            if ms.count(lab) >= 2:
+            if ms.count(labels[row[c]]) >= 2:
                 rest = tuple(x for x in corners if x != c)
                 ch.append(index[fp.class_of(f, rest)])
         children.append(tuple(ch))
@@ -364,86 +379,95 @@ class LinkComplex:
     cells_by_dim: Tuple[Tuple[Tuple[int, ...], ...], ...]  # from dim 1 up; vertex index tuples
     simplicial: bool
     simplicial_reason: Optional[str]
-    triangulation: Optional[Triangulation]
+    # the top cubes at the vertex, each with the corners that sit at it
+    _tops: Tuple[Tuple[Cube, Tuple[int, ...]], ...] = field(default=(), repr=False)
+    _face_poset: Optional[FacePoset] = field(default=None, repr=False)
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertex_ids)
 
+    @cached_property
+    def triangulation(self) -> Optional[Triangulation]:
+        """The link as a triangulation, assembled on first read.
+
+        None when the link has no top cubes, is a set of points, or
+        some ridge corner is not shared by exactly two top corners.
+        """
+        if not self._tops:
+            return None
+        return _link_triangulation(self._face_poset, self._tops)
+
     def flag(self) -> Tuple[bool, Optional[str]]:
-        """Every clique of the 1-skeleton spans a simplex of the link."""
+        """Every clique of the 1-skeleton spans a simplex of the link.
+
+        A complex is flag exactly when each of its minimal non-faces is
+        an edge.  So the check grows simplices one vertex at a time,
+        starting from the edges: each simplex joined with any vertex
+        adjacent to all of its vertices must again be a simplex.  Sizes
+        go up one at a time, so the clique reported is a smallest one
+        that spans nothing.
+        """
         if not self.simplicial:
             return False, self.simplicial_reason
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.vertex_count))
-        have = [set() for _ in range(len(self.cells_by_dim) + 2)]
-        for h, cells in enumerate(self.cells_by_dim, start=1):
-            for cell in cells:
-                have[h].add(tuple(sorted(cell)))
-        for a, b in have[1] if len(have) > 1 else ():
-            g.add_edge(a, b)
-        for clique in nx.enumerate_all_cliques(g):
-            if len(clique) < 3:
-                continue
-            h = len(clique) - 1
-            if h >= len(have) or tuple(sorted(clique)) not in have[h]:
-                return False, "clique of size %d spans no simplex" % len(clique)
+        have = [{frozenset(cell) for cell in cells} for cells in self.cells_by_dim]
+        adj: List[set] = [set() for _ in range(self.vertex_count)]
+        level = have[0] if have else set()
+        for a, b in level:
+            adj[a].add(b)
+            adj[b].add(a)
+        for h in range(1, len(have) + 1):
+            simplices = have[h] if h < len(have) else set()
+            grown = set()
+            for sigma in level:
+                for w in set.intersection(*(adj[x] for x in sigma)):
+                    if sigma | {w} not in simplices:
+                        return False, "clique of size %d spans no simplex" % (h + 2)
+                    grown.add(sigma | {w})
+            level = grown
         return True, None
 
 
 def vertex_links(X: CellComplex) -> Dict[int, LinkComplex]:
     """Links of all 0-cells, keyed by cell index.
 
-    Requires an all-cube complex.  The link triangulation is assembled
-    whenever every ridge corner at the vertex is shared by exactly two
-    top corners; otherwise that field is None and the face lists still
-    describe the link.
+    Requires an all-cube complex.  A link's `triangulation` is assembled
+    when first read, and is None unless every ridge corner at the vertex
+    is shared by exactly two top corners; the face lists always describe
+    the link.
     """
     if not X.all_cubes:
         raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
     fp = X.triangulation.face_poset
-    maps_cache: Dict[int, Dict[int, Dict[int, int]]] = {}
-
-    def inc_map(cid: int, enc: int) -> Dict[int, int]:
-        if cid not in maps_cache:
-            maps_cache[cid] = fp.incarnation_maps(cid)
-        return maps_cache[cid][enc]
-
     D = X.dimension
-    # per 0-cell: list of (cube dim, cube index, link cell as end tuple, corner data)
-    buckets: Dict[int, List[Tuple[int, int, Tuple[Tuple[int, int], ...], object]]] = {
+    # per 0-cell: (cube dim, link cell as end tuple) per cube corner, and the top corners
+    ends_at: Dict[int, List[Tuple[int, Tuple[Tuple[int, int], ...]]]] = {
         i: [] for i, d in enumerate(X.dims) if d == 0
     }
+    tops_at: Dict[int, List[Tuple[Cube, Tuple[int, ...]]]] = {v: [] for v in ends_at}
     for i, d in enumerate(X.dims):
         if d < 1:
             continue
-        f, corners = fp.canonical(X.cells[i])
-        by_label: Dict[int, List[int]] = {}
-        for c in corners:
-            by_label.setdefault(X.labels[fp.class_of(f, (c,))], []).append(c)
-        dirs = sorted(l for l, cs in by_label.items() if len(cs) == 2)
-        fixed = tuple(cs[0] for cs in by_label.values() if len(cs) == 1)
-        for choice in product(*(sorted(by_label[l]) for l in dirs)):
-            corner_face = tuple(sorted(fixed + choice))
+        cube = X.cubes[i]
+        f, pairs = cube.facet, cube.pairs
+        for choice in product(*pairs):
+            corner_face = cube.fixed + choice
             v = X._index(fp.class_of(f, corner_face))
             ends = []
-            for t, l in enumerate(dirs):
-                keep = set(corner_face) | set(by_label[l])
-                edge_corners = tuple(sorted(keep))
-                ecid = fp.class_of(f, edge_corners)
-                enc = f * fp.M + sum(1 << c for c in edge_corners)
-                end = inc_map(ecid, enc)[choice[t]]
-                ends.append((X._index(ecid), end))
-            buckets[v].append((d, i, tuple(ends), (f, by_label, dirs, choice, corner_face)))
+            for c, pair in zip(choice, pairs):
+                ecid, phi = fp.corner_map(f, corner_face + pair)
+                ends.append((X._index(ecid), phi[c]))
+            ends_at[v].append((d, tuple(ends)))
+            if d == D >= 2:
+                # dimension-1 links are vertex pairs with no gluing structure
+                tops_at[v].append((cube, corner_face))
 
     out: Dict[int, LinkComplex] = {}
-    for v, inc in buckets.items():
-        vertex_ids = sorted({e for _, _, ends, _ in inc for e in ends})
+    for v, inc in ends_at.items():
+        vertex_ids = sorted({e for _, ends in inc for e in ends})
         vindex = {e: j for j, e in enumerate(vertex_ids)}
         cells_by_dim: List[List[Tuple[int, ...]]] = [[] for _ in range(max(D - 1, 0))]
-        for d, _, ends, _ in inc:
+        for d, ends in inc:
             if d >= 2:
                 cells_by_dim[d - 2].append(tuple(vindex[e] for e in ends))
         simplicial = True
@@ -461,42 +485,35 @@ def vertex_links(X: CellComplex) -> Dict[int, LinkComplex]:
                 seen.add(key)
             if not simplicial:
                 break
-        tri = _link_triangulation(D, fp, inc_map, inc)
         out[v] = LinkComplex(
             vertex_cell=v,
             vertex_ids=tuple(vertex_ids),
             cells_by_dim=tuple(tuple(c) for c in cells_by_dim),
             simplicial=simplicial,
             simplicial_reason=reason,
-            triangulation=tri,
+            _tops=tuple(tops_at[v]),
+            _face_poset=fp,
         )
     return out
 
 
-def _link_triangulation(D, fp, inc_map, inc) -> Optional[Triangulation]:
-    tops = [rec for rec in inc if rec[0] == D]
-    if not tops or D < 2:
-        # dimension-1 links are vertex pairs with no gluing structure
-        return None
+def _link_triangulation(fp: FacePoset, tops) -> Optional[Triangulation]:
     ridge_key_to = {}
-    for fi, (_, i, ends, data) in enumerate(tops):
-        f, by_label, dirs, choice, corner_face = data
-        for slot, l in enumerate(dirs):
-            keep = tuple(sorted(set(corner_face) | set().union(*(set(by_label[l2]) for l2 in dirs if l2 != l))))
-            gcid = fp.class_of(f, keep)
-            enc = f * fp.M + sum(1 << c for c in keep)
-            phi = inc_map(gcid, enc)
+    for fi, (cube, corner_face) in enumerate(tops):
+        for slot in range(len(cube.pairs)):
+            others = tuple(c for t, pair in enumerate(cube.pairs) if t != slot for c in pair)
+            gcid, phi = fp.corner_map(cube.facet, corner_face + others)
             corner_id = tuple(sorted(phi[c] for c in corner_face))
             ridge_key_to.setdefault((gcid, corner_id), []).append((fi, slot))
     m = len(tops)
-    L = D
+    L = len(tops[0][0].dirs)
     glu: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in range(m)]
     for key, hits in ridge_key_to.items():
         if len(hits) != 2:
             return None
         (f1, s1), (f2, s2) = hits
-        dirs1 = tops[f1][3][2]
-        dirs2 = tops[f2][3][2]
+        dirs1 = tops[f1][0].dirs
+        dirs2 = tops[f2][0].dirs
         pos2 = {l: p for p, l in enumerate(dirs2)}
         bij1 = [0] * L
         for p, l in enumerate(dirs1):
@@ -510,7 +527,7 @@ def _link_triangulation(D, fp, inc_map, inc) -> Optional[Triangulation]:
     if any(x is None for row in glu for x in row):
         return None
     try:
-        return Triangulation(D - 1, glu)  # type: ignore[arg-type]
+        return Triangulation(L - 1, glu)  # type: ignore[arg-type]
     except TriangulationError:
         return None
 

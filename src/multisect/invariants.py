@@ -138,13 +138,9 @@ def _edge_ends(X: cells_mod.CellComplex):
     for i, d in enumerate(X.dims):
         if d != 1:
             continue
-        f, corners = fp.canonical(X.cells[i])
-        by_label: Dict[int, List[int]] = {}
-        for c in corners:
-            by_label.setdefault(X.labels[fp.class_of(f, (c,))], []).append(c)
-        a, b = sorted(next(cs for cs in by_label.values() if len(cs) == 2))
-        va = X._index(fp.class_of(f, tuple(x for x in corners if x != b)))
-        vb = X._index(fp.class_of(f, tuple(x for x in corners if x != a)))
+        f, _, fixed, _, ((a, b),) = X.cubes[i]
+        va = X._index(fp.class_of(f, fixed + (a,)))
+        vb = X._index(fp.class_of(f, fixed + (b,)))
         ends[i] = (va, vb, a, b)
     return ends
 
@@ -179,24 +175,13 @@ def _spanning_tree(X: cells_mod.CellComplex, ends):
 def _square_boundary(X: cells_mod.CellComplex, ends, i: int):
     """The 4-cycle of a square cell as (edge, direction) steps."""
     fp = X.triangulation.face_poset
-    f, corners = fp.canonical(X.cells[i])
-    by_label: Dict[int, List[int]] = {}
-    for c in corners:
-        by_label.setdefault(X.labels[fp.class_of(f, (c,))], []).append(c)
-    dirs = sorted(l for l, cs in by_label.items() if len(cs) == 2)
-    (a1, b1), (a2, b2) = (tuple(sorted(by_label[l])) for l in dirs)
-    fixed = tuple(cs[0] for cs in by_label.values() if len(cs) == 1)
+    f, _, fixed, _, pairs = X.cubes[i]
+    (a1, b1), (a2, b2) = pairs
     path = []
     corner_cycle = [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (a1, a2)]
-    maps_cache: Dict[int, Dict[int, Dict[int, int]]] = {}
     for (u1, u2), (w1, w2) in zip(corner_cycle, corner_cycle[1:]):
         veer = 0 if u1 != w1 else 1  # which coordinate moves
-        keep = set(fixed) | set(by_label[dirs[veer]]) | {u2 if veer == 0 else u1}
-        edge_corners = tuple(sorted(keep))
-        ecid = fp.class_of(f, edge_corners)
-        if ecid not in maps_cache:
-            maps_cache[ecid] = fp.incarnation_maps(ecid)
-        phi = maps_cache[ecid][f * fp.M + sum(1 << c for c in edge_corners)]
+        ecid, phi = fp.corner_map(f, fixed + pairs[veer] + (u2 if veer == 0 else u1,))
         start = phi[u1 if veer == 0 else u2]
         stop = phi[w1 if veer == 0 else w2]
         e = X._index(ecid)
@@ -252,9 +237,10 @@ class InclusionReport:
 
 
 def _class_vertex(X: cells_mod.CellComplex, fp, cell: int, label: int) -> int:
-    f, corners = fp.canonical(X.cells[cell])
-    for c in corners:
-        v = fp.class_of(f, (c,))
+    cube = X.cubes[cell]
+    row = fp.facet_vertices[cube.facet]
+    for c in cube.corners:
+        v = row[c]
         if X.labels[v] == label:
             return v
     raise TriangulationError("cell %d has no vertex of class %d" % (cell, label))
@@ -296,21 +282,10 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
             graph_vertex_of[graph.cells[i]] = i
 
     def edge_image(e: int, dr: int) -> List[int]:
-        f, corners = fp.canonical(central.cells[e])
-        doubled = None
-        pair = None
-        counts: Dict[int, List[int]] = {}
-        for c in corners:
-            v = fp.class_of(f, (c,))
-            counts.setdefault(central.labels[v], []).append(c)
-        for l, cs in counts.items():
-            if len(cs) == 2:
-                doubled, pair = l, cs
+        f, _, _, (doubled,), (pair,) = central.cubes[e]
         if doubled != label:
             return []
-        a, b = sorted(pair)
-        ecid = fp.class_of(f, (a, b))
-        gi = graph._index(ecid)
+        gi = graph._index(fp.class_of(f, pair))
         # orient along the central edge's canonical direction, then apply dr
         va, vb, ca, cb = c_ends[e]
         tail = _class_vertex(central, fp, va, label)
@@ -387,25 +362,13 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     edge_pos = {cid: j for j, cid in enumerate(edge_ids)}
 
     # cycle space of the central 1-skeleton
-    c_edges = [i for i, d in enumerate(central.dims) if d == 1]
     c_vpos = {i: j for j, i in enumerate(i for i, d in enumerate(central.dims) if d == 0)}
     cols = []
     images = []
-    for i in c_edges:
-        f, corners = fp.canonical(central.cells[i])
-        counts: Dict[int, List[int]] = {}
-        for c in corners:
-            counts.setdefault(central.labels[fp.class_of(f, (c,))], []).append(c)
-        doubled, pair = next((l, cs) for l, cs in counts.items() if len(cs) == 2)
-        v = 0
-        for c in pair:
-            rest = tuple(x for x in corners if x != c)
-            v ^= 1 << c_vpos[central._index(fp.class_of(f, rest))]
-        cols.append(v)
-        if doubled == cls:
-            images.append(1 << edge_pos[fp.class_of(f, tuple(sorted(pair)))])
-        else:
-            images.append(0)
+    for i, (va, vb, a, b) in _edge_ends(central).items():
+        cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
+        f, _, _, (doubled,), _ = central.cubes[i]
+        images.append(1 << edge_pos[fp.class_of(f, (a, b))] if doubled == cls else 0)
     cycle_masks = gf2.kernel_basis(cols)
 
     boundaries = []

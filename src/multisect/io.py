@@ -149,9 +149,9 @@ def _load_partition(toks: Deque[str], T: Triangulation) -> VertexPartition:
     nv = fp.dim_start[1]
     by_id: Dict[str, int] = {}
     if T.vertex_ids is not None:
-        for f, row in enumerate(T.vertex_ids):
-            for c, vid in enumerate(row):
-                by_id[str(vid)] = fp.class_of(f, (c,))
+        for row, vs in zip(T.vertex_ids, fp.facet_vertices):
+            for vid, v in zip(row, vs):
+                by_id[str(vid)] = v
     labels: List[Optional[int]] = [None] * nv
     while toks and toks[0] == "v":
         toks.popleft()

@@ -54,8 +54,7 @@ def coordinate_labels(T: Triangulation) -> Tuple[int, ...]:
     nv = fp.dim_start[1]
     out: List[Optional[int]] = [None] * nv
     for f, row in enumerate(rows):
-        for c, lab in enumerate(row):
-            v = fp.class_of(f, (c,))
+        for v, lab in zip(fp.facet_vertices[f], row):
             if lab is None:
                 continue
             if out[v] is None:
@@ -223,10 +222,10 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
     diagnostics: List[str] = []
 
     profiles = []
-    for f in range(T.facet_count):
+    for vs in fp.facet_vertices:
         row = [0] * (k + 1)
-        for c in range(n + 1):
-            row[labels[fp.class_of(f, (c,))]] += 1
+        for v in vs:
+            row[labels[v]] += 1
         profiles.append(tuple(row))
     if n % 2 == 1:
         profile_ok = all(all(x == 2 for x in row) for row in profiles)
@@ -252,10 +251,9 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
         chi[l] += 1 if d % 2 == 0 else -1
         if d == 1:
             edge_count[l] += 1
-            f, corners = fp.canonical(cid)
-            a = fp.class_of(f, (corners[0],))
-            b = fp.class_of(f, (corners[1],))
-            uf.union(a, b)
+            f, (a, b) = fp.canonical(cid)
+            vs = fp.facet_vertices[f]
+            uf.union(vs[a], vs[b])
     vertex_count = [0] * (k + 1)
     rep: List[Optional[int]] = [None] * (k + 1)
     graph_connected = [True] * (k + 1)
@@ -527,7 +525,7 @@ def twisted_admissible(T: Triangulation, P: VertexPartition, R: SymRep) -> Twist
         for a in range(L):
             for b in range(a + 1, L):
                 if P.labels[lab[f][a]] == P.labels[lab[f][b]]:
-                    uf.union(fp.class_of(f, (a,)), fp.class_of(f, (b,)))
+                    uf.union(fp.facet_vertices[f][a], fp.facet_vertices[f][b])
     roots = {uf.find(v) for v in range(fp.dim_start[1])}
     return TwistedReport(
         admissible=admissible,

@@ -95,7 +95,7 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
         for p_idx, rho in enumerate(perms):
             F = base + p_idx
             for j in range(L):
-                v = fp_out.class_of(F, (j,))
+                v = fp_out.facet_vertices[F][j]
                 carrier = fp_in.canonical(fp_in.class_of(f, rho[: j + 1]))
                 if faces[v] is None:
                     faces[v] = carrier
@@ -150,7 +150,7 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
 
     special = []
     for f in range(m):
-        ks = [c for c in range(L) if labels[fp.class_of(f, (c,))] == k]
+        ks = [c for c, v in enumerate(fp.facet_vertices[f]) if labels[v] == k]
         if len(ks) != 1:
             raise TriangulationError(
                 "facet %d has %d corners in the last class, so it has no unique face avoiding it"
@@ -265,8 +265,8 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
                 if u != u_all[j]:
                     origins[pos_in(p, j, u)] = (sigma, u)
             for c, (of, oc) in origins.items():
-                v = fp_out.class_of(F, (c,))
-                lab = labels[fp.class_of(of, (oc,))]
+                v = fp_out.facet_vertices[F][c]
+                lab = labels[fp.facet_vertices[of][oc]]
                 if new_labels[v] is None:
                     new_labels[v] = lab
                 elif new_labels[v] != lab:
@@ -381,9 +381,8 @@ def slot_carriers(T: Triangulation) -> CarrierLabels:
     fp = T.face_poset
     nv = fp.dim_start[1]
     dims: List[Optional[int]] = [None] * nv
-    for f in range(T.facet_count):
-        for c in range(T.dimension + 1):
-            v = fp.class_of(f, (c,))
+    for vs in fp.facet_vertices:
+        for c, v in enumerate(vs):
             if dims[v] is None:
                 dims[v] = c
             elif dims[v] != c:

@@ -10,13 +10,16 @@ identifications are in scope; a face is never glued to itself.
 
 Faces of every dimension are identified by propagating the gluings over
 corner subsets, which is done once with a union-find over (facet, subset)
-pairs.  All derived orderings use the canonical incarnation of a face
-class: the lexicographically least (facet, sorted corner tuple) pair.
+pairs; afterwards a flat table maps each pair to its class id.  All
+derived orderings use the canonical incarnation of a face class: the
+lexicographically least (facet, sorted corner tuple) pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from bisect import bisect_left
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -79,6 +82,7 @@ class FacePoset:
     Classes carry their dimension, incarnation count and canonical
     incarnation.  Class ids are assigned by (dimension, canonical key)
     so that identical inputs always produce identical numbering.
+    `facet_vertices[f][c]` is the vertex class at corner c of facet f.
     """
 
     def __init__(self, tri: "Triangulation"):
@@ -114,43 +118,34 @@ class FacePoset:
         corners_of = [tuple(c for c in range(L) if mask >> c & 1) for mask in range(M)]
         self._corners_of = corners_of
         find = uf.find
-        root_info: Dict[int, List[int]] = {}
-        for f in range(m):
-            base = f * M
-            for mask in range(1, M):
-                r = find(base + mask)
-                info = root_info.get(r)
-                if info is None:
-                    root_info[r] = [f, mask, 1]
-                else:
-                    info[2] += 1
-                    if f == info[0] and corners_of[mask] < corners_of[info[1]]:
-                        info[1] = mask
+        # visiting each facet's masks in corner-tuple order makes the first
+        # incarnation met of a class its canonical one
+        lex_masks = sorted(range(1, M), key=corners_of.__getitem__)
+        roots = array("i", range(m * M))
+        canon: Dict[int, int] = {}
+        for base in range(0, m * M, M):
+            for mask in lex_masks:
+                r = roots[base + mask] = find(base + mask)
+                if r not in canon:
+                    canon[r] = base + mask
 
-        entries = sorted(
-            root_info.items(),
-            key=lambda kv: (len(corners_of[kv[1][1]]), kv[1][0], corners_of[kv[1][1]]),
-        )
-        self.cls_canon: List[int] = []
-        self.cls_dim: List[int] = []
-        self.cls_count: List[int] = []
-        self._root2cls: Dict[int, int] = {}
-        dim_start = [0] * (n + 2)
-        prev_dim = -1
-        for cid, (root, (cf, cmask, count)) in enumerate(entries):
-            d = len(corners_of[cmask]) - 1
-            while prev_dim < d:
-                prev_dim += 1
-                dim_start[prev_dim] = cid
-            self.cls_canon.append(cf * M + cmask)
-            self.cls_dim.append(d)
-            self.cls_count.append(count)
-            self._root2cls[root] = cid
-        while prev_dim < n + 1:
-            prev_dim += 1
-            dim_start[prev_dim] = len(entries)
-        self.dim_start = dim_start
-        self._uf = uf
+        def order(enc: int) -> Tuple:
+            f, mask = divmod(enc, M)
+            return len(corners_of[mask]), f, corners_of[mask]
+
+        count = Counter(roots)
+        self.cls_canon: List[int] = sorted(canon.values(), key=order)
+        self.cls_dim: List[int] = [len(corners_of[enc % M]) - 1 for enc in self.cls_canon]
+        self.cls_count: List[int] = [count[roots[enc]] for enc in self.cls_canon]
+        self.dim_start = [bisect_left(self.cls_dim, d) for d in range(n + 2)]
+        cls_of_root = array("i", [-1]) * (m * M)
+        for cid, enc in enumerate(self.cls_canon):
+            cls_of_root[roots[enc]] = cid
+        self._table = array("i", map(cls_of_root.__getitem__, roots))
+        self.facet_vertices: List[Tuple[int, ...]] = [
+            tuple(self._table[f * M + (1 << c)] for c in range(L)) for f in range(m)
+        ]
+        self._maps: Dict[int, Dict[int, Dict[int, int]]] = {}
 
     @property
     def n_classes(self) -> int:
@@ -164,13 +159,19 @@ class FacePoset:
         return range(self.dim_start[d], self.dim_start[d + 1])
 
     def class_of_enc(self, enc: int) -> int:
-        return self._root2cls[self._uf.find(enc)]
+        return self._table[enc]
 
-    def class_of(self, facet: int, corners: Iterable[int]) -> int:
+    def _encode(self, facet: int, corners: Iterable[int]) -> int:
+        """The (facet, corner mask) pair as one int; corners may repeat."""
         mask = 0
         for c in corners:
             mask |= 1 << c
-        return self.class_of_enc(facet * self.M + mask)
+        if not mask:
+            raise TriangulationError("a face needs at least one corner")
+        return facet * self.M + mask
+
+    def class_of(self, facet: int, corners: Iterable[int]) -> int:
+        return self._table[self._encode(facet, corners)]
 
     def canonical(self, cid: int) -> Tuple[int, Tuple[int, ...]]:
         f, mask = divmod(self.cls_canon[cid], self.M)
@@ -209,36 +210,13 @@ class FacePoset:
         Enumerated by a breadth-first walk through the gluings from the
         canonical incarnation, so the order is reproducible.
         """
-        glu = self.tri.gluings
-        L, M = self.L, self.M
-        start = self.cls_canon[cid]
-        seen = {start}
-        queue = deque([start])
-        out = []
-        while queue:
-            enc = queue.popleft()
-            out.append(enc)
-            f, mask = divmod(enc, M)
-            for i in range(L):
-                if mask >> i & 1:
-                    continue
-                t, pi = glu[f][i]
-                img = 0
-                rem = mask
-                while rem:
-                    low = rem & -rem
-                    img |= 1 << pi[low.bit_length() - 1]
-                    rem ^= low
-                enc2 = t * M + img
-                if enc2 not in seen:
-                    seen.add(enc2)
-                    queue.append(enc2)
-        return out
+        return list(self.incarnation_maps(cid))
 
     def incarnation_maps(self, cid: int) -> Dict[int, Dict[int, int]]:
         """Corner identification of every incarnation with the canonical one.
 
-        Returns enc -> {corner of that incarnation: canonical corner}.
+        Returns enc -> {corner of that incarnation: canonical corner}, in
+        the breadth-first order of `incarnations`.
         """
         glu = self.tri.gluings
         L, M = self.L, self.M
@@ -265,6 +243,20 @@ class FacePoset:
                     maps[enc2] = {pi[c]: v for c, v in phi.items()}
                     queue.append(enc2)
         return maps
+
+    def corner_map(self, facet: int, corners: Iterable[int]) -> Tuple[int, Dict[int, int]]:
+        """Class of a face and its identification with the canonical incarnation.
+
+        Returns (class id, {corner of this incarnation: canonical corner}).
+        Corners may repeat.  The maps of each class are computed once and
+        kept for the life of the poset.
+        """
+        enc = self._encode(facet, corners)
+        cid = self._table[enc]
+        maps = self._maps.get(cid)
+        if maps is None:
+            maps = self._maps[cid] = self.incarnation_maps(cid)
+        return cid, maps[enc]
 
 
 class Triangulation:

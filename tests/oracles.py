@@ -3,7 +3,8 @@
 Everything here recomputes invariants from first principles with plain
 set/dict machinery, deliberately avoiding the library's face poset,
 bitmask GF(2) kernels, and permutation helpers.  Tests compare library
-output against these.
+output against these.  The clique oracle for flag links uses networkx,
+which the library itself does not need.
 """
 
 from itertools import combinations, product
@@ -353,3 +354,96 @@ def isomorphic_by_canonical_form(A, B) -> bool:
     if A.dimension != B.dimension or A.facet_count != B.facet_count:
         return False
     return A.canonical_form() == B.canonical_form()
+
+
+# --- face classes by union-find over (facet, corner subset) -----------------
+
+
+def face_classes_by_union_find(T):
+    """Class id of every (facet, corner mask), as the face poset numbers them.
+
+    The slow path the flat face table is checked against: a union-find
+    over every (facet, nonempty corner subset) pair, merged across each
+    gluing, then numbered by (dimension, facet, sorted corners) of each
+    class's least incarnation.  Works from the raw gluing table.
+    """
+    L = T.dimension + 1
+    M = 1 << L
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for f, row in enumerate(T.gluings):
+        for i, (t, pi) in enumerate(row):
+            for mask in range(1, M):
+                if mask >> i & 1:
+                    continue
+                img = sum(1 << pi[c] for c in range(L) if mask >> c & 1)
+                a, b = find((f, mask)), find((t, img))
+                if a != b:
+                    parent[a] = b
+
+    def corners(mask):
+        return tuple(c for c in range(L) if mask >> c & 1)
+
+    least = {}
+    for f in range(T.facet_count):
+        for mask in range(1, M):
+            r = find((f, mask))
+            key = (len(corners(mask)), f, corners(mask))
+            if r not in least or key < least[r]:
+                least[r] = key
+    number = {r: cid for cid, r in enumerate(sorted(least, key=least.get))}
+    return {(f, mask): number[find((f, mask))] for f in range(T.facet_count) for mask in range(1, M)}
+
+
+def incarnations_by_bfs(T, start):
+    """Encoded incarnations reached from `start` by crossing gluings, breadth-first."""
+    L = T.dimension + 1
+    M = 1 << L
+    seen = {start}
+    queue = [start]
+    for enc in queue:
+        f, mask = divmod(enc, M)
+        for i in range(L):
+            if mask >> i & 1:
+                continue
+            t, pi = T.gluings[f][i]
+            enc2 = t * M + sum(1 << pi[c] for c in range(L) if mask >> c & 1)
+            if enc2 not in seen:
+                seen.add(enc2)
+                queue.append(enc2)
+    return queue
+
+
+# --- flag complexes by clique enumeration -----------------------------------
+
+
+def flag_by_cliques(link):
+    """`LinkComplex.flag` by enumerating every clique of the 1-skeleton.
+
+    Cliques come smallest first, so the reason names the size of a
+    smallest clique that spans no simplex.  Uses networkx.
+    """
+    import networkx as nx
+
+    if not link.simplicial:
+        return False, link.simplicial_reason
+    g = nx.Graph()
+    g.add_nodes_from(range(link.vertex_count))
+    have = [set() for _ in range(len(link.cells_by_dim) + 2)]
+    for h, cells in enumerate(link.cells_by_dim, start=1):
+        for cell in cells:
+            have[h].add(tuple(sorted(cell)))
+    g.add_edges_from(have[1])
+    for clique in nx.enumerate_all_cliques(g):
+        if len(clique) < 3:
+            continue
+        h = len(clique) - 1
+        if h >= len(have) or tuple(sorted(clique)) not in have[h]:
+            return False, "clique of size %d spans no simplex" % len(clique)
+    return True, None

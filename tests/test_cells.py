@@ -1,12 +1,14 @@
 """Cubical subset complexes: extraction, links, curvature test, collapse."""
 
 import collections
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from multisect.cells import (
+    LinkComplex,
     cell_summary,
     class_label_multisets,
     collapse,
@@ -18,7 +20,7 @@ from multisect.cells import (
 )
 from multisect.partition import scheme_partition
 from multisect.subdivide import barycentric
-from multisect.triangulation import TriangulationError
+from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, double_simplex
 
 
@@ -193,6 +195,91 @@ def test_link_triangulation_matches_ambient_link():
     amb, _ = T.link(fp.canonical(cid))
     assert lk0.triangulation is not None
     assert lk0.triangulation.isomorphic_to(amb)
+
+
+def test_npc_check_builds_no_link_triangulation(monkeypatch):
+    X = sd3_central()
+    built = []
+    init = Triangulation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Triangulation, "__init__", counting_init)
+    assert npc_check(X).ok
+    assert built == []
+    # the link triangulation appears once it is read
+    assert vertex_links(X)[0].triangulation.dimension == 1
+    assert len(built) == 1
+
+
+def link_complex(vertex_count, *cells_by_dim, simplicial=True, reason=None):
+    return LinkComplex(
+        vertex_cell=0,
+        vertex_ids=tuple((v, 0) for v in range(vertex_count)),
+        cells_by_dim=tuple(tuple(cells) for cells in cells_by_dim),
+        simplicial=simplicial,
+        simplicial_reason=reason,
+    )
+
+
+def cycle(n):
+    return [(v, (v + 1) % n) for v in range(n)]
+
+
+@pytest.mark.parametrize(
+    "link,want",
+    [
+        (link_complex(3, cycle(3)), (False, "clique of size 3 spans no simplex")),
+        (
+            link_complex(4, list(combinations(range(4), 2)), list(combinations(range(4), 3))),
+            (False, "clique of size 4 spans no simplex"),
+        ),
+        (link_complex(4, list(combinations(range(4), 2)), [(0, 1, 2)]), (False, "clique of size 3 spans no simplex")),
+        (link_complex(3, cycle(3), [(0, 1, 2)]), (True, None)),
+        (link_complex(4, cycle(4)), (True, None)),
+        (link_complex(5, cycle(5)), (True, None)),
+        (link_complex(2), (True, None)),
+        (link_complex(2, [(0, 1), (0, 1)], simplicial=False, reason="doubled"), (False, "doubled")),
+    ],
+    ids=["hollow triangle", "hollow tetrahedron", "one triangle of K4", "triangle", "4-cycle", "5-cycle",
+         "two points", "not simplicial"],
+)
+def test_flag_matches_clique_enumeration(link, want):
+    assert link.flag() == oracles.flag_by_cliques(link) == want
+
+
+@given(
+    st.integers(min_value=2, max_value=7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=5), max_size=12),
+            st.sampled_from(["as drawn", "closed", "closed, hollow"]),
+        )
+    )
+)
+def test_flag_matches_clique_enumeration_on_drawn_complexes(drawn):
+    n, simplices, shape = drawn
+    faces = {tuple(sorted(s)) for s in simplices}
+    if shape != "as drawn":
+        faces = {sub for s in faces for r in range(2, len(s) + 1) for sub in combinations(s, r)}
+    if shape == "closed, hollow":
+        # dropping the largest simplices keeps the complex closed under faces
+        faces = {s for s in faces if len(s) < max(map(len, faces))}
+    top = max(map(len, faces), default=1)
+    link = link_complex(n, *([s for s in sorted(faces) if len(s) == r] for r in range(2, top + 1)))
+    assert link.flag() == oracles.flag_by_cliques(link)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [sd3_central, lambda: extract(*pairs_partition(5, ((0, 1), (2, 3), (4, 5))), (0, 1, 2))],
+    ids=["sd3 central", "doubled 5-simplex central"],
+)
+def test_flag_matches_clique_enumeration_on_vertex_links(build):
+    for lk in vertex_links(build()).values():
+        assert lk.flag() == oracles.flag_by_cliques(lk)
 
 
 def test_vertex_link_lookup_forms():

@@ -385,3 +385,24 @@ def test_console_script_wiring():
     )
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout
+
+
+def test_npc_check_runs_without_networkx(tmp_path):
+    import os
+    import subprocess
+
+    T = cross_projective(3)
+    path = tmp_path / "rp3.txt"
+    path.write_text(save_stream(T, scheme_partition(T, "pairs", blocks=((0, 1), (2, 3)))))
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys\n"
+        "from multisect.cli import main\n"
+        "code = main(['npc-check', sys.argv[1]])\n"
+        "print('exit', code, 'networkx' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "npc ok true" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "exit 0 False"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from multisect.io import load_stream
-from multisect.subdivide import stellar_facet
+from multisect.subdivide import barycentric, stellar_facet
 from multisect.triangulation import Triangulation, TriangulationError, face_key, parse_face_key
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
@@ -375,6 +375,8 @@ def test_face_poset_class_lookup():
         f, corners = fp.canonical(cid)
         assert fp.class_of(f, corners) == cid
         assert fp.class_of_key(fp.key(cid)) == cid
+    with pytest.raises(TriangulationError):
+        fp.class_of(0, ())
 
 
 def test_incarnation_maps_cover_class_degree():
@@ -385,3 +387,36 @@ def test_incarnation_maps_cover_class_degree():
         assert len(maps) == fp.cls_count[cid]
         for enc, phi in maps.items():
             assert sorted(phi.values()) == sorted(phi.keys())
+
+
+FACE_TABLE_INPUTS = {
+    **{"double_simplex(%d)" % n: lambda n=n: double_simplex(n) for n in (2, 3, 4)},
+    **{"cross_sphere(%d)" % n: lambda n=n: cross_sphere(n) for n in (2, 3, 4)},
+    **{"cross_projective(%d)" % n: lambda n=n: cross_projective(n) for n in (2, 3, 4)},
+    "twisted_chain": twisted_chain,
+    "sd double_simplex(3)": lambda: barycentric(double_simplex(3))[0],
+    "sd cross_projective(3)": lambda: barycentric(cross_projective(3))[0],
+}
+
+
+@pytest.mark.parametrize("name", FACE_TABLE_INPUTS)
+def test_face_table_matches_union_find(name):
+    T = FACE_TABLE_INPUTS[name]()
+    fp = T.face_poset
+    want = oracles.face_classes_by_union_find(T)
+    assert {(f, mask): fp.class_of_enc(f * fp.M + mask) for f, mask in want} == want
+    for f, row in enumerate(fp.facet_vertices):
+        assert row == tuple(want[(f, 1 << c)] for c in range(T.dimension + 1))
+    for cid in range(fp.n_classes):
+        assert fp.incarnations(cid) == oracles.incarnations_by_bfs(T, fp.cls_canon[cid])
+
+
+def test_corner_map_is_the_incarnation_map():
+    T = cross_projective(3)
+    fp = T.face_poset
+    for cid in range(fp.n_classes):
+        for enc, phi in fp.incarnation_maps(cid).items():
+            f, mask = divmod(enc, fp.M)
+            corners = [c for c in range(fp.L) if mask >> c & 1]
+            assert fp.corner_map(f, corners) == (cid, phi)
+            assert fp.corner_map(f, corners + corners[:1]) == (cid, phi)
