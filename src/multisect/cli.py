@@ -51,7 +51,6 @@ class PipelineConfig:
     inputs: Tuple[str, ...]
     subset: Optional[Tuple[int, ...]] = None
     ceiling: Optional[int] = None
-    homology_class: int = 0
 
     def __post_init__(self):
         if not self.inputs:
@@ -94,7 +93,6 @@ def _config(args, n_inputs: int = 1) -> PipelineConfig:
         inputs=tuple(paths),
         subset=subset,
         ceiling=getattr(args, "ceiling", None),
-        homology_class=getattr(args, "cls", 0),
     )
 
 

@@ -236,16 +236,6 @@ class InclusionReport:
         return self.relators_die and self.surjective
 
 
-def _class_vertex(X: cells_mod.CellComplex, fp, cell: int, label: int) -> int:
-    cube = X.cubes[cell]
-    row = fp.facet_vertices[cube.facet]
-    for c in cube.corners:
-        v = row[c]
-        if X.labels[v] == label:
-            return v
-    raise TriangulationError("cell %d has no vertex of class %d" % (cell, label))
-
-
 def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> InclusionReport:
     """Push the central complex's loops into one region graph.
 
@@ -259,71 +249,62 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
     if not 0 <= label <= k:
         raise TriangulationError("class label %d out of range 0..%d" % (label, k))
     fp = T.face_poset
-    central = cells_mod.extract(T, P, tuple(range(k + 1)))
-    graph = cells_mod.extract(T, P, (label,))
+    multisets = cells_mod.class_label_multisets(T, P)
+    central = cells_mod.extract(T, P, tuple(range(k + 1)), multisets)
+    graph = cells_mod.extract(T, P, (label,), multisets)
     if graph.dimension > 1:
         raise TriangulationError("region %d is not a graph (contains higher cells)" % label)
     if not central.connected() or not graph.connected():
         raise TriangulationError("central complex and region graph must be connected")
 
     c_ends = _edge_ends(central)
-    c_root, c_parent, c_tree = _spanning_tree(central, c_ends)
+    _, c_parent, c_tree = _spanning_tree(central, c_ends)
     g_ends = _edge_ends(graph)
-    g_root, g_parent, g_tree = _spanning_tree(graph, g_ends)
+    _, _, g_tree = _spanning_tree(graph, g_ends)
     g_gen = {}
     for e in sorted(g_ends):
         if e not in g_tree:
             g_gen[e] = len(g_gen)
 
-    # ambient vertex class of each graph vertex cell (identity on singleton faces)
-    graph_vertex_of: Dict[int, int] = {}
-    for i, d in enumerate(graph.dims):
-        if d == 0:
-            graph_vertex_of[graph.cells[i]] = i
-
-    def edge_image(e: int, dr: int) -> List[int]:
-        f, _, _, (doubled,), (pair,) = central.cubes[e]
+    def edge_image(e: int, dr: int) -> Tuple[int, ...]:
+        f, _, _, (doubled,), ((a, b),) = central.cubes[e]
         if doubled != label:
-            return []
-        gi = graph._index(fp.class_of(f, pair))
-        # orient along the central edge's canonical direction, then apply dr
-        va, vb, ca, cb = c_ends[e]
-        tail = _class_vertex(central, fp, va, label)
-        head = _class_vertex(central, fp, vb, label)
+            return ()
+        gi = graph._index(fp.class_of(f, (a, b)))
+        # orient along the central edge's canonical direction, then apply dr;
+        # its ends lie on the graph vertices at corners a and b
+        row = fp.facet_vertices[f]
+        tail, head = graph._index(row[a]), graph._index(row[b])
         gva, gvb, _, _ = g_ends[gi]
-        tail_cell = graph_vertex_of[tail]
-        sign = 1 if tail_cell == gva else -1
-        if graph_vertex_of[head] not in (gva, gvb) or tail_cell not in (gva, gvb):
+        if head not in (gva, gvb) or tail not in (gva, gvb):
             raise TriangulationError("inclusion image of an edge misses its endpoints")
-        out = [sign * dr * (g_gen[gi] + 1)] if gi in g_gen else []
-        return out
+        sign = 1 if tail == gva else -1
+        return (sign * dr * (g_gen[gi] + 1),) if gi in g_gen else ()
+
+    # image of the tree path from the root to each central vertex, reduced;
+    # the spanning tree lists each vertex after the one it was reached from
+    pot: Dict[int, Tuple[int, ...]] = {}
+    for v, step in c_parent.items():
+        if step is None:
+            pot[v] = ()
+        else:
+            e, dr = step
+            va, vb, _, _ = c_ends[e]
+            pot[v] = free_reduce(pot[va if dr == 1 else vb] + edge_image(e, dr))
 
     # generator words: tree path to tail, the edge, tree path back
-    def tree_path(v: int) -> List[Tuple[int, int]]:
-        path = []
-        while c_parent[v] is not None:
-            e, dr = c_parent[v]  # type: ignore[misc]
-            path.append((e, dr))
-            va, vb, _, _ = c_ends[e]
-            v = va if dr == 1 else vb
-        path.reverse()
-        return path
-
     words = []
-    c_gens = [e for e in sorted(c_ends) if e not in c_tree]
-    for e in c_gens:
-        va, vb, _, _ = c_ends[e]
-        cycle = tree_path(va) + [(e, 1)] + [(x, -d) for x, d in reversed(tree_path(vb))]
-        word: List[int] = []
-        for ee, dd in cycle:
-            word.extend(edge_image(ee, dd))
-        words.append(free_reduce(word))
+    for e in sorted(c_ends):
+        if e not in c_tree:
+            va, vb, _, _ = c_ends[e]
+            back = tuple(-x for x in reversed(pot[vb]))
+            words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
 
     relators_die = True
     for i, d in enumerate(central.dims):
         if d != 2:
             continue
-        word = []
+        word: List[int] = []
         for ee, dd in _square_boundary(central, c_ends, i):
             word.extend(edge_image(ee, dd))
         if free_reduce(word):

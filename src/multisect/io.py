@@ -185,11 +185,6 @@ def load_stream(text: str) -> Tuple[Triangulation, Optional[VertexPartition]]:
     return T, P
 
 
-def load_triangulation(text: str) -> Triangulation:
-    T, _ = load_stream(text)
-    return T
-
-
 def cell_complex_json(X: CellComplex) -> dict:
     s = X.summary()
     return {

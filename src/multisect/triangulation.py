@@ -9,8 +9,8 @@ allowed, so quotient spaces such as the doubled simplex or lens-type
 identifications are in scope; a face is never glued to itself.
 
 Faces of every dimension are identified by propagating the gluings over
-corner subsets, which is done once with a union-find over (facet, subset)
-pairs; afterwards a flat table maps each pair to its class id.  All
+corner subsets: one breadth-first walk per face class writes its id into
+a flat table from each (facet, subset) pair to its class id.  All
 derived orderings use the canonical incarnation of a face class: the
 lexicographically least (facet, sorted corner tuple) pair.
 """
@@ -18,8 +18,7 @@ lexicographically least (facet, sorted corner tuple) pair.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -95,55 +94,50 @@ class FacePoset:
         self.M = M
         glu = tri.gluings
 
-        uf = UnionFind(m * M)
-        union = uf.union
-        for f in range(m):
-            base_f = f * M
-            for i in range(L):
-                t, pi = glu[f][i]
-                if (f, i) > (t, pi[i]):
-                    continue
-                base_t = t * M
-                img = [0] * M
-                pibit = [1 << pi[j] for j in range(L)]
-                for mask in range(1, M):
-                    low = mask & -mask
-                    img[mask] = img[mask ^ low] | pibit[low.bit_length() - 1]
-                bit_i = 1 << i
-                for mask in range(1, M):
-                    if mask & bit_i:
-                        continue
-                    union(base_f + mask, base_t + img[mask])
-
         corners_of = [tuple(c for c in range(L) if mask >> c & 1) for mask in range(M)]
         self._corners_of = corners_of
-        find = uf.find
-        # visiting each facet's masks in corner-tuple order makes the first
-        # incarnation met of a class its canonical one
-        lex_masks = sorted(range(1, M), key=corners_of.__getitem__)
-        roots = array("i", range(m * M))
-        canon: Dict[int, int] = {}
-        for base in range(0, m * M, M):
-            for mask in lex_masks:
-                r = roots[base + mask] = find(base + mask)
-                if r not in canon:
-                    canon[r] = base + mask
+        # the image of every corner mask across a corner map, one table per map
+        images: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for row in glu:
+            for _, pi in row:
+                if pi not in images:
+                    images[pi] = tuple(sum(1 << pi[c] for c in cs) for cs in corners_of)
+        self._images = images
+        slots = [[(1 << i, t * M, images[pi]) for i, (t, pi) in enumerate(row)] for row in glu]
 
-        def order(enc: int) -> Tuple:
-            f, mask = divmod(enc, M)
-            return len(corners_of[mask]), f, corners_of[mask]
-
-        count = Counter(roots)
-        self.cls_canon: List[int] = sorted(canon.values(), key=order)
-        self.cls_dim: List[int] = [len(corners_of[enc % M]) - 1 for enc in self.cls_canon]
-        self.cls_count: List[int] = [count[roots[enc]] for enc in self.cls_canon]
-        self.dim_start = [bisect_left(self.cls_dim, d) for d in range(n + 2)]
-        cls_of_root = array("i", [-1]) * (m * M)
-        for cid, enc in enumerate(self.cls_canon):
-            cls_of_root[roots[enc]] = cid
-        self._table = array("i", map(cls_of_root.__getitem__, roots))
+        # Visiting masks by (size, facet, corner tuple) meets each class first
+        # at its canonical incarnation, so ids come out in canonical order.
+        # A class's walk across the gluings writes its id into every incarnation.
+        table = array("i", [-1]) * (m * M)
+        self.cls_canon: List[int] = []
+        self.cls_count: List[int] = []
+        self.cls_dim: List[int] = []
+        self.dim_start = [0]
+        by_corners = sorted(range(1, M), key=corners_of.__getitem__)
+        for size in range(1, L + 1):
+            masks = [mask for mask in by_corners if len(corners_of[mask]) == size]
+            for base in range(0, m * M, M):
+                for mask in masks:
+                    if table[base + mask] >= 0:
+                        continue
+                    cid = len(self.cls_canon)
+                    table[base + mask] = cid
+                    walk = [base + mask]
+                    for enc in walk:
+                        f, sub = divmod(enc, M)
+                        for bit, t_base, img in slots[f]:
+                            if not sub & bit:
+                                enc2 = t_base + img[sub]
+                                if table[enc2] < 0:
+                                    table[enc2] = cid
+                                    walk.append(enc2)
+                    self.cls_canon.append(base + mask)
+                    self.cls_count.append(len(walk))
+                    self.cls_dim.append(size - 1)
+            self.dim_start.append(len(self.cls_canon))
+        self._table = table
         self.facet_vertices: List[Tuple[int, ...]] = [
-            tuple(self._table[f * M + (1 << c)] for c in range(L)) for f in range(m)
+            tuple(table[f * M + (1 << c)] for c in range(L)) for f in range(m)
         ]
         self._maps: Dict[int, Dict[int, Dict[int, int]]] = {}
 
@@ -181,12 +175,16 @@ class FacePoset:
         f, corners = self.canonical(cid)
         return face_key(f, corners)
 
+    def _check_face(self, facet: int, corners: Sequence[int], name: str) -> None:
+        """Raise TriangulationError, naming the face `name`, unless it lies in the table."""
+        if not (0 <= facet < self.tri.facet_count):
+            raise TriangulationError("%s: facet out of range" % name)
+        if not corners or any(not 0 <= c < self.L for c in corners):
+            raise TriangulationError("%s: corner out of range" % name)
+
     def class_of_key(self, text: str) -> int:
         f, corners = parse_face_key(text)
-        if not (0 <= f < self.tri.facet_count):
-            raise TriangulationError("face key %r: facet out of range" % (text,))
-        if not corners or any(not 0 <= c <= self.tri.dimension for c in corners):
-            raise TriangulationError("face key %r: corner out of range" % (text,))
+        self._check_face(f, corners, "face key %r" % (text,))
         if len(set(corners)) != len(corners):
             raise TriangulationError("face key %r: repeated corner" % (text,))
         return self.class_of(f, corners)
@@ -220,6 +218,7 @@ class FacePoset:
         """
         glu = self.tri.gluings
         L, M = self.L, self.M
+        images = self._images
         start = self.cls_canon[cid]
         f0, mask0 = divmod(start, M)
         maps: Dict[int, Dict[int, int]] = {start: {c: c for c in self._corners_of[mask0]}}
@@ -232,13 +231,7 @@ class FacePoset:
                 if mask >> i & 1:
                     continue
                 t, pi = glu[f][i]
-                img = 0
-                rem = mask
-                while rem:
-                    low = rem & -rem
-                    img |= 1 << pi[low.bit_length() - 1]
-                    rem ^= low
-                enc2 = t * M + img
+                enc2 = t * M + images[pi][mask]
                 if enc2 not in maps:
                     maps[enc2] = {pi[c]: v for c, v in phi.items()}
                     queue.append(enc2)
@@ -478,10 +471,7 @@ class Triangulation:
                     has_loop = True
                 edges.append((f, t) if f <= t else (t, f))
         edges.sort()
-        uf = UnionFind(m)
-        for u, v in edges:
-            uf.union(u, v)
-        connected = uf.n_sets == 1
+        connected = self._facet_components().n_sets == 1
         bipartition: Optional[Tuple[int, ...]] = None
         if not has_loop:
             color = [-1] * m
@@ -526,9 +516,13 @@ class Triangulation:
         if isinstance(face, str):
             cid = fp.class_of_key(face)
         elif isinstance(face, int):
+            if not 0 <= face < fp.n_classes:
+                raise TriangulationError("face class %d out of range 0..%d" % (face, fp.n_classes - 1))
             cid = face
         else:
             f, corners = face
+            corners = tuple(corners)
+            fp._check_face(f, corners, "face %r" % ((f, corners),))
             cid = fp.class_of(f, corners)
         d = fp.cls_dim[cid]
         if d >= self.dimension:
@@ -549,12 +543,7 @@ class Triangulation:
             row = []
             for j in rest:
                 t, pi = self.gluings[f][j]
-                img = 0
-                rem = mask
-                while rem:
-                    low = rem & -rem
-                    img |= 1 << pi[low.bit_length() - 1]
-                    rem ^= low
+                img = fp._images[pi][mask]
                 target = index[t * M + img]
                 rest_t = [c for c in range(L) if not img >> c & 1]
                 pos_t = {c: p for p, c in enumerate(rest_t)}

@@ -420,6 +420,72 @@ def incarnations_by_bfs(T, start):
     return queue
 
 
+# --- generator words by explicit tree paths ---------------------------------
+
+
+def generator_words_by_tree_paths(T, P, label):
+    """`inclusion_epimorphism(T, P, label).generator_words`, one cycle at a time.
+
+    The slow path the reduced tree-path images are checked against: each
+    generator's cycle (tree path to its tail, the edge, tree path back) is
+    spelled out edge by edge, every edge is pushed into the region graph
+    through the class-`label` vertex of its ends' canonical incarnations,
+    and the whole word is reduced once.  Uses the library's cell complexes,
+    edge ends and spanning trees.
+    """
+    from multisect import cells
+    from multisect.invariants import _edge_ends, _spanning_tree
+
+    fp = T.face_poset
+    central = cells.extract(T, P, tuple(range(P.k + 1)))
+    graph = cells.extract(T, P, (label,))
+    c_ends = _edge_ends(central)
+    _, c_parent, c_tree = _spanning_tree(central, c_ends)
+    g_ends = _edge_ends(graph)
+    _, _, g_tree = _spanning_tree(graph, g_ends)
+    g_gen = {e: j for j, e in enumerate(e for e in sorted(g_ends) if e not in g_tree)}
+    graph_vertex_of = {graph.cells[i]: i for i, d in enumerate(graph.dims) if d == 0}
+
+    def class_vertex(cell):
+        cube = central.cubes[cell]
+        row = fp.facet_vertices[cube.facet]
+        return next(row[c] for c in cube.corners if central.labels[row[c]] == label)
+
+    def edge_image(e, dr):
+        f, _, _, (doubled,), (pair,) = central.cubes[e]
+        if doubled != label:
+            return []
+        gi = graph._index(fp.class_of(f, pair))
+        va, vb, _, _ = c_ends[e]
+        tail_cell = graph_vertex_of[class_vertex(va)]
+        head_cell = graph_vertex_of[class_vertex(vb)]
+        gva, gvb, _, _ = g_ends[gi]
+        assert {tail_cell, head_cell} == {gva, gvb}
+        sign = 1 if tail_cell == gva else -1
+        return [sign * dr * (g_gen[gi] + 1)] if gi in g_gen else []
+
+    def tree_path(v):
+        path = []
+        while c_parent[v] is not None:
+            e, dr = c_parent[v]
+            path.append((e, dr))
+            va, vb, _, _ = c_ends[e]
+            v = va if dr == 1 else vb
+        return path[::-1]
+
+    words = []
+    for e in sorted(c_ends):
+        if e in c_tree:
+            continue
+        va, vb, _, _ = c_ends[e]
+        cycle = tree_path(va) + [(e, 1)] + [(x, -d) for x, d in reversed(tree_path(vb))]
+        word = []
+        for ee, dd in cycle:
+            word.extend(edge_image(ee, dd))
+        words.append(reduce_word(word))
+    return tuple(words)
+
+
 # --- flag complexes by clique enumeration -----------------------------------
 
 

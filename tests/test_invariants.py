@@ -37,6 +37,16 @@ def d5():
     return T, scheme_partition(T, "pairs", blocks=((0, 1), (2, 3), (4, 5)))
 
 
+def rp5():
+    T = cross_projective(5)
+    return T, scheme_partition(T, "pairs", blocks=((0, 1), (2, 3), (4, 5)))
+
+
+def sd_rp3():
+    T, carriers = barycentric(cross_projective(3))
+    return T, scheme_partition(T, "odd-bary", carriers=carriers)
+
+
 def test_pi1_of_central_circle():
     T = double_simplex(2)
     P = scheme_partition(T, "explicit", labels=(0, 0, 1))
@@ -182,6 +192,23 @@ def test_inclusion_relators_always_die():
     for T, P in builds:
         for i in range(P.k + 1):
             assert inclusion_epimorphism(T, P, i).relators_die
+
+
+WORD_BUILDS = {"rp3 pairs": rp3, "rp5 pairs": rp5, "d5 pairs": d5, "sd3 odd-bary": sd3, "sd rp3 odd-bary": sd_rp3}
+
+
+@pytest.mark.parametrize("name", WORD_BUILDS)
+def test_generator_words_match_tree_path_oracle(name, monkeypatch):
+    T, P = WORD_BUILDS[name]()
+    calls = []
+    multisets = cells.class_label_multisets
+    monkeypatch.setattr(cells, "class_label_multisets", lambda *args: calls.append(args) or multisets(*args))
+    for label in range(P.k + 1):
+        calls.clear()
+        words = inclusion_epimorphism(T, P, label).generator_words
+        # one label pass serves both the central complex and the region graph
+        assert len(calls) == 1
+        assert words == oracles.generator_words_by_tree_paths(T, P, label)
 
 
 def test_h1_onto_everywhere():

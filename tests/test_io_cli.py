@@ -376,12 +376,17 @@ def test_cli_byte_determinism():
 
 
 def test_console_script_wiring():
+    import os
     import subprocess
 
+    # the child finds the package in the source tree when it is not installed
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "multisect.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "0.1.0" in proc.stdout

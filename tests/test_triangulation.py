@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -396,19 +397,35 @@ FACE_TABLE_INPUTS = {
     "twisted_chain": twisted_chain,
     "sd double_simplex(3)": lambda: barycentric(double_simplex(3))[0],
     "sd cross_projective(3)": lambda: barycentric(cross_projective(3))[0],
+    "double_simplex(3) + cross_projective(3)": lambda: disjoint_union(double_simplex(3), cross_projective(3)),
 }
 
 
-@pytest.mark.parametrize("name", FACE_TABLE_INPUTS)
-def test_face_table_matches_union_find(name):
-    T = FACE_TABLE_INPUTS[name]()
+def check_face_table(T):
     fp = T.face_poset
     want = oracles.face_classes_by_union_find(T)
     assert {(f, mask): fp.class_of_enc(f * fp.M + mask) for f, mask in want} == want
     for f, row in enumerate(fp.facet_vertices):
         assert row == tuple(want[(f, 1 << c)] for c in range(T.dimension + 1))
+    sizes = Counter(want.values())
+    dims = {cid: bin(mask).count("1") - 1 for (_, mask), cid in want.items()}
+    assert fp.cls_count == [sizes[cid] for cid in range(len(sizes))]
+    assert fp.cls_dim == [dims[cid] for cid in range(len(dims))]
+    assert fp.dim_start == [sum(1 for d in dims.values() if d < k) for k in range(T.dimension + 2)]
     for cid in range(fp.n_classes):
         assert fp.incarnations(cid) == oracles.incarnations_by_bfs(T, fp.cls_canon[cid])
+
+
+@pytest.mark.parametrize("name", FACE_TABLE_INPUTS)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=3)
+def test_face_table_matches_union_find(name, seed):
+    # relabelling moves every class's least incarnation, so the visit order
+    # meets the classes in a different order; a seed rather than a drawn
+    # random, whose draws would overrun on the larger inputs
+    T = FACE_TABLE_INPUTS[name]()
+    check_face_table(T)
+    check_face_table(relabel(T, random.Random(seed)))
 
 
 def test_corner_map_is_the_incarnation_map():
@@ -420,3 +437,23 @@ def test_corner_map_is_the_incarnation_map():
             corners = [c for c in range(fp.L) if mask >> c & 1]
             assert fp.corner_map(f, corners) == (cid, phi)
             assert fp.corner_map(f, corners + corners[:1]) == (cid, phi)
+
+
+OUTSIDE_FACES = {
+    "facet -1": (-1, (0,)),
+    "facet 8": (8, (0,)),
+    "corner 3": (0, (3,)),
+    "corner 8": (0, (8,)),
+    "no corner": (0, ()),
+    "class 26": 26,
+    "class -1": -1,
+    "key 0:3": "0:3",
+}
+
+
+@pytest.mark.parametrize("face", OUTSIDE_FACES.values(), ids=OUTSIDE_FACES)
+def test_link_refuses_faces_outside_the_table(face):
+    T = cross_sphere(2)
+    assert T.facet_count == 8 and T.face_poset.n_classes == 26
+    with pytest.raises(TriangulationError, match="out of range"):
+        T.link(face)
