@@ -123,8 +123,13 @@ def _need_partition(P: Optional[VertexPartition]) -> VertexPartition:
     return P
 
 
-def _central(P: VertexPartition) -> Tuple[int, ...]:
-    return tuple(range(P.k + 1))
+def _subcomplex(args) -> Tuple[Tuple[int, ...], cells_mod.CellComplex]:
+    """The `--subset` labels (all of them by default) and their complex in the input."""
+    cfg = _config(args)
+    T, P = _load(cfg)
+    P = _need_partition(P)
+    subset = cfg.subset if cfg.subset is not None else tuple(range(P.k + 1))
+    return subset, cells_mod.extract(T, P, subset)
 
 
 def _emit(text: str) -> None:
@@ -271,11 +276,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_build(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
-    P = _need_partition(P)
-    subset = cfg.subset if cfg.subset is not None else _central(P)
-    X = cells_mod.extract(T, P, subset)
+    subset, X = _subcomplex(args)
     s = X.summary()
     lines = [
         "subset %s" % _csv(subset),
@@ -293,11 +294,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_npc_check(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
-    P = _need_partition(P)
-    subset = cfg.subset if cfg.subset is not None else _central(P)
-    X = cells_mod.extract(T, P, subset)
+    subset, X = _subcomplex(args)
     rep = cells_mod.npc_check(X)
     lines = [
         "subset %s" % _csv(subset),
@@ -315,11 +312,7 @@ def cmd_npc_check(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
-    P = _need_partition(P)
-    subset = cfg.subset if cfg.subset is not None else _central(P)
-    X = cells_mod.extract(T, P, subset)
+    subset, X = _subcomplex(args)
     res = cells_mod.collapse(X)
     lines = [
         "subset %s" % _csv(subset),
@@ -423,11 +416,7 @@ def cmd_symrep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
-    P = _need_partition(P)
-    subset = cfg.subset if cfg.subset is not None else _central(P)
-    X = cells_mod.extract(T, P, subset)
+    _, X = _subcomplex(args)
     payload = io_mod.cell_complex_json(X)
     with open(args.json, "w", encoding="ascii") as fh:
         fh.write(io_mod.dump_json(payload))

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import cells as cells_mod
 from . import gf2
-from .partition import ValidationReport, VertexPartition, validate
+from .partition import ValidationReport, VertexPartition, _validate
 from .triangulation import Triangulation, TriangulationError
 
 
@@ -36,9 +36,8 @@ class MultisectionReport:
 
 def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = True) -> MultisectionReport:
     """Validate the partition and summarise the induced decomposition."""
-    rep = validate(T, P)
+    rep, central = _validate(T, P)
     n, k = rep.n, rep.k
-    central = cells_mod.extract(T, P, tuple(range(k + 1)))
     summ = central.summary()
     betti = central.betti()
     genus = None
@@ -339,8 +338,7 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     fp = T.face_poset
     k = P.k
     central = cells_mod.extract(T, P, tuple(range(k + 1)))
-    edge_ids = list(fp.class_ids_of_dim(1))
-    edge_pos = {cid: j for j, cid in enumerate(edge_ids)}
+    e_start = fp.dim_start[1]  # bit j of an ambient edge chain is edge class e_start + j
 
     # cycle space of the central 1-skeleton
     c_vpos = {i: j for j, i in enumerate(i for i, d in enumerate(central.dims) if d == 0)}
@@ -349,20 +347,14 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     for i, (va, vb, a, b) in _edge_ends(central).items():
         cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
         f, _, _, (doubled,), _ = central.cubes[i]
-        images.append(1 << edge_pos[fp.class_of(f, (a, b))] if doubled == cls else 0)
+        images.append(1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0)
     cycle_masks = gf2.kernel_basis(cols)
 
-    boundaries = []
-    for cid in fp.class_ids_of_dim(2):
-        v = 0
-        for ch in fp.children(cid):
-            v ^= 1 << edge_pos[ch]
-        boundaries.append(v)
     base = gf2.Basis()
-    for v in boundaries:
+    for v in T.boundary_columns(2):
         base.add(v)
     r2 = base.rank
-    b1 = len(edge_ids) - gf2.rank(cols_ambient_d1(T, fp)) - r2
+    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - r2
     extra = 0
     for mask in cycle_masks:
         img = 0
@@ -374,15 +366,3 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
         if base.add(img):
             extra += 1
     return extra == b1
-
-
-def cols_ambient_d1(T: Triangulation, fp) -> List[int]:
-    """Boundary columns of the ambient 1-skeleton (vertex bits per edge)."""
-    v_start = fp.dim_start[0]
-    cols = []
-    for cid in fp.class_ids_of_dim(1):
-        v = 0
-        for ch in fp.children(cid):
-            v ^= 1 << (ch - v_start)
-        cols.append(v)
-    return cols

@@ -210,6 +210,11 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
 
     Failures never raise; they land in the report and its diagnostics.
     """
+    return _validate(T, P)[0]
+
+
+def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, cells_mod.CellComplex]:
+    """`validate`, plus the central complex it builds on the way."""
     n = T.dimension
     k = P.k
     fp = T.face_poset
@@ -238,52 +243,11 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
 
     multisets = cells_mod.class_label_multisets(T, labels)
 
-    # monochromatic-edge graphs, one per label
-    uf = UnionFind(nv)
-    edge_count = [0] * (k + 1)
-    chi = [0] * (k + 1)
-    for cid in range(fp.n_classes):
-        ms = multisets[cid]
-        if len(set(ms)) != 1:
-            continue
-        l = ms[0]
-        d = len(ms) - 1
-        chi[l] += 1 if d % 2 == 0 else -1
-        if d == 1:
-            edge_count[l] += 1
-            f, (a, b) = fp.canonical(cid)
-            vs = fp.facet_vertices[f]
-            uf.union(vs[a], vs[b])
-    vertex_count = [0] * (k + 1)
-    rep: List[Optional[int]] = [None] * (k + 1)
-    graph_connected = [True] * (k + 1)
-    for v, l in enumerate(labels):
-        vertex_count[l] += 1
-        r = uf.find(v)
-        if rep[l] is None:
-            rep[l] = r
-        elif rep[l] != r:
-            graph_connected[l] = False
-    class_graphs = []
-    for l in range(k + 1):
-        if vertex_count[l] == 0:
-            graph_connected[l] = False
-            diagnostics.append("class %d has no vertices" % l)
-        class_graphs.append(
-            ClassGraph(
-                label=l,
-                vertices=vertex_count[l],
-                edges=edge_count[l],
-                connected=graph_connected[l],
-                genus=1 - chi[l],
-            )
-        )
-        if not graph_connected[l] and vertex_count[l] > 0:
-            diagnostics.append("class graph %d disconnected" % l)
-
     subset_reports: List[SubsetReport] = []
+    subset_diagnostics: List[str] = []
     central_report: Optional[SubsetReport] = None
-    ok_mult = profile_ok and all(graph_connected)
+    central: Optional[cells_mod.CellComplex] = None
+    ok_mult = profile_ok
     ok_gen = True
     full = tuple(range(k + 1))
     for r in range(1, k + 2):
@@ -313,34 +277,52 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
                 subset_reports.append(rep_s)
                 if not rep_s.nonempty or not rep_s.connected:
                     ok_mult = False
-                    diagnostics.append("subset %s complex is empty or disconnected" % (S,))
+                    subset_diagnostics.append("subset %s complex is empty or disconnected" % (S,))
                 if rep_s.spine_dim > req:
                     ok_mult = False
-                    diagnostics.append(
+                    subset_diagnostics.append(
                         "subset %s collapses to dimension %d, above the bound %d" % (S, rep_s.spine_dim, req)
                     )
                 if not rep_s.nonempty or rep_s.spine_dim > gen:
                     ok_gen = False
-                    diagnostics.append(
+                    subset_diagnostics.append(
                         "subset %s misses the codimension-2 spine bound %d" % (S, gen)
                     )
             else:
-                central_report = rep_s
+                central_report, central = rep_s, X
                 if not rep_s.nonempty:
                     ok_mult = False
                     ok_gen = False
-                    diagnostics.append("central complex is empty")
+                    subset_diagnostics.append("central complex is empty")
                 else:
                     if not rep_s.connected or not rep_s.closed:
                         ok_mult = False
-                        diagnostics.append("central complex is not a closed connected complex")
+                        subset_diagnostics.append("central complex is not a closed connected complex")
                     if rep_s.raw_dim != n - k:
                         ok_mult = False
-                        diagnostics.append(
+                        subset_diagnostics.append(
                             "central complex has dimension %d, expected %d" % (rep_s.raw_dim, n - k)
                         )
-    assert central_report is not None
-    return ValidationReport(
+    assert central_report is not None and central is not None
+
+    # class graph l is the (l,) complex; the loop makes singletons first, and for k = 0 (0,) is central
+    class_graphs = []
+    for l, rep_l in enumerate(subset_reports[: k + 1] if k else [central_report]):
+        counts = rep_l.cell_counts
+        g = ClassGraph(
+            label=l,
+            vertices=counts[0] if counts else 0,
+            edges=counts[1] if len(counts) > 1 else 0,
+            connected=rep_l.connected,
+            genus=1 - rep_l.euler,
+        )
+        class_graphs.append(g)
+        if not g.vertices:
+            diagnostics.append("class %d has no vertices" % l)
+        elif not g.connected:
+            diagnostics.append("class graph %d disconnected" % l)
+    ok_mult = ok_mult and all(g.connected for g in class_graphs)
+    report = ValidationReport(
         n=n,
         k=k,
         profile_ok=profile_ok,
@@ -350,8 +332,9 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
         central=central_report,
         supports_multisection=ok_mult,
         supports_generalized=ok_gen,
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(diagnostics + subset_diagnostics),
     )
+    return report, central
 
 
 @dataclass(eq=False)

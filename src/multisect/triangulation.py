@@ -181,12 +181,12 @@ class FacePoset:
             raise TriangulationError("%s: facet out of range" % name)
         if not corners or any(not 0 <= c < self.L for c in corners):
             raise TriangulationError("%s: corner out of range" % name)
+        if len(set(corners)) != len(corners):
+            raise TriangulationError("%s: repeated corner" % name)
 
     def class_of_key(self, text: str) -> int:
         f, corners = parse_face_key(text)
         self._check_face(f, corners, "face key %r" % (text,))
-        if len(set(corners)) != len(corners):
-            raise TriangulationError("face key %r: repeated corner" % (text,))
         return self.class_of(f, corners)
 
     def children(self, cid: int) -> Tuple[int, ...]:
@@ -413,20 +413,27 @@ class Triangulation:
                         return None
         return tuple(eps)
 
+    def boundary_columns(self, d: int) -> List[int]:
+        """The GF(2) boundary map C_d -> C_{d-1}: per d-face class, the bits of its (d-1)-faces.
+
+        Bit j of a column stands for face class dim_start[d-1] + j.
+        """
+        fp = self.face_poset
+        start = fp.dim_start[d - 1]
+        cols = []
+        for cid in fp.class_ids_of_dim(d):
+            col = 0
+            for child in fp.children(cid):
+                col ^= 1 << (child - start)
+            cols.append(col)
+        return cols
+
     def boundary_ranks(self) -> Tuple[int, ...]:
         """GF(2) ranks of the face boundary maps, index d for C_d -> C_{d-1}."""
-        fp = self.face_poset
         n = self.dimension
         ranks = [0] * (n + 2)
         for d in range(1, n + 1):
-            start = fp.dim_start[d - 1]
-            cols = []
-            for cid in fp.class_ids_of_dim(d):
-                col = 0
-                for child in fp.children(cid):
-                    col ^= 1 << (child - start)
-                cols.append(col)
-            ranks[d] = gf2.rank(cols)
+            ranks[d] = gf2.rank(self.boundary_columns(d))
         return tuple(ranks)
 
     def summary(self, with_betti: bool = True) -> TriSummary:

@@ -513,3 +513,53 @@ def flag_by_cliques(link):
         if h >= len(have) or tuple(sorted(clique)) not in have[h]:
             return False, "clique of size %d spans no simplex" % len(clique)
     return True, None
+
+
+# --- class graphs by a union-find over monochromatic edges -----------------
+
+
+def class_graphs_by_edge_union_find(T, P):
+    """`validate(T, P)`'s class graphs and their diagnostics, from the face table.
+
+    The slow path the (l,) subset complexes are checked against: every
+    face class whose vertices all carry label l adds (-1)^dim to that
+    label's Euler tally, each such edge is counted and merged in a
+    union-find over vertex classes, and a label's graph is connected when
+    its vertices share one root.  Returns a (label, vertices, edges,
+    connected, genus) row per label and the class-graph diagnostics in
+    report order.  Uses the library's face poset and label multisets.
+    """
+    from multisect.cells import class_label_multisets
+
+    fp = T.face_poset
+    k = P.k
+    parent = list(range(fp.dim_start[1]))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    edges = [0] * (k + 1)
+    chi = [0] * (k + 1)
+    for cid, ms in enumerate(class_label_multisets(T, P)):
+        if len(set(ms)) != 1:
+            continue
+        chi[ms[0]] += (-1) ** (len(ms) - 1)
+        if len(ms) == 2:
+            edges[ms[0]] += 1
+            f, (a, b) = fp.canonical(cid)
+            vs = fp.facet_vertices[f]
+            parent[find(vs[a])] = find(vs[b])
+    roots = [set() for _ in range(k + 1)]
+    for v, l in enumerate(P.labels):
+        roots[l].add(find(v))
+    rows, diagnostics = [], []
+    for l in range(k + 1):
+        connected = len(roots[l]) == 1
+        rows.append((l, sum(1 for x in P.labels if x == l), edges[l], connected, 1 - chi[l]))
+        if not roots[l]:
+            diagnostics.append("class %d has no vertices" % l)
+        elif not connected:
+            diagnostics.append("class graph %d disconnected" % l)
+    return rows, diagnostics

@@ -234,6 +234,26 @@ def test_report_on_projective_five():
     assert R.npc_ok is True
 
 
+@pytest.mark.parametrize("build", [rp3, d5, sd3])
+def test_report_builds_each_subset_complex_once(build, monkeypatch):
+    T, P = build()
+    calls = {"multisets": 0, "extract": 0}
+    multisets, extract = cells.class_label_multisets, cells.extract
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cells, "class_label_multisets", counted("multisets", multisets))
+    monkeypatch.setattr(cells, "extract", counted("extract", extract))
+    multisection_report(T, P)
+    # validate's label pass and subset complexes serve the report; the central one is not rebuilt
+    assert calls == {"multisets": 1, "extract": 2 ** (P.k + 1) - 1}
+
+
 def test_report_is_pure():
     T, P = rp3()
     a = multisection_report(T, P)

@@ -4,21 +4,22 @@ import contextlib
 import io
 import json
 import pathlib
+import re
+import shlex
 import sys
 
 import jsonschema
 import pytest
 
-from multisect.cli import main
+from multisect.cli import HEADER, main
 from multisect.io import load_stream, save_partition, save_stream, save_triangulation
 from multisect.partition import scheme_partition
 from multisect.subdivide import barycentric
 from multisect.triangulation import TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
-SCHEMA = json.loads(
-    (pathlib.Path(__file__).parent.parent / "docs" / "cellcomplex.schema.json").read_text()
-)
+ROOT = pathlib.Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "cellcomplex.schema.json").read_text())
 
 
 def run(argv, stdin_text=None):
@@ -163,6 +164,30 @@ def test_cli_gen_vertex_layout_guard():
     code, out, err = run(["gen", "--double-simplex", "3", "--format", "vertex"])
     assert code == 2
     assert "gluing layout" in err
+
+
+# a `multisect` shell pipeline followed by the block of its output
+README_PIPELINES = [
+    pytest.param(command, expected, id=shlex.split(command.split("|")[-1])[1])
+    for command, expected in re.findall(
+        r"```sh\n(multisect .*?)```\n\n```\n(.*?)```", (ROOT / "README.md").read_text(), re.S
+    )
+]
+
+
+@pytest.mark.parametrize("command, expected", README_PIPELINES)
+def test_readme_pipelines(command, expected):
+    assert len(README_PIPELINES) == 3
+    out = None
+    for stage in command.replace("\\\n", " ").split("|"):
+        argv = shlex.split(stage)
+        assert argv[0] == "multisect"
+        code, out, err = run(argv[1:], stdin_text=out)
+        assert (code, err) == (0, "")
+    assert out.startswith(HEADER)
+    # a `...` line in the README stands for any run of output lines
+    pattern = "".join("(?:.*\n)*" if line == "..." else re.escape(line) + "\n" for line in expected.splitlines())
+    assert re.fullmatch(pattern, out[len(HEADER):]), out
 
 
 def test_cli_five_sphere_pipeline():

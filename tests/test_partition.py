@@ -5,6 +5,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from multisect.io import load_stream
 from multisect.partition import (
     VertexPartition,
@@ -155,6 +156,35 @@ def test_validate_large_k_guard():
     T = double_simplex(3)
     with pytest.raises(TriangulationError):
         validate(T, VertexPartition(k=16, labels=(0, 1, 2, 16)))
+
+
+CLASS_GRAPH_ZOO = {
+    "double_simplex(2)": lambda: double_simplex(2),
+    "double_simplex(4)": lambda: double_simplex(4),
+    "cross_sphere(2)": lambda: cross_sphere(2),
+    "cross_sphere(3)": lambda: cross_sphere(3),
+    "cross_projective(3)": lambda: cross_projective(3),
+    "sd double_simplex(2)": lambda: barycentric(double_simplex(2))[0],
+}
+
+
+@given(name=st.sampled_from(sorted(CLASS_GRAPH_ZOO)), k=st.integers(0, 3), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_class_graphs_match_edge_union_find(name, k, data):
+    T = CLASS_GRAPH_ZOO[name]()
+    nv = T.face_poset.dim_start[1]
+    labels = data.draw(st.lists(st.integers(0, k), min_size=nv, max_size=nv))
+    P = VertexPartition(k=k, labels=tuple(labels))
+    rep = validate(T, P)
+    rows, graph_lines = oracles.class_graphs_by_edge_union_find(T, P)
+    assert [(g.label, g.vertices, g.edges, g.connected, g.genus) for g in rep.class_graphs] == rows
+    # diagnostics: profile line, then the class-graph lines, then subset lines
+    profile_lines = [d for d in rep.diagnostics if d.startswith("some facet")]
+    rest = list(rep.diagnostics[len(profile_lines) + len(graph_lines):])
+    assert list(rep.diagnostics) == profile_lines + graph_lines + rest
+    assert all(d.startswith(("subset ", "central ")) for d in rest)
+    if not all(r[3] for r in rows):
+        assert not rep.supports_multisection
 
 
 @given(st.integers(min_value=1, max_value=2))

@@ -380,6 +380,22 @@ def test_face_poset_class_lookup():
         fp.class_of(0, ())
 
 
+@pytest.mark.parametrize("build", [cross_sphere, cross_projective, double_simplex], ids=lambda f: f.__name__)
+def test_boundary_columns_compose_to_zero(build):
+    T = build(3)
+    counts = T.face_poset.counts()
+    for d in range(2, T.dimension + 1):
+        lower = T.boundary_columns(d - 1)
+        upper = T.boundary_columns(d)
+        assert (len(lower), len(upper)) == (counts[d - 1], counts[d])
+        for col in upper:
+            acc = 0
+            for j in range(len(lower)):
+                if col >> j & 1:
+                    acc ^= lower[j]
+            assert acc == 0
+
+
 def test_incarnation_maps_cover_class_degree():
     T = cross_sphere(3)
     fp = T.face_poset
@@ -440,20 +456,22 @@ def test_corner_map_is_the_incarnation_map():
 
 
 OUTSIDE_FACES = {
-    "facet -1": (-1, (0,)),
-    "facet 8": (8, (0,)),
-    "corner 3": (0, (3,)),
-    "corner 8": (0, (8,)),
-    "no corner": (0, ()),
-    "class 26": 26,
-    "class -1": -1,
-    "key 0:3": "0:3",
+    "facet -1": ((-1, (0,)), "out of range"),
+    "facet 8": ((8, (0,)), "out of range"),
+    "corner 3": ((0, (3,)), "out of range"),
+    "corner 8": ((0, (8,)), "out of range"),
+    "no corner": ((0, ()), "out of range"),
+    "class 26": (26, "out of range"),
+    "class -1": (-1, "out of range"),
+    "key 0:3": ("0:3", "out of range"),
+    "repeated corner": ((0, (0, 0)), "repeated corner"),
+    "key 0:0.0": ("0:0.0", "repeated corner"),
 }
 
 
-@pytest.mark.parametrize("face", OUTSIDE_FACES.values(), ids=OUTSIDE_FACES)
-def test_link_refuses_faces_outside_the_table(face):
+@pytest.mark.parametrize("face, reason", OUTSIDE_FACES.values(), ids=OUTSIDE_FACES)
+def test_link_refuses_faces_outside_the_table(face, reason):
     T = cross_sphere(2)
     assert T.facet_count == 8 and T.face_poset.n_classes == 26
-    with pytest.raises(TriangulationError, match="out of range"):
+    with pytest.raises(TriangulationError, match=reason):
         T.link(face)
