@@ -21,7 +21,7 @@ from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
-from .unionfind import UnionFind
+from .unionfind import UnionFind, signed_colouring
 from . import gf2
 
 
@@ -177,31 +177,15 @@ class CellComplex:
                             flips = -flips
                     sign = flips * (1 if (t + side) % 2 == 0 else -1)
                     incidences.setdefault(self._index(gcid), []).append((i, sign))
-        adj: Dict[int, List[Tuple[int, int]]] = {}
+        adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i, d in enumerate(self.dims) if d == D}
         for inc in incidences.values():
             if len(inc) != 2:
                 return False
             (a, sa), (b, sb) = inc
             rel = -sa * sb  # eps_b = rel * eps_a
-            adj.setdefault(a, []).append((b, rel))
-            adj.setdefault(b, []).append((a, rel))
-        eps: Dict[int, int] = {}
-        for i, d in enumerate(self.dims):
-            if d != D or i in eps:
-                continue
-            eps[i] = 1
-            stack = [i]
-            while stack:
-                x = stack.pop()
-                for y, rel in adj.get(x, ()):
-                    want = rel * eps[x]
-                    if y in eps:
-                        if eps[y] != want:
-                            return False
-                    else:
-                        eps[y] = want
-                        stack.append(y)
-        return True
+            adj[a].append((b, rel))
+            adj[b].append((a, rel))
+        return signed_colouring(adj.keys(), adj) is not None
 
     def _index(self, cid: int) -> int:
         i = self._cell_index.get(cid)

@@ -336,7 +336,7 @@ def cmd_report(args) -> int:
     lines.append("supports_generalized %s" % _b(R.supports_generalized))
     if args.generalized:
         for subset, sd in R.spine_dims:
-            bound = next(s.generalized_dim for s in R.validation.subsets if s.subset == subset)
+            bound = R.validation.subset_report(subset).generalized_dim
             lines.append(
                 "subset %s spine %d generalized-bound %d ok %s"
                 % (_csv(subset), sd, bound, _b(sd <= bound))
@@ -344,7 +344,7 @@ def cmd_report(args) -> int:
     else:
         lines.append("genera %s" % _csv(R.genera))
         for subset, sd in R.spine_dims:
-            bound = next(s.required_dim for s in R.validation.subsets if s.subset == subset)
+            bound = R.validation.subset_report(subset).required_dim
             lines.append("subset %s spine %d bound %d" % (_csv(subset), sd, bound))
     cs = R.central_summary
     lines.append(

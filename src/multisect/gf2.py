@@ -7,7 +7,7 @@ array dependency.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -62,25 +62,3 @@ class Basis:
     def rank(self) -> int:
         return len(self.pivots)
 
-
-def kernel_basis(vectors: List[int]) -> List[int]:
-    """Basis for the kernel of the matrix whose columns are `vectors`.
-
-    Kernel elements are returned as combination masks: bit j set means
-    column j participates in the dependency.
-    """
-    pivots: dict[int, Tuple[int, int]] = {}  # pivot bit -> (column, combo)
-    out: List[int] = []
-    for j, v in enumerate(vectors):
-        combo = 1 << j
-        while v:
-            p = v.bit_length() - 1
-            hit = pivots.get(p)
-            if hit is None:
-                pivots[p] = (v, combo)
-                break
-            v ^= hit[0]
-            combo ^= hit[1]
-        else:
-            out.append(combo)
-    return out

@@ -111,13 +111,15 @@ class GroupPresentation:
     provenance: str
 
     def abelian_rank_gf2(self) -> int:
-        vecs = []
-        for word in self.relators:
-            v = 0
-            for letter in word:
-                v ^= 1 << (abs(letter) - 1)
-            vecs.append(v)
-        return self.generators - gf2.rank(vecs)
+        return self.generators - gf2.rank(map(_parity, self.relators))
+
+
+def _parity(word) -> int:
+    """A word's GF(2) abelianization: bit j counts the letters +-(j+1) mod 2."""
+    v = 0
+    for letter in word:
+        v ^= 1 << (abs(letter) - 1)
+    return v
 
 
 def free_reduce(word) -> Tuple[int, ...]:
@@ -144,31 +146,32 @@ def _edge_ends(X: cells_mod.CellComplex):
     return ends
 
 
-def _spanning_tree(X: cells_mod.CellComplex, ends):
-    """Breadth-first tree from the least vertex cell; edge indexes ascending."""
+def _spanning_forest(X: cells_mod.CellComplex, ends):
+    """Breadth-first forest from the least vertex cell of each component.
+
+    Returns (parent, cotree).  parent maps each vertex cell to the (edge,
+    direction into it) it was reached by, or to None at a root, and lists
+    each vertex after the one it was reached from; cotree is the ascending
+    list of edges outside the forest.
+    """
     adj: Dict[int, List[Tuple[int, int, int]]] = {}
     for e, (va, vb, _, _) in sorted(ends.items()):
         adj.setdefault(va, []).append((e, vb, 1))
         adj.setdefault(vb, []).append((e, va, -1))
-    vertices = sorted(i for i, d in enumerate(X.dims) if d == 0)
-    if not vertices:
-        raise TriangulationError("complex has no vertices")
-    root = vertices[0]
-    parent: Dict[int, Optional[Tuple[int, int]]] = {root: None}  # vertex -> (edge, dir into vertex)
-    order = [root]
-    head = 0
+    parent: Dict[int, Optional[Tuple[int, int]]] = {}
     tree_edges = set()
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for e, w, dr in adj.get(v, ()):
-            if w not in parent:
-                parent[w] = (e, dr)
-                tree_edges.add(e)
-                order.append(w)
-    if len(parent) != len(vertices):
-        raise TriangulationError("complex is disconnected")
-    return root, parent, tree_edges
+    for root in (i for i, d in enumerate(X.dims) if d == 0):
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:  # the walk appends to `order` as it goes
+            for e, w, dr in adj.get(v, ()):
+                if w not in parent:
+                    parent[w] = (e, dr)
+                    tree_edges.add(e)
+                    order.append(w)
+    return parent, [e for e in sorted(ends) if e not in tree_edges]
 
 
 def _square_boundary(X: cells_mod.CellComplex, ends, i: int):
@@ -201,24 +204,23 @@ def pi1_presentation(C: cells_mod.CellComplex, provenance: str = "") -> GroupPre
     if C.dimension < 1:
         raise TriangulationError("complex has no edges")
     ends = _edge_ends(C)
-    root, parent, tree_edges = _spanning_tree(C, ends)
-    gen_index = {}
-    for e in sorted(ends):
-        if e not in tree_edges:
-            gen_index[e] = len(gen_index)
+    parent, cotree = _spanning_forest(C, ends)
+    roots = [v for v, step in parent.items() if step is None]
+    if not roots:
+        raise TriangulationError("complex has no vertices")
+    if len(roots) > 1:
+        raise TriangulationError("complex is disconnected")
+    gen = {e: j + 1 for j, e in enumerate(cotree)}
     relators = []
     for i, d in enumerate(C.dims):
         if d != 2:
             continue
-        word = []
-        for e, dr in _square_boundary(C, ends, i):
-            if e in gen_index:
-                word.append(dr * (gen_index[e] + 1))
+        word = [dr * gen[e] for e, dr in _square_boundary(C, ends, i) if e in gen]
         relators.append(free_reduce(word))
     return GroupPresentation(
-        generators=len(gen_index),
+        generators=len(cotree),
         relators=tuple(relators),
-        provenance=provenance or "subset=%s root=%d" % (",".join(map(str, C.subset)), root),
+        provenance=provenance or "subset=%s root=%d" % (",".join(map(str, C.subset)), roots[0]),
     )
 
 
@@ -257,13 +259,10 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
         raise TriangulationError("central complex and region graph must be connected")
 
     c_ends = _edge_ends(central)
-    _, c_parent, c_tree = _spanning_tree(central, c_ends)
+    c_parent, c_cotree = _spanning_forest(central, c_ends)
     g_ends = _edge_ends(graph)
-    _, _, g_tree = _spanning_tree(graph, g_ends)
-    g_gen = {}
-    for e in sorted(g_ends):
-        if e not in g_tree:
-            g_gen[e] = len(g_gen)
+    _, g_cotree = _spanning_forest(graph, g_ends)
+    g_gen = {e: j + 1 for j, e in enumerate(g_cotree)}
 
     def edge_image(e: int, dr: int) -> Tuple[int, ...]:
         f, _, _, (doubled,), ((a, b),) = central.cubes[e]
@@ -278,10 +277,10 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
         if head not in (gva, gvb) or tail not in (gva, gvb):
             raise TriangulationError("inclusion image of an edge misses its endpoints")
         sign = 1 if tail == gva else -1
-        return (sign * dr * (g_gen[gi] + 1),) if gi in g_gen else ()
+        return (sign * dr * g_gen[gi],) if gi in g_gen else ()
 
     # image of the tree path from the root to each central vertex, reduced;
-    # the spanning tree lists each vertex after the one it was reached from
+    # the spanning forest lists each vertex after the one it was reached from
     pot: Dict[int, Tuple[int, ...]] = {}
     for v, step in c_parent.items():
         if step is None:
@@ -293,11 +292,10 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
 
     # generator words: tree path to tail, the edge, tree path back
     words = []
-    for e in sorted(c_ends):
-        if e not in c_tree:
-            va, vb, _, _ = c_ends[e]
-            back = tuple(-x for x in reversed(pot[vb]))
-            words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
+    for e in c_cotree:
+        va, vb, _, _ = c_ends[e]
+        back = tuple(-x for x in reversed(pot[vb]))
+        words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
 
     relators_die = True
     for i, d in enumerate(central.dims):
@@ -310,13 +308,7 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
             relators_die = False
             break
 
-    vecs = []
-    for w in words:
-        v = 0
-        for letter in w:
-            v ^= 1 << (abs(letter) - 1)
-        vecs.append(v)
-    rank = gf2.rank(vecs)
+    rank = gf2.rank(map(_parity, words))
     target = len(g_gen)
     return InclusionReport(
         label=label,
@@ -336,33 +328,34 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     every other central edge to a constant path.
     """
     fp = T.face_poset
-    k = P.k
-    central = cells_mod.extract(T, P, tuple(range(k + 1)))
+    central = cells_mod.extract(T, P, tuple(range(P.k + 1)))
     e_start = fp.dim_start[1]  # bit j of an ambient edge chain is edge class e_start + j
+    ends = _edge_ends(central)
+    parent, cotree = _spanning_forest(central, ends)
 
-    # cycle space of the central 1-skeleton
-    c_vpos = {i: j for j, i in enumerate(i for i, d in enumerate(central.dims) if d == 0)}
-    cols = []
-    images = []
-    for i, (va, vb, a, b) in _edge_ends(central).items():
-        cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
-        f, _, _, (doubled,), _ = central.cubes[i]
-        images.append(1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0)
-    cycle_masks = gf2.kernel_basis(cols)
+    def image(e: int) -> int:
+        f, _, _, (doubled,), _ = central.cubes[e]
+        _, _, a, b = ends[e]
+        return 1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0
+
+    # image of the forest path from its root to each central vertex; the
+    # fundamental cycle of a cotree edge then images to pot[va] ^ image ^ pot[vb]
+    pot: Dict[int, int] = {}
+    for v, step in parent.items():
+        if step is None:
+            pot[v] = 0
+        else:
+            e, dr = step
+            va, vb, _, _ = ends[e]
+            pot[v] = pot[va if dr == 1 else vb] ^ image(e)
 
     base = gf2.Basis()
     for v in T.boundary_columns(2):
         base.add(v)
-    r2 = base.rank
-    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - r2
+    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - base.rank
     extra = 0
-    for mask in cycle_masks:
-        img = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            img ^= images[low.bit_length() - 1]
-            mm ^= low
-        if base.add(img):
+    for e in cotree:
+        va, vb, _, _ = ends[e]
+        if base.add(pot[va] ^ image(e) ^ pot[vb]):
             extra += 1
     return extra == b1

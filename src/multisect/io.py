@@ -93,6 +93,7 @@ def _vertex_key(T: Triangulation, v: int) -> str:
 
 
 def save_partition(T: Triangulation, P: VertexPartition) -> str:
+    """Render a partition as `k` and `v <vertex key> <label>` lines."""
     nv = T.face_poset.dim_start[1]
     if len(P.labels) != nv:
         raise TriangulationError("partition covers %d vertex classes, triangulation has %d" % (len(P.labels), nv))
@@ -103,6 +104,7 @@ def save_partition(T: Triangulation, P: VertexPartition) -> str:
 
 
 def save_stream(T: Triangulation, P: Optional[VertexPartition] = None, layout: Optional[str] = None) -> str:
+    """Render a triangulation, then the partition when one is given."""
     out = save_triangulation(T, layout)
     if P is not None:
         out += save_partition(T, P)
@@ -175,6 +177,7 @@ def _load_partition(toks: Deque[str], T: Triangulation) -> VertexPartition:
 
 
 def load_stream(text: str) -> Tuple[Triangulation, Optional[VertexPartition]]:
+    """Parse a triangulation and its optional partition; reject trailing input."""
     toks = _tokens(text)
     T = _load_triangulation(toks)
     P = None
@@ -186,6 +189,7 @@ def load_stream(text: str) -> Tuple[Triangulation, Optional[VertexPartition]]:
 
 
 def cell_complex_json(X: CellComplex) -> dict:
+    """The cell complex's summary and Betti numbers as a format-1 JSON object."""
     s = X.summary()
     return {
         "format": 1,

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .partition import VertexPartition
 from .triangulation import Triangulation, TriangulationError
 from .perms import compose, invert
+from .unionfind import signed_colouring
 
 
 def default_ceiling() -> int:
@@ -424,22 +425,9 @@ def infer_sides(T: Triangulation, carriers: CarrierLabels) -> Dict[int, int]:
                 "codimension-1 barycentre %s meets %d facet barycentres" % (fp.key(w), len(ts))
             )
         x, y = sorted(ts)
-        adj[x].add(y)
-        adj[y].add(x)
-    side: Dict[int, int] = {}
-    for root in tops:
-        if root in side:
-            continue
-        side[root] = 0
-        queue = [root]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                want = 1 - side[x]
-                got = side.get(y)
-                if got is None:
-                    side[y] = want
-                    queue.append(y)
-                elif got != want:
-                    raise TriangulationError("facet adjacency graph is not 2-colorable")
-    return side
+        adj[x].add((y, -1))
+        adj[y].add((x, -1))
+    sign = signed_colouring(tops, adj)
+    if sign is None:
+        raise TriangulationError("facet adjacency graph is not 2-colorable")
+    return {v: 0 if s == 1 else 1 for v, s in sign.items()}

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .perms import compose, identity, invert, is_perm, sign
-from .unionfind import UnionFind
+from .unionfind import UnionFind, signed_colouring
 
 Gluing = Tuple[int, Tuple[int, ...]]
 
@@ -396,28 +396,18 @@ class Triangulation:
         """Cross a gluing with corner map pi: signs satisfy eps_t = -sign(pi) * eps_f."""
         m = self.facet_count
         signs = self._gluing_signs
-        eps = [0] * m
-        for start in range(m):
-            if eps[start]:
-                continue
-            eps[start] = 1
-            stack = [start]
-            while stack:
-                f = stack.pop()
-                for i, (t, _) in enumerate(self.gluings[f]):
-                    want = -eps[f] * signs[f][i]
-                    if eps[t] == 0:
-                        eps[t] = want
-                        stack.append(t)
-                    elif eps[t] != want:
-                        return None
-        return tuple(eps)
+        adj = [[(t, -s) for (t, _), s in zip(row, signs[f])] for f, row in enumerate(self.gluings)]
+        eps = signed_colouring(range(m), adj)
+        return None if eps is None else tuple(eps[f] for f in range(m))
 
     def boundary_columns(self, d: int) -> List[int]:
         """The GF(2) boundary map C_d -> C_{d-1}: per d-face class, the bits of its (d-1)-faces.
 
         Bit j of a column stands for face class dim_start[d-1] + j.
+        There are no columns above the top dimension.
         """
+        if d > self.dimension:
+            return []
         fp = self.face_poset
         start = fp.dim_start[d - 1]
         cols = []
@@ -469,42 +459,19 @@ class Triangulation:
         """Facet adjacency with parallel edges and loops, plus a 2-coloring if one exists."""
         m = self.facet_count
         edges = []
-        has_loop = False
         for f, row in enumerate(self.gluings):
             for i, (t, pi) in enumerate(row):
                 if (f, i) > (t, pi[i]):
                     continue
-                if f == t:
-                    has_loop = True
                 edges.append((f, t) if f <= t else (t, f))
         edges.sort()
         connected = self._facet_components().n_sets == 1
-        bipartition: Optional[Tuple[int, ...]] = None
-        if not has_loop:
-            color = [-1] * m
-            ok = True
-            adj: List[List[int]] = [[] for _ in range(m)]
-            for u, v in edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            for start in range(m):
-                if color[start] != -1:
-                    continue
-                color[start] = 0
-                queue = deque([start])
-                while queue and ok:
-                    u = queue.popleft()
-                    for v in adj[u]:
-                        if color[v] == -1:
-                            color[v] = 1 - color[u]
-                            queue.append(v)
-                        elif color[v] == color[u]:
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if ok:
-                bipartition = tuple(color)
+        adj: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
+        for u, v in edges:
+            adj[u].append((v, -1))
+            adj[v].append((u, -1))
+        color = signed_colouring(range(m), adj)
+        bipartition = None if color is None else tuple(0 if color[f] == 1 else 1 for f in range(m))
         return DualGraph(n_nodes=m, edges=tuple(edges), connected=connected, bipartition=bipartition)
 
     # -- links ----------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Array-backed union-find with path halving and union by size."""
+"""Graph primitives: array-backed union-find and signed 2-colouring."""
 
 from __future__ import annotations
+
+from typing import Dict, Iterable, Optional
 
 
 class UnionFind:
@@ -33,5 +35,27 @@ class UnionFind:
         self.n_sets -= 1
         return True
 
-    def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
+
+def signed_colouring(nodes: Iterable[int], adj) -> Optional[Dict[int, int]]:
+    """Signs +1/-1 with sign[y] == rel * sign[x] for every (y, rel) in adj[x].
+
+    The first node of each component, in `nodes` order, gets +1.  Returns
+    None when no such signs exist; a loop with rel -1 is such a conflict.
+    """
+    sign: Dict[int, int] = {}
+    for root in nodes:
+        if root in sign:
+            continue
+        sign[root] = 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, rel in adj[x]:
+                want = rel * sign[x]
+                got = sign.get(y)
+                if got is None:
+                    sign[y] = want
+                    stack.append(y)
+                elif got != want:
+                    return None
+    return sign

@@ -431,19 +431,19 @@ def generator_words_by_tree_paths(T, P, label):
     spelled out edge by edge, every edge is pushed into the region graph
     through the class-`label` vertex of its ends' canonical incarnations,
     and the whole word is reduced once.  Uses the library's cell complexes,
-    edge ends and spanning trees.
+    edge ends and spanning forests.
     """
     from multisect import cells
-    from multisect.invariants import _edge_ends, _spanning_tree
+    from multisect.invariants import _edge_ends, _spanning_forest
 
     fp = T.face_poset
     central = cells.extract(T, P, tuple(range(P.k + 1)))
     graph = cells.extract(T, P, (label,))
     c_ends = _edge_ends(central)
-    _, c_parent, c_tree = _spanning_tree(central, c_ends)
+    c_parent, c_cotree = _spanning_forest(central, c_ends)
     g_ends = _edge_ends(graph)
-    _, _, g_tree = _spanning_tree(graph, g_ends)
-    g_gen = {e: j for j, e in enumerate(e for e in sorted(g_ends) if e not in g_tree)}
+    _, g_cotree = _spanning_forest(graph, g_ends)
+    g_gen = {e: j for j, e in enumerate(g_cotree)}
     graph_vertex_of = {graph.cells[i]: i for i, d in enumerate(graph.dims) if d == 0}
 
     def class_vertex(cell):
@@ -474,9 +474,7 @@ def generator_words_by_tree_paths(T, P, label):
         return path[::-1]
 
     words = []
-    for e in sorted(c_ends):
-        if e in c_tree:
-            continue
+    for e in c_cotree:
         va, vb, _, _ = c_ends[e]
         cycle = tree_path(va) + [(e, 1)] + [(x, -d) for x, d in reversed(tree_path(vb))]
         word = []
@@ -563,3 +561,60 @@ def class_graphs_by_edge_union_find(T, P):
         elif not connected:
             diagnostics.append("class graph %d disconnected" % l)
     return rows, diagnostics
+
+
+# --- H_1 surjectivity by a kernel basis of the incidence matrix -------------
+
+
+def h1_onto_by_kernel_basis(T, P, cls=0):
+    """`h1_onto_check(T, P, cls)`, from an explicit cycle-space basis.
+
+    The slow path the spanning-forest loops are checked against: the
+    kernel of the central 1-skeleton's vertex-incidence matrix is
+    eliminated column by column, each kernel vector's image is summed
+    edge by edge, and the images are counted modulo the ambient
+    boundaries against b_1 over GF(2).  Uses the library's cell
+    complexes, edge ends, face poset and GF(2) bases.
+    """
+    from multisect import cells, gf2
+    from multisect.invariants import _edge_ends
+
+    fp = T.face_poset
+    central = cells.extract(T, P, tuple(range(P.k + 1)))
+    e_start = fp.dim_start[1]
+    c_vpos = {i: j for j, i in enumerate(i for i, d in enumerate(central.dims) if d == 0)}
+    cols = []
+    images = []
+    for i, (va, vb, a, b) in _edge_ends(central).items():
+        cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
+        f, _, _, (doubled,), _ = central.cubes[i]
+        images.append(1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0)
+
+    pivots = {}  # pivot bit -> (column, combination mask)
+    cycle_masks = []
+    for j, v in enumerate(cols):
+        combo = 1 << j
+        while v:
+            p = v.bit_length() - 1
+            hit = pivots.get(p)
+            if hit is None:
+                pivots[p] = (v, combo)
+                break
+            v ^= hit[0]
+            combo ^= hit[1]
+        else:
+            cycle_masks.append(combo)
+
+    base = gf2.Basis()
+    for v in T.boundary_columns(2):
+        base.add(v)
+    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - base.rank
+    extra = 0
+    for mask in cycle_masks:
+        img = 0
+        for j, image in enumerate(images):
+            if mask >> j & 1:
+                img ^= image
+        if base.add(img):
+            extra += 1
+    return extra == b1

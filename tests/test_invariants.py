@@ -1,6 +1,7 @@
 """Group-level certificates: presentations, inclusions, Euler identity."""
 
 import copy
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +16,10 @@ from multisect.invariants import (
     multisection_report,
     pi1_presentation,
 )
-from multisect.partition import scheme_partition
+from multisect.partition import VertexPartition, scheme_partition
 from multisect.subdivide import barycentric, pachner_2n_pass
 from multisect.triangulation import TriangulationError
-from multisect.zoo import cross_projective, double_simplex
+from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
 
 def sd3():
@@ -223,6 +224,31 @@ def test_h1_onto_everywhere():
     PP = scheme_partition(TP, "pairs", blocks=((0, 1), (2, 3), (4, 5)))
     assert h1_onto_check(TP, PP)
     assert h1_onto_check(TP, PP, cls=2)
+
+
+def test_h1_onto_in_dimension_one():
+    # two points do not reach H_1 of the circle; the circle itself does
+    assert double_simplex(1).boundary_columns(2) == []
+    assert not h1_onto_check(double_simplex(1), VertexPartition(k=1, labels=(0, 1)))
+    assert h1_onto_check(cross_sphere(1), VertexPartition(k=0, labels=(0,) * 4))
+
+
+def test_h1_onto_matches_kernel_basis_oracle():
+    zoo = [double_simplex(n) for n in (1, 2, 3)] + [cross_sphere(n) for n in (1, 2, 3)]
+    zoo += [cross_projective(2), cross_projective(3)]
+    zoo += [barycentric(T)[0] for T in (double_simplex(2), cross_projective(2), double_simplex(3))]
+    verdicts = set()
+    for T in zoo:
+        nv = T.face_poset.dim_start[1]
+        for k in range(4):
+            for seed in range(4):
+                rng = random.Random(seed)
+                P = VertexPartition(k=k, labels=tuple(rng.randrange(k + 1) for _ in range(nv)))
+                for cls in range(k + 1):
+                    got = h1_onto_check(T, P, cls)
+                    assert got == oracles.h1_onto_by_kernel_basis(T, P, cls)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_report_on_projective_five():

@@ -1,6 +1,7 @@
 """Text formats, JSON export, and the command line front end."""
 
 import contextlib
+import inspect
 import io
 import json
 import pathlib
@@ -11,6 +12,7 @@ import sys
 import jsonschema
 import pytest
 
+import multisect
 from multisect.cli import HEADER, main
 from multisect.io import load_stream, save_partition, save_stream, save_triangulation
 from multisect.partition import scheme_partition
@@ -436,3 +438,9 @@ def test_npc_check_runs_without_networkx(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "npc ok true" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "exit 0 False"
+
+
+def test_public_functions_have_docstrings():
+    functions = [name for name in multisect.__all__ if inspect.isfunction(getattr(multisect, name))]
+    assert functions
+    assert [name for name in functions if not inspect.getdoc(getattr(multisect, name))] == []
