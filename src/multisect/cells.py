@@ -10,6 +10,11 @@ label of multiplicity at least 2, which stays inside the same subset.
 The complex over the full label set is the central object; the ones
 over proper subsets are what the surrounding regions collapse onto, so
 their collapsed dimension bounds spine dimensions.
+
+Each labelling's data is computed once and kept for the latest labels:
+one pass gives the label multisets and the classes of each label
+support, and the central complex is kept once built.  Complexes over
+proper subsets are rebuilt on each request.
 """
 
 from __future__ import annotations
@@ -25,25 +30,47 @@ from .unionfind import UnionFind, signed_colouring
 from . import gf2
 
 
-def _labels_of(partition_or_labels) -> Tuple[int, ...]:
-    labels = getattr(partition_or_labels, "labels", partition_or_labels)
-    return tuple(labels)
+@dataclass(eq=False)
+class Labelling:
+    """One labelling of a triangulation's vertex classes, read in one pass."""
+
+    labels: Tuple[int, ...]
+    multisets: List[Tuple[int, ...]]              # sorted label multiset; index = class id
+    by_support: Dict[Tuple[int, ...], List[int]]  # ascending class ids per sorted label set
+    central: Optional[CellComplex] = None         # kept once built
 
 
-def class_label_multisets(T: Triangulation, partition_or_labels) -> List[Tuple[int, ...]]:
-    """Sorted label multiset of every face class; index = class id."""
-    labels = _labels_of(partition_or_labels)
+def labelling(T: Triangulation, partition_or_labels) -> Labelling:
+    """T's record of these labels; T keeps the latest and replaces it when the labels differ."""
+    labels = tuple(getattr(partition_or_labels, "labels", partition_or_labels))
+    rec = T._labelling
+    if rec is None or rec.labels != labels:
+        rec = T._labelling = _label_pass(T, labels)
+    return rec
+
+
+def _label_pass(T: Triangulation, labels: Tuple[int, ...]) -> Labelling:
     fp = T.face_poset
     if len(labels) != fp.dim_start[1]:
         raise TriangulationError(
             "expected %d vertex labels, got %d" % (fp.dim_start[1], len(labels))
         )
-    out: List[Tuple[int, ...]] = []
+    multisets: List[Tuple[int, ...]] = []
+    by_support: Dict[Tuple[int, ...], List[int]] = {}
+    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # the record keeps one tuple per distinct multiset
     for cid in range(fp.n_classes):
         f, corners = fp.canonical(cid)
         row = fp.facet_vertices[f]
-        out.append(tuple(sorted(labels[row[c]] for c in corners)))
-    return out
+        ms = tuple(sorted(labels[row[c]] for c in corners))
+        ms = shared.setdefault(ms, ms)
+        multisets.append(ms)
+        by_support.setdefault(tuple(sorted(set(ms))), []).append(cid)
+    return Labelling(labels, multisets, by_support)
+
+
+def class_label_multisets(T: Triangulation, partition_or_labels) -> List[Tuple[int, ...]]:
+    """Sorted label multiset of every face class; index = class id; the record's own list."""
+    return labelling(T, partition_or_labels).multisets
 
 
 class Cube(NamedTuple):
@@ -70,17 +97,13 @@ class CellComplex:
     subset: Tuple[int, ...]
     cells: Tuple[int, ...]                     # ambient face-class ids
     dims: Tuple[int, ...]                      # cell dimension (product of simplices)
-    multisets: Tuple[Tuple[int, ...], ...]     # sorted vertex labels per cell
     children: Tuple[Tuple[int, ...], ...]      # codim-1 face indexes, with repetition
+    all_cubes: bool                            # no label occurs more than twice in a cell
     _parent_counts: Optional[Tuple[int, ...]] = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
         return max(self.dims) if self.dims else -1
-
-    @property
-    def all_cubes(self) -> bool:
-        return all(m.count(l) <= 2 for m in self.multisets for l in self.subset)
 
     def counts(self) -> Tuple[int, ...]:
         d = self.dimension
@@ -220,6 +243,71 @@ class CellComplex:
             out.append(Cube(f, *shape))
         return tuple(out)
 
+    @cached_property
+    def edge_ends(self) -> Dict[int, Tuple[int, int, int, int]]:
+        """Per edge cell: (tail vertex, head vertex, tail corner, head corner) by canonical corner order."""
+        fp = self.triangulation.face_poset
+        ends = {}
+        for i, d in enumerate(self.dims):
+            if d != 1:
+                continue
+            f, _, fixed, _, ((a, b),) = self.cubes[i]
+            va = self._index(fp.class_of(f, fixed + (a,)))
+            vb = self._index(fp.class_of(f, fixed + (b,)))
+            ends[i] = (va, vb, a, b)
+        return ends
+
+    @cached_property
+    def spanning_forest(self) -> Tuple[Dict[int, Optional[Tuple[int, int]]], List[int]]:
+        """Breadth-first forest from the least vertex cell of each component.
+
+        (parent, cotree): parent maps each vertex cell to the (edge,
+        direction into it) it was reached by, or to None at a root, and
+        lists each vertex after the one it was reached from; cotree is the
+        ascending list of edges outside the forest.
+        """
+        adj: Dict[int, List[Tuple[int, int, int]]] = {}
+        for e, (va, vb, _, _) in sorted(self.edge_ends.items()):
+            adj.setdefault(va, []).append((e, vb, 1))
+            adj.setdefault(vb, []).append((e, va, -1))
+        parent: Dict[int, Optional[Tuple[int, int]]] = {}
+        tree_edges = set()
+        for root in (i for i, d in enumerate(self.dims) if d == 0):
+            if root in parent:
+                continue
+            parent[root] = None
+            order = [root]
+            for v in order:  # the walk appends to `order` as it goes
+                for e, w, dr in adj.get(v, ()):
+                    if w not in parent:
+                        parent[w] = (e, dr)
+                        tree_edges.add(e)
+                        order.append(w)
+        return parent, [e for e in sorted(self.edge_ends) if e not in tree_edges]
+
+    @cached_property
+    def square_boundaries(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Per square cell of an all-cube complex: its 4-cycle as (edge, direction) steps."""
+        fp = self.triangulation.face_poset
+        out = {}
+        for i, d in enumerate(self.dims):
+            if d != 2:
+                continue
+            f, _, fixed, _, pairs = self.cubes[i]
+            (a1, b1), (a2, b2) = pairs
+            path = []
+            corner_cycle = [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (a1, a2)]
+            for (u1, u2), (w1, w2) in zip(corner_cycle, corner_cycle[1:]):
+                veer = 0 if u1 != w1 else 1  # which coordinate moves
+                ecid, phi = fp.corner_map(f, fixed + pairs[veer] + (u2 if veer == 0 else u1,))
+                start = phi[u1 if veer == 0 else u2]
+                stop = phi[w1 if veer == 0 else w2]
+                e = self._index(ecid)
+                _, _, ca, cb = self.edge_ends[e]
+                path.append((e, 1 if (start, stop) == (ca, cb) else -1))
+            out[i] = path
+        return out
+
     def summary(self) -> dict:
         out = {
             "dimension": self.dimension,
@@ -240,25 +328,38 @@ def extract(
     subset: Sequence[int],
     multisets: Optional[List[Tuple[int, ...]]] = None,
 ) -> CellComplex:
-    """The cell complex over the faces whose labels touch exactly `subset`."""
-    labels = _labels_of(partition_or_labels)
+    """The cell complex over the faces whose labels touch exactly `subset`.
+
+    The labelling record keeps the central complex, over labels 0..k (k of
+    a partition, else the largest label).  `multisets` is this labelling's
+    `class_label_multisets` list, which the record already holds.
+    """
     S = tuple(sorted(set(subset)))
     if not S:
         raise TriangulationError("subset of partition classes must be non-empty")
+    rec = labelling(T, partition_or_labels)
+    k = getattr(partition_or_labels, "k", None)
+    if k is None:
+        k = max(rec.labels)
+    if S != tuple(range(k + 1)):
+        return _subset_complex(T, rec, S)
+    if rec.central is None or rec.central.subset != S:
+        rec.central = _subset_complex(T, rec, S)
+    return rec.central
+
+
+def _subset_complex(T: Triangulation, rec: Labelling, S: Tuple[int, ...]) -> CellComplex:
+    """The complex over S, from the classes whose label support is S."""
     fp = T.face_poset
-    if multisets is None:
-        multisets = class_label_multisets(T, labels)
-    Sset = set(S)
-    cells = [cid for cid in range(fp.n_classes) if set(multisets[cid]) == Sset]
+    labels, multisets = rec.labels, rec.multisets
+    cells = rec.by_support.get(S, [])
     index = {cid: i for i, cid in enumerate(cells)}
     dims = []
-    mults = []
     children: List[Tuple[int, ...]] = []
     for cid in cells:
         f, corners = fp.canonical(cid)
         ms = multisets[cid]
         dims.append(len(corners) - len(S))
-        mults.append(ms)
         ch = []
         row = fp.facet_vertices[f]
         for c in corners:
@@ -272,8 +373,8 @@ def extract(
         subset=S,
         cells=tuple(cells),
         dims=tuple(dims),
-        multisets=tuple(mults),
         children=tuple(children),
+        all_cubes=all(multisets[cid].count(l) <= 2 for cid in cells for l in S),
     )
 
 

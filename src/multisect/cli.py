@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from . import cells as cells_mod
@@ -34,7 +33,7 @@ from .subdivide import (
     slot_carriers,
     stellar_facet,
 )
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import TriangulationError
 
 VERSION = "0.1.0"
 HEADER = "# multisect %s\n" % VERSION
@@ -42,24 +41,6 @@ HEADER = "# multisect %s\n" % VERSION
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Resolved per-command inputs; exactly one source unless joining."""
-
-    inputs: Tuple[str, ...]
-    subset: Optional[Tuple[int, ...]] = None
-    ceiling: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.inputs:
-            raise UsageError("no input source")
-        if self.ceiling is not None and self.ceiling <= 0:
-            raise UsageError("ceiling must be positive")
-
-    def limits(self) -> Limits:
-        return Limits(self.ceiling)
 
 
 def _b(x) -> str:
@@ -82,20 +63,6 @@ def _read(path: str) -> str:
         raise UsageError("cannot read %s: %s" % (path, e.strerror)) from None
 
 
-def _config(args, n_inputs: int = 1) -> PipelineConfig:
-    paths = getattr(args, "files", None) or [getattr(args, "file", "-")]
-    if len(paths) != n_inputs:
-        raise UsageError("expected %d input source(s), got %d" % (n_inputs, len(paths)))
-    subset = None
-    if getattr(args, "subset", None):
-        subset = _parse_subset(args.subset)
-    return PipelineConfig(
-        inputs=tuple(paths),
-        subset=subset,
-        ceiling=getattr(args, "ceiling", None),
-    )
-
-
 def _parse_subset(text: str) -> Tuple[int, ...]:
     try:
         out = tuple(int(x) for x in text.split(","))
@@ -113,22 +80,26 @@ def _parse_blocks(text: str) -> List[List[int]]:
         raise UsageError("bad blocks %r, expected like 0,1/2,3" % text) from None
 
 
-def _load(cfg: PipelineConfig) -> Tuple[Triangulation, Optional[VertexPartition]]:
-    return io_mod.load_stream(_read(cfg.inputs[0]))
-
-
 def _need_partition(P: Optional[VertexPartition]) -> VertexPartition:
     if P is None:
         raise UsageError("this command needs a partition section in its input")
     return P
 
 
+def _limits(args) -> Limits:
+    """`--ceiling` as the resource limits of a command."""
+    if args.ceiling is not None and args.ceiling <= 0:
+        raise UsageError("ceiling must be positive")
+    return Limits(args.ceiling)
+
+
 def _subcomplex(args) -> Tuple[Tuple[int, ...], cells_mod.CellComplex]:
     """The `--subset` labels (all of them by default) and their complex in the input."""
-    cfg = _config(args)
-    T, P = _load(cfg)
+    subset = _parse_subset(args.subset) if args.subset else None
+    T, P = io_mod.load_stream(_read(args.file))
     P = _need_partition(P)
-    subset = cfg.subset if cfg.subset is not None else tuple(range(P.k + 1))
+    if subset is None:
+        subset = tuple(range(P.k + 1))
     return subset, cells_mod.extract(T, P, subset)
 
 
@@ -140,8 +111,7 @@ def _emit(text: str) -> None:
 
 
 def cmd_gen(args) -> int:
-    cfg = PipelineConfig(inputs=("-",), ceiling=args.ceiling)
-    ceiling = cfg.limits().ceiling()
+    ceiling = args.limits.ceiling()
     picks = [
         x
         for x in (args.double_simplex, args.cross_sphere, args.cross_projective)
@@ -163,8 +133,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_info(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
+    T, P = io_mod.load_stream(_read(args.file))
     s = T.summary(with_betti=True)
     lines = [
         "dim %d" % T.dimension,
@@ -182,30 +151,26 @@ def cmd_info(args) -> int:
 
 
 def cmd_subdivide(args) -> int:
-    cfg = _config(args)
     if not args.barycentric:
         raise UsageError("only --barycentric subdivision is available")
     if args.times < 1:
         raise UsageError("--times must be at least 1")
-    T, _ = _load(cfg)
-    lim = cfg.limits()
+    T, _ = io_mod.load_stream(_read(args.file))
     for _ in range(args.times):
-        T, _carriers = barycentric(T, lim)
+        T, _carriers = barycentric(T, args.limits)
     _emit(HEADER + io_mod.save_gluing(T))
     return 0
 
 
 def cmd_pachner_pass(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
+    T, P = io_mod.load_stream(_read(args.file))
     T2, P2 = pachner_2n_pass(T, _need_partition(P))
     _emit(HEADER + io_mod.save_stream(T2, P2, layout="gluing"))
     return 0
 
 
 def cmd_stellar(args) -> int:
-    cfg = _config(args)
-    T, _ = _load(cfg)
+    T, _ = io_mod.load_stream(_read(args.file))
     if not 0 <= args.facet < T.facet_count:
         raise UsageError("facet %d out of range 0..%d" % (args.facet, T.facet_count - 1))
     T2 = stellar_facet(T, args.facet)
@@ -214,17 +179,15 @@ def cmd_stellar(args) -> int:
 
 
 def cmd_join(args) -> int:
-    cfg = _config(args, n_inputs=2)
-    A, _ = io_mod.load_stream(_read(cfg.inputs[0]))
-    B, _ = io_mod.load_stream(_read(cfg.inputs[1]))
-    J = join(A, B, cfg.limits())
+    A, _ = io_mod.load_stream(_read(args.files[0]))
+    B, _ = io_mod.load_stream(_read(args.files[1]))
+    J = join(A, B, args.limits)
     _emit(HEADER + io_mod.save_triangulation(J))
     return 0
 
 
 def cmd_partition(args) -> int:
-    cfg = _config(args)
-    T, P_in = _load(cfg)
+    T, P_in = io_mod.load_stream(_read(args.file))
     scheme = args.scheme
     if scheme in ("odd-bary", "even-bary"):
         P = scheme_partition(T, scheme, carriers=slot_carriers(T))
@@ -255,8 +218,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
+    T, P = io_mod.load_stream(_read(args.file))
     rep = validate(T, _need_partition(P))
     lines = [
         "n %d k %d" % (rep.n, rep.k),
@@ -327,8 +289,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg = _config(args)
-    T, P = _load(cfg)
+    T, P = io_mod.load_stream(_read(args.file))
     R = inv_mod.multisection_report(T, _need_partition(P))
     lines = ["n %d k %d" % (R.n, R.k)]
     lines.append("profile ok %s" % _b(R.validation.profile_ok))
@@ -388,8 +349,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    cfg = _config(args)
-    T, _ = _load(cfg)
+    T, _ = io_mod.load_stream(_read(args.file))
     if args.orientation == args.labeling:
         raise UsageError("pick exactly one of --orientation, --labeling")
     if args.orientation:
@@ -403,8 +363,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_symrep(args) -> int:
-    cfg = _config(args)
-    T, _ = _load(cfg)
+    T, _ = io_mod.load_stream(_read(args.file))
     R = symmetric_representation(T)
     lines = [
         "generators %d" % len(R.generators),
@@ -529,6 +488,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        args.limits = _limits(args)
         return args.func(args)
     except UsageError as e:
         sys.stderr.write("multisect: %s\n" % e)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import cells as cells_mod
 from . import gf2
-from .partition import ValidationReport, VertexPartition, _validate
+from .partition import ValidationReport, VertexPartition, validate
 from .triangulation import Triangulation, TriangulationError
 
 
@@ -36,8 +36,9 @@ class MultisectionReport:
 
 def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = True) -> MultisectionReport:
     """Validate the partition and summarise the induced decomposition."""
-    rep, central = _validate(T, P)
+    rep = validate(T, P)
     n, k = rep.n, rep.k
+    central = cells_mod.extract(T, P, tuple(range(k + 1)))
     summ = central.summary()
     betti = central.betti()
     genus = None
@@ -132,66 +133,6 @@ def free_reduce(word) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _edge_ends(X: cells_mod.CellComplex):
-    """Per edge cell: (tail vertex, head vertex) by canonical corner order."""
-    fp = X.triangulation.face_poset
-    ends = {}
-    for i, d in enumerate(X.dims):
-        if d != 1:
-            continue
-        f, _, fixed, _, ((a, b),) = X.cubes[i]
-        va = X._index(fp.class_of(f, fixed + (a,)))
-        vb = X._index(fp.class_of(f, fixed + (b,)))
-        ends[i] = (va, vb, a, b)
-    return ends
-
-
-def _spanning_forest(X: cells_mod.CellComplex, ends):
-    """Breadth-first forest from the least vertex cell of each component.
-
-    Returns (parent, cotree).  parent maps each vertex cell to the (edge,
-    direction into it) it was reached by, or to None at a root, and lists
-    each vertex after the one it was reached from; cotree is the ascending
-    list of edges outside the forest.
-    """
-    adj: Dict[int, List[Tuple[int, int, int]]] = {}
-    for e, (va, vb, _, _) in sorted(ends.items()):
-        adj.setdefault(va, []).append((e, vb, 1))
-        adj.setdefault(vb, []).append((e, va, -1))
-    parent: Dict[int, Optional[Tuple[int, int]]] = {}
-    tree_edges = set()
-    for root in (i for i, d in enumerate(X.dims) if d == 0):
-        if root in parent:
-            continue
-        parent[root] = None
-        order = [root]
-        for v in order:  # the walk appends to `order` as it goes
-            for e, w, dr in adj.get(v, ()):
-                if w not in parent:
-                    parent[w] = (e, dr)
-                    tree_edges.add(e)
-                    order.append(w)
-    return parent, [e for e in sorted(ends) if e not in tree_edges]
-
-
-def _square_boundary(X: cells_mod.CellComplex, ends, i: int):
-    """The 4-cycle of a square cell as (edge, direction) steps."""
-    fp = X.triangulation.face_poset
-    f, _, fixed, _, pairs = X.cubes[i]
-    (a1, b1), (a2, b2) = pairs
-    path = []
-    corner_cycle = [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (a1, a2)]
-    for (u1, u2), (w1, w2) in zip(corner_cycle, corner_cycle[1:]):
-        veer = 0 if u1 != w1 else 1  # which coordinate moves
-        ecid, phi = fp.corner_map(f, fixed + pairs[veer] + (u2 if veer == 0 else u1,))
-        start = phi[u1 if veer == 0 else u2]
-        stop = phi[w1 if veer == 0 else w2]
-        e = X._index(ecid)
-        _, _, ca, cb = ends[e]
-        path.append((e, 1 if (start, stop) == (ca, cb) else -1))
-    return path
-
-
 def pi1_presentation(C: cells_mod.CellComplex, provenance: str = "") -> GroupPresentation:
     """Edge-path presentation from the 2-skeleton of a cube complex.
 
@@ -203,8 +144,7 @@ def pi1_presentation(C: cells_mod.CellComplex, provenance: str = "") -> GroupPre
         raise TriangulationError("presentations are computed for cube complexes only")
     if C.dimension < 1:
         raise TriangulationError("complex has no edges")
-    ends = _edge_ends(C)
-    parent, cotree = _spanning_forest(C, ends)
+    parent, cotree = C.spanning_forest
     roots = [v for v, step in parent.items() if step is None]
     if not roots:
         raise TriangulationError("complex has no vertices")
@@ -212,10 +152,8 @@ def pi1_presentation(C: cells_mod.CellComplex, provenance: str = "") -> GroupPre
         raise TriangulationError("complex is disconnected")
     gen = {e: j + 1 for j, e in enumerate(cotree)}
     relators = []
-    for i, d in enumerate(C.dims):
-        if d != 2:
-            continue
-        word = [dr * gen[e] for e, dr in _square_boundary(C, ends, i) if e in gen]
+    for path in C.square_boundaries.values():
+        word = [dr * gen[e] for e, dr in path if e in gen]
         relators.append(free_reduce(word))
     return GroupPresentation(
         generators=len(cotree),
@@ -250,18 +188,19 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
     if not 0 <= label <= k:
         raise TriangulationError("class label %d out of range 0..%d" % (label, k))
     fp = T.face_poset
-    multisets = cells_mod.class_label_multisets(T, P)
-    central = cells_mod.extract(T, P, tuple(range(k + 1)), multisets)
-    graph = cells_mod.extract(T, P, (label,), multisets)
+    central = cells_mod.extract(T, P, tuple(range(k + 1)))
+    graph = cells_mod.extract(T, P, (label,))
     if graph.dimension > 1:
         raise TriangulationError("region %d is not a graph (contains higher cells)" % label)
     if not central.connected() or not graph.connected():
         raise TriangulationError("central complex and region graph must be connected")
+    if not central.all_cubes:
+        raise TriangulationError("presentations are computed for cube complexes only")
 
-    c_ends = _edge_ends(central)
-    c_parent, c_cotree = _spanning_forest(central, c_ends)
-    g_ends = _edge_ends(graph)
-    _, g_cotree = _spanning_forest(graph, g_ends)
+    c_ends = central.edge_ends
+    c_parent, c_cotree = central.spanning_forest
+    g_ends = graph.edge_ends
+    _, g_cotree = graph.spanning_forest
     g_gen = {e: j + 1 for j, e in enumerate(g_cotree)}
 
     def edge_image(e: int, dr: int) -> Tuple[int, ...]:
@@ -298,11 +237,9 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
         words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
 
     relators_die = True
-    for i, d in enumerate(central.dims):
-        if d != 2:
-            continue
+    for path in central.square_boundaries.values():
         word: List[int] = []
-        for ee, dd in _square_boundary(central, c_ends, i):
+        for ee, dd in path:
             word.extend(edge_image(ee, dd))
         if free_reduce(word):
             relators_die = False
@@ -327,11 +264,13 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     `cls` to the ambient monochromatic edge on its doubled pair, and
     every other central edge to a constant path.
     """
+    if not 0 <= cls <= P.k:
+        raise TriangulationError("class label %d out of range 0..%d" % (cls, P.k))
     fp = T.face_poset
     central = cells_mod.extract(T, P, tuple(range(P.k + 1)))
     e_start = fp.dim_start[1]  # bit j of an ambient edge chain is edge class e_start + j
-    ends = _edge_ends(central)
-    parent, cotree = _spanning_forest(central, ends)
+    ends = central.edge_ends
+    parent, cotree = central.spanning_forest
 
     def image(e: int) -> int:
         f, _, _, (doubled,), _ = central.cubes[e]

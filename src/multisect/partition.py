@@ -146,7 +146,10 @@ def scheme_partition(
     if labels is None:
         raise TriangulationError("explicit scheme needs labels")
     if isinstance(labels, dict):
-        lab = tuple(labels[v] for v in range(nv))
+        try:
+            lab = tuple(labels[v] for v in range(nv))
+        except KeyError as e:
+            raise TriangulationError("vertex class %s has no label" % fp.key(e.args[0])) from None
     else:
         lab = tuple(labels)
     if len(lab) != nv:
@@ -210,11 +213,6 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
 
     Failures never raise; they land in the report and its diagnostics.
     """
-    return _validate(T, P)[0]
-
-
-def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, cells_mod.CellComplex]:
-    """`validate`, plus the central complex it builds on the way."""
     n = T.dimension
     k = P.k
     fp = T.face_poset
@@ -241,18 +239,15 @@ def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, c
         if not profile_ok:
             diagnostics.append("some facet lacks the one-singleton profile")
 
-    multisets = cells_mod.class_label_multisets(T, labels)
-
     subset_reports: List[SubsetReport] = []
     subset_diagnostics: List[str] = []
     central_report: Optional[SubsetReport] = None
-    central: Optional[cells_mod.CellComplex] = None
     ok_mult = profile_ok
     ok_gen = True
     full = tuple(range(k + 1))
     for r in range(1, k + 2):
         for S in combinations(full, r):
-            X = cells_mod.extract(T, labels, S, multisets)
+            X = cells_mod.extract(T, P, S)
             res = cells_mod.collapse(X)
             proper = r <= k
             req = None
@@ -289,7 +284,7 @@ def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, c
                         "subset %s misses the codimension-2 spine bound %d" % (S, gen)
                     )
             else:
-                central_report, central = rep_s, X
+                central_report = rep_s
                 if not rep_s.nonempty:
                     ok_mult = False
                     ok_gen = False
@@ -303,7 +298,7 @@ def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, c
                         subset_diagnostics.append(
                             "central complex has dimension %d, expected %d" % (rep_s.raw_dim, n - k)
                         )
-    assert central_report is not None and central is not None
+    assert central_report is not None
 
     # class graph l is the (l,) complex; the loop makes singletons first, and for k = 0 (0,) is central
     class_graphs = []
@@ -322,7 +317,7 @@ def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, c
         elif not g.connected:
             diagnostics.append("class graph %d disconnected" % l)
     ok_mult = ok_mult and all(g.connected for g in class_graphs)
-    report = ValidationReport(
+    return ValidationReport(
         n=n,
         k=k,
         profile_ok=profile_ok,
@@ -334,7 +329,6 @@ def _validate(T: Triangulation, P: VertexPartition) -> Tuple[ValidationReport, c
         supports_generalized=ok_gen,
         diagnostics=tuple(diagnostics + subset_diagnostics),
     )
-    return report, central
 
 
 @dataclass(eq=False)

@@ -310,6 +310,7 @@ class Triangulation:
                 raise TriangulationError("vertex id table shape does not match facets")
         self.vertex_ids = vertex_ids
         self.extras = dict(extras) if extras else {}
+        self._labelling = None  # cells.labelling's record of the latest labels read
 
     # -- construction ---------------------------------------------------
 

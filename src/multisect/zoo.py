@@ -2,16 +2,17 @@
 
 Every generator attaches `corner_labels` metadata giving the coordinate
 label of each facet corner; block partition schemes key off these.
+The crosspolytope generators refuse to exceed a facet ceiling, by
+default `subdivide.default_ceiling()`.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Optional
 
+from .subdivide import Limits
 from .triangulation import Triangulation, TriangulationError
-
-# facet count guard shared with the subdivision ceiling
-_DEFAULT_CEILING = 10**8
 
 
 def _constant_corner_labels(m: int, n: int):
@@ -33,7 +34,7 @@ def double_simplex(n: int) -> Triangulation:
     )
 
 
-def cross_sphere(n: int, ceiling: int = _DEFAULT_CEILING) -> Triangulation:
+def cross_sphere(n: int, ceiling: Optional[int] = None) -> Triangulation:
     """Boundary of the (n+1)-crosspolytope: one facet per sign orthant.
 
     Vertex 2i is the positive, 2i+1 the negative endpoint of axis i; the
@@ -43,6 +44,7 @@ def cross_sphere(n: int, ceiling: int = _DEFAULT_CEILING) -> Triangulation:
     if n < 1:
         raise TriangulationError("cross_sphere needs n >= 1")
     m = 1 << (n + 1)
+    ceiling = Limits(ceiling).ceiling()
     if m > ceiling:
         raise TriangulationError("cross_sphere(%d) needs %d facets, over the ceiling %d" % (n, m, ceiling))
     facets = []
@@ -52,7 +54,7 @@ def cross_sphere(n: int, ceiling: int = _DEFAULT_CEILING) -> Triangulation:
     return tri
 
 
-def cross_projective(n: int, ceiling: int = _DEFAULT_CEILING) -> Triangulation:
+def cross_projective(n: int, ceiling: Optional[int] = None) -> Triangulation:
     """Antipodal quotient of the crosspolytope sphere; 2^n facets, n+1 vertex classes.
 
     Facets are orthants whose first sign is positive; crossing axis i
@@ -62,6 +64,7 @@ def cross_projective(n: int, ceiling: int = _DEFAULT_CEILING) -> Triangulation:
     if n < 2:
         raise TriangulationError("cross_projective needs n >= 2 (the quotient of a circle is again a circle)")
     m = 1 << n
+    ceiling = Limits(ceiling).ceiling()
     if m > ceiling:
         raise TriangulationError("cross_projective(%d) needs %d facets, over the ceiling %d" % (n, m, ceiling))
     ident = tuple(range(n + 1))

@@ -434,15 +434,14 @@ def generator_words_by_tree_paths(T, P, label):
     edge ends and spanning forests.
     """
     from multisect import cells
-    from multisect.invariants import _edge_ends, _spanning_forest
 
     fp = T.face_poset
     central = cells.extract(T, P, tuple(range(P.k + 1)))
     graph = cells.extract(T, P, (label,))
-    c_ends = _edge_ends(central)
-    c_parent, c_cotree = _spanning_forest(central, c_ends)
-    g_ends = _edge_ends(graph)
-    _, g_cotree = _spanning_forest(graph, g_ends)
+    c_ends = central.edge_ends
+    c_parent, c_cotree = central.spanning_forest
+    g_ends = graph.edge_ends
+    _, g_cotree = graph.spanning_forest
     g_gen = {e: j for j, e in enumerate(g_cotree)}
     graph_vertex_of = {graph.cells[i]: i for i, d in enumerate(graph.dims) if d == 0}
 
@@ -577,7 +576,6 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
     complexes, edge ends, face poset and GF(2) bases.
     """
     from multisect import cells, gf2
-    from multisect.invariants import _edge_ends
 
     fp = T.face_poset
     central = cells.extract(T, P, tuple(range(P.k + 1)))
@@ -585,7 +583,7 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
     c_vpos = {i: j for j, i in enumerate(i for i, d in enumerate(central.dims) if d == 0)}
     cols = []
     images = []
-    for i, (va, vb, a, b) in _edge_ends(central).items():
+    for i, (va, vb, a, b) in central.edge_ends.items():
         cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
         f, _, _, (doubled,), _ = central.cubes[i]
         images.append(1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0)
@@ -618,3 +616,51 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
         if base.add(img):
             extra += 1
     return extra == b1
+
+
+# --- subset complexes by a full scan of the face classes --------------------
+
+
+def extract_by_scan(T, P, subset):
+    """`cells.extract(T, P, subset)`, from its own label pass and a full scan.
+
+    The slow path the labelling record is checked against: every face
+    class gets its sorted label multiset afresh, every class is tested for
+    support exactly `subset`, and the kept classes are numbered in class
+    order with their codimension-1 faces as children.  Uses the library's
+    face poset and cell complex type.
+    """
+    from multisect.cells import CellComplex
+
+    fp = T.face_poset
+    labels = tuple(P.labels)
+    S = tuple(sorted(set(subset)))
+    multisets = []
+    for cid in range(fp.n_classes):
+        f, corners = fp.canonical(cid)
+        row = fp.facet_vertices[f]
+        multisets.append(tuple(sorted(labels[row[c]] for c in corners)))
+    cells = [cid for cid in range(fp.n_classes) if set(multisets[cid]) == set(S)]
+    index = {cid: i for i, cid in enumerate(cells)}
+    dims, children = [], []
+    for cid in cells:
+        f, corners = fp.canonical(cid)
+        ms = multisets[cid]
+        dims.append(len(corners) - len(S))
+        row = fp.facet_vertices[f]
+        children.append(
+            tuple(
+                index[fp.class_of(f, tuple(x for x in corners if x != c))]
+                for c in corners
+                if ms.count(labels[row[c]]) >= 2
+            )
+        )
+    return CellComplex(
+        triangulation=T,
+        labels=labels,
+        subset=S,
+        cells=tuple(cells),
+        dims=tuple(dims),
+        children=tuple(children),
+        all_cubes=all(multisets[cid].count(l) <= 2 for cid in cells for l in S),
+    )

@@ -1,6 +1,7 @@
 """Cubical subset complexes: extraction, links, curvature test, collapse."""
 
 import collections
+import random
 from itertools import combinations, product
 
 import pytest
@@ -18,10 +19,10 @@ from multisect.cells import (
     vertex_link,
     vertex_links,
 )
-from multisect.partition import scheme_partition
+from multisect.partition import VertexPartition, scheme_partition
 from multisect.subdivide import barycentric
 from multisect.triangulation import Triangulation, TriangulationError
-from multisect.zoo import cross_projective, double_simplex
+from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
 
 def pairs_partition(n, blocks):
@@ -117,6 +118,30 @@ def test_class_label_multisets_match_support():
         f, corners = fp.canonical(cid)
         direct = tuple(sorted(P.labels[fp.class_of(f, (c,))] for c in corners))
         assert ms[cid] == direct
+
+
+def test_extract_matches_full_scan_oracle():
+    zoo = [double_simplex(n) for n in (1, 2, 3, 4)] + [cross_sphere(n) for n in (1, 2, 3)]
+    zoo += [cross_projective(2), cross_projective(3)]
+    zoo += [barycentric(T)[0] for T in (double_simplex(2), cross_projective(2), double_simplex(3))]
+    cubes = set()
+    for T in zoo:
+        nv = T.face_poset.dim_start[1]
+        for k in range(4):
+            for seed in range(3):
+                rng = random.Random(seed)
+                P = VertexPartition(k=k, labels=tuple(rng.randrange(k + 1) for _ in range(nv)))
+                for r in range(1, k + 2):
+                    for S in combinations(range(k + 1), r):
+                        got, want = extract(T, P, S), oracles.extract_by_scan(T, P, S)
+                        assert (got.cells, got.dims, got.children, got.all_cubes) == (
+                            want.cells,
+                            want.dims,
+                            want.children,
+                            want.all_cubes,
+                        )
+                        cubes.add(got.all_cubes)
+    assert cubes == {True, False}
 
 
 def sd3_central():

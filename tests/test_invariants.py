@@ -2,6 +2,7 @@
 
 import copy
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from multisect.invariants import (
     multisection_report,
     pi1_presentation,
 )
-from multisect.partition import VertexPartition, scheme_partition
+from multisect.partition import VertexPartition, scheme_partition, validate
 from multisect.subdivide import barycentric, pachner_2n_pass
 from multisect.triangulation import TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
@@ -198,18 +199,35 @@ def test_inclusion_relators_always_die():
 WORD_BUILDS = {"rp3 pairs": rp3, "rp5 pairs": rp5, "d5 pairs": d5, "sd3 odd-bary": sd3, "sd rp3 odd-bary": sd_rp3}
 
 
+def count_label_work(monkeypatch):
+    """Record each label pass's labels and each complex build's subset in `cells`."""
+    passes, builds = [], []
+    label_pass, subset_complex = cells._label_pass, cells._subset_complex
+    monkeypatch.setattr(cells, "_label_pass", lambda T, labels: passes.append(labels) or label_pass(T, labels))
+    monkeypatch.setattr(cells, "_subset_complex", lambda T, rec, S: builds.append(S) or subset_complex(T, rec, S))
+    return passes, builds
+
+
 @pytest.mark.parametrize("name", WORD_BUILDS)
 def test_generator_words_match_tree_path_oracle(name, monkeypatch):
     T, P = WORD_BUILDS[name]()
-    calls = []
-    multisets = cells.class_label_multisets
-    monkeypatch.setattr(cells, "class_label_multisets", lambda *args: calls.append(args) or multisets(*args))
-    for label in range(P.k + 1):
-        calls.clear()
+    passes, builds = count_label_work(monkeypatch)
+    full = tuple(range(P.k + 1))
+    for label in full:
+        builds.clear()
         words = inclusion_epimorphism(T, P, label).generator_words
-        # one label pass serves both the central complex and the region graph
-        assert len(calls) == 1
+        # the first call reads the labels and builds the central complex; each call builds its region graph
+        assert builds == ([full] if label == 0 else []) + [(label,)]
         assert words == oracles.generator_words_by_tree_paths(T, P, label)
+    assert passes == [P.labels]
+
+
+def test_inclusion_refuses_non_cube_central():
+    T = double_simplex(3)
+    P = VertexPartition(k=1, labels=(1, 1, 0, 1))
+    assert not cells.extract(T, P, (0, 1)).all_cubes
+    with pytest.raises(TriangulationError, match="cube complexes only"):
+        inclusion_epimorphism(T, P, 0)
 
 
 def test_h1_onto_everywhere():
@@ -224,6 +242,13 @@ def test_h1_onto_everywhere():
     PP = scheme_partition(TP, "pairs", blocks=((0, 1), (2, 3), (4, 5)))
     assert h1_onto_check(TP, PP)
     assert h1_onto_check(TP, PP, cls=2)
+
+
+@pytest.mark.parametrize("cls", [-1, 2, 7])
+def test_h1_onto_refuses_label_out_of_range(cls):
+    T, P = rp3()
+    with pytest.raises(TriangulationError, match="class label %d out of range 0..1" % cls):
+        h1_onto_check(T, P, cls)
 
 
 def test_h1_onto_in_dimension_one():
@@ -263,21 +288,51 @@ def test_report_on_projective_five():
 @pytest.mark.parametrize("build", [rp3, d5, sd3])
 def test_report_builds_each_subset_complex_once(build, monkeypatch):
     T, P = build()
-    calls = {"multisets": 0, "extract": 0}
-    multisets, extract = cells.class_label_multisets, cells.extract
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(cells, "class_label_multisets", counted("multisets", multisets))
-    monkeypatch.setattr(cells, "extract", counted("extract", extract))
+    passes, builds = count_label_work(monkeypatch)
+    full = tuple(range(P.k + 1))
+    proper = [S for r in range(1, P.k + 1) for S in combinations(full, r)]
+    validate(T, P)
+    assert builds == proper + [full]
+    # each validate builds the proper subsets again; the central complex is kept
+    builds.clear()
     multisection_report(T, P)
-    # validate's label pass and subset complexes serve the report; the central one is not rebuilt
-    assert calls == {"multisets": 1, "extract": 2 ** (P.k + 1) - 1}
+    assert builds == proper
+    builds.clear()
+    h1_onto_check(T, P)
+    assert builds == []
+    for label in full:
+        builds.clear()
+        inclusion_epimorphism(T, P, label)
+        assert builds == [(label,)]
+    assert passes == [P.labels]
+
+
+def verdicts(T, P):
+    """validate, then h1_onto_check and inclusion_epimorphism for every label, as text."""
+    out = [repr(validate(T, P))]
+    for label in range(P.k + 1):
+        for check in (h1_onto_check, inclusion_epimorphism):
+            try:
+                out.append(repr(check(T, P, label)))
+            except TriangulationError as e:
+                out.append("refused: %s" % e)
+    return out
+
+
+@pytest.mark.parametrize("build", [rp3, sd3])
+def test_alternating_labellings_match_fresh_triangulations(build):
+    T, P = build()
+    nv = T.face_poset.dim_start[1]
+    rng = random.Random(5)
+    other = VertexPartition(k=P.k, labels=tuple(rng.randrange(P.k + 1) for _ in range(nv)))
+    wider = VertexPartition(k=P.k + 1, labels=P.labels)
+    seen = {}
+    for Q in (P, other, P, wider, P, other, wider):
+        got = verdicts(T, Q)
+        assert got == verdicts(build()[0], Q)
+        seen[Q] = got
+    # the three labellings disagree, so a stale record would show
+    assert len({tuple(got) for got in seen.values()}) == 3
 
 
 def test_report_is_pure():

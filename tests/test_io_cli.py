@@ -386,6 +386,13 @@ def test_cli_ceiling_env(monkeypatch):
     assert "ceiling" in err
 
 
+@pytest.mark.parametrize("argv", [["info"], ["gen", "--double-simplex", "2"], ["subdivide", "--barycentric"]])
+def test_cli_refuses_a_ceiling_that_is_not_positive(argv):
+    _, doc, _ = run(["gen", "--double-simplex", "2"])
+    code, out, err = run(argv + ["--ceiling", "0"], stdin_text=doc)
+    assert (code, out, err) == (2, "", "multisect: ceiling must be positive\n")
+
+
 def test_cli_bad_stream_is_usage_error():
     code, _, err = run(["info"], stdin_text="dim 3\nfacets nope\n")
     assert code == 2

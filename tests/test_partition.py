@@ -88,6 +88,13 @@ def test_explicit_scheme_round():
     assert validate(T, P).profile_ok
 
 
+def test_explicit_scheme_names_an_unlabelled_vertex():
+    T = double_simplex(3)
+    assert scheme_partition(T, "explicit", labels={0: 0, 1: 1, 2: 0, 3: 1}).labels == (0, 1, 0, 1)
+    with pytest.raises(TriangulationError, match="vertex class %s has no label" % T.face_poset.key(1)):
+        scheme_partition(T, "explicit", labels={0: 0})
+
+
 def test_validate_doubled_five_simplex_pairs():
     T = double_simplex(5)
     P = scheme_partition(T, "pairs", blocks=((0, 1), (2, 3), (4, 5)))

@@ -100,6 +100,16 @@ def test_cross_sphere_ceiling():
         cross_sphere(8, ceiling=100)
 
 
+def test_generators_read_the_ceiling_environment(monkeypatch):
+    monkeypatch.setenv("MULTISECT_CEILING", "10")
+    assert cross_sphere(2).facet_count == 8
+    with pytest.raises(TriangulationError, match="over the ceiling 10"):
+        cross_sphere(5)
+    with pytest.raises(TriangulationError, match="over the ceiling 10"):
+        cross_projective(4)
+    assert cross_projective(4, ceiling=16).facet_count == 16
+
+
 @given(st.integers(min_value=2, max_value=5))
 @settings(max_examples=4)
 def test_projective_is_half_sphere(n):
