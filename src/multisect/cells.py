@@ -99,7 +99,6 @@ class CellComplex:
     dims: Tuple[int, ...]                      # cell dimension (product of simplices)
     children: Tuple[Tuple[int, ...], ...]      # codim-1 face indexes, with repetition
     all_cubes: bool                            # no label occurs more than twice in a cell
-    _parent_counts: Optional[Tuple[int, ...]] = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -116,6 +115,10 @@ class CellComplex:
         return sum(1 if d % 2 == 0 else -1 for d in self.dims)
 
     def connected(self) -> bool:
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
         if not self.cells:
             return False
         uf = UnionFind(len(self.cells))
@@ -125,13 +128,15 @@ class CellComplex:
         return uf.n_sets == 1
 
     def parent_counts(self) -> Tuple[int, ...]:
-        if self._parent_counts is None:
-            counts = [0] * len(self.cells)
-            for ch in self.children:
-                for c in ch:
-                    counts[c] += 1
-            self._parent_counts = tuple(counts)
         return self._parent_counts
+
+    @cached_property
+    def _parent_counts(self) -> Tuple[int, ...]:
+        counts = [0] * len(self.cells)
+        for ch in self.children:
+            for c in ch:
+                counts[c] += 1
+        return tuple(counts)
 
     def closed(self) -> bool:
         """Every codimension-1 cell bounds exactly two top cells; no stray cells."""

@@ -50,7 +50,7 @@ def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = T
     npc_ok = None
     if with_npc and central.all_cubes and central.cells:
         npc_ok = cells_mod.npc_check(central).ok
-    ambient_euler = T.summary(with_betti=False).euler
+    ambient_euler = T.euler()
     genera = rep.genera()
     identity = None
     if n == 4 and genus is not None:

@@ -350,7 +350,7 @@ def _check_even_connected(T: Triangulation) -> None:
                     "symmetric representation undefined: face %s has odd degree %d"
                     % (fp.key(cid), fp.cls_count[cid])
                 )
-    if not T.summary(with_betti=False).connected:
+    if not T.connected():
         raise TriangulationError("symmetric representation needs a connected triangulation")
 
 

@@ -10,7 +10,8 @@ identifications are in scope; a face is never glued to itself.
 
 Faces of every dimension are identified by propagating the gluings over
 corner subsets: one breadth-first walk per face class writes its id into
-a flat table from each (facet, subset) pair to its class id.  All
+a flat table from each (facet, subset) pair to its class id, and the id
+of that incarnation's corner map into a second table beside it.  All
 derived orderings use the canonical incarnation of a face class: the
 lexicographically least (facet, sorted corner tuple) pair.
 """
@@ -22,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from math import factorial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
@@ -82,6 +84,10 @@ class FacePoset:
     incarnation.  Class ids are assigned by (dimension, canonical key)
     so that identical inputs always produce identical numbering.
     `facet_vertices[f][c]` is the vertex class at corner c of facet f.
+
+    Two flat tables, indexed by facet * 2^(n+1) + corner mask, hold every
+    incarnation's class id and the id of its corner map into `_perms`,
+    the list of distinct corner bijections the walks met, each kept once.
     """
 
     def __init__(self, tri: "Triangulation"):
@@ -103,12 +109,26 @@ class FacePoset:
                 if pi not in images:
                     images[pi] = tuple(sum(1 << pi[c] for c in cs) for cs in corners_of)
         self._images = images
-        slots = [[(1 << i, t * M, images[pi]) for i, (t, pi) in enumerate(row)] for row in glu]
+        # The walk also carries each incarnation's corner map: the bijection
+        # from its facet's corners to the canonical incarnation's, kept once
+        # in `_perms` and referred to by id.  Crossing gluing pi from a node
+        # with map p reaches a node with map p∘pi⁻¹; each distinct gluing map
+        # keeps the ids it has sent, p -> id of p∘pi⁻¹.  When every gluing
+        # map is the identity (as in any barycentric subdivision), so is
+        # every corner map, and the walk leaves the zeroed map table as it is.
+        perms: List[Tuple[int, ...]] = [identity(L)]
+        perm_id = {perms[0]: 0}
+        moves = any(pi != perms[0] for pi in images)
+        steps = {pi: ({}, invert(pi)) if moves else (None, None) for pi in images}
+        slots = [[(1 << i, t * M, images[pi], *steps[pi]) for i, (t, pi) in enumerate(row)] for row in glu]
 
         # Visiting masks by (size, facet, corner tuple) meets each class first
         # at its canonical incarnation, so ids come out in canonical order.
-        # A class's walk across the gluings writes its id into every incarnation.
+        # A class's breadth-first walk across the gluings, slots ascending,
+        # writes its id and the corner maps into every incarnation.
         table = array("i", [-1]) * (m * M)
+        n_maps = min(factorial(L), m * M) if moves else 1
+        map_of = array("B" if n_maps <= 1 << 8 else "H" if n_maps <= 1 << 16 else "i", [0]) * (m * M)
         self.cls_canon: List[int] = []
         self.cls_count: List[int] = []
         self.cls_dim: List[int] = []
@@ -122,24 +142,35 @@ class FacePoset:
                         continue
                     cid = len(self.cls_canon)
                     table[base + mask] = cid
-                    walk = [base + mask]
+                    walk = [base + mask]  # its map is the identity, id 0, as the table starts
                     for enc in walk:
                         f, sub = divmod(enc, M)
-                        for bit, t_base, img in slots[f]:
+                        for bit, t_base, img, sent, pi_inv in slots[f]:
                             if not sub & bit:
                                 enc2 = t_base + img[sub]
                                 if table[enc2] < 0:
                                     table[enc2] = cid
                                     walk.append(enc2)
+                                    if sent is not None:
+                                        p = map_of[enc]
+                                        try:
+                                            map_of[enc2] = sent[p]
+                                        except KeyError:
+                                            phi = compose(perms[p], pi_inv)
+                                            q = sent[p] = perm_id.setdefault(phi, len(perms))
+                                            if q == len(perms):
+                                                perms.append(phi)
+                                            map_of[enc2] = q
                     self.cls_canon.append(base + mask)
                     self.cls_count.append(len(walk))
                     self.cls_dim.append(size - 1)
             self.dim_start.append(len(self.cls_canon))
         self._table = table
+        self._map_of = map_of
+        self._perms = perms
         self.facet_vertices: List[Tuple[int, ...]] = [
             tuple(table[f * M + (1 << c)] for c in range(L)) for f in range(m)
         ]
-        self._maps: Dict[int, Dict[int, Dict[int, int]]] = {}
 
     @property
     def n_classes(self) -> int:
@@ -237,19 +268,17 @@ class FacePoset:
                     queue.append(enc2)
         return maps
 
-    def corner_map(self, facet: int, corners: Iterable[int]) -> Tuple[int, Dict[int, int]]:
+    def corner_map(self, facet: int, corners: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
         """Class of a face and its identification with the canonical incarnation.
 
-        Returns (class id, {corner of this incarnation: canonical corner}).
-        Corners may repeat.  The maps of each class are computed once and
-        kept for the life of the poset.
+        Returns (class id, phi), where phi[c] is the canonical corner of
+        corner c of this incarnation.  phi is the whole corner bijection
+        between the two facets, one tuple shared by every incarnation
+        with that map; only its entries at the face's corners are
+        determined by the face.  Corners may repeat.  Two table reads.
         """
         enc = self._encode(facet, corners)
-        cid = self._table[enc]
-        maps = self._maps.get(cid)
-        if maps is None:
-            maps = self._maps[cid] = self.incarnation_maps(cid)
-        return cid, maps[enc]
+        return self._table[enc], self._perms[self._map_of[enc]]
 
 
 class Triangulation:
@@ -280,6 +309,8 @@ class Triangulation:
         m = len(gluings)
         if m == 0:
             raise TriangulationError("a triangulation needs at least one facet")
+        # every distinct corner map is checked once and kept as one tuple
+        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         for f, row in enumerate(gluings):
             if len(row) != L:
                 raise TriangulationError("facet %d has %d slots, expected %d" % (f, len(row), L))
@@ -288,18 +319,23 @@ class Triangulation:
                 pi = tuple(pi)
                 if not 0 <= t < m:
                     raise TriangulationError("facet %d slot %d: target %d out of range" % (f, i, t))
-                if len(pi) != L or not is_perm(pi):
-                    raise TriangulationError("facet %d slot %d: corner map %r is not a bijection" % (f, i, pi))
-                if t == f and pi[i] == i:
+                p = shared.get(pi)
+                if p is None:
+                    if len(pi) != L or not is_perm(pi):
+                        raise TriangulationError("facet %d slot %d: corner map %r is not a bijection" % (f, i, pi))
+                    p = shared[pi] = pi
+                if t == f and p[i] == i:
                     raise TriangulationError("facet %d slot %d glued to itself" % (f, i))
-                new_row.append((t, pi))
+                new_row.append((t, p))
             glu.append(tuple(new_row))
         self.gluings: Tuple[Tuple[Gluing, ...], ...] = tuple(glu)
+        # the kept inverse of each map, or None when no slot carries it
+        inverse = {pi: shared.get(invert(pi)) for pi in shared}
         for f in range(m):
             for i in range(L):
                 t, pi = self.gluings[f][i]
                 back_t, back_pi = self.gluings[t][pi[i]]
-                if back_t != f or back_pi != invert(pi):
+                if back_t != f or back_pi is not inverse[pi]:
                     raise TriangulationError(
                         "gluing involution broken between facet %d slot %d and facet %d slot %d"
                         % (f, i, t, pi[i])
@@ -393,6 +429,13 @@ class Triangulation:
                 uf.union(f, t)
         return uf
 
+    def connected(self) -> bool:
+        return self._facet_components().n_sets == 1
+
+    def euler(self) -> int:
+        """Alternating sum of the face-class counts."""
+        return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.face_poset.counts()))
+
     def _orientation(self) -> Optional[Tuple[int, ...]]:
         """Cross a gluing with corner map pi: signs satisfy eps_t = -sign(pi) * eps_f."""
         m = self.facet_count
@@ -432,8 +475,6 @@ class Triangulation:
         fp = self.face_poset
         n = self.dimension
         counts = fp.counts()
-        euler = sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
-        connected = self._facet_components().n_sets == 1
         pseudo = all(fp.cls_count[cid] == 2 for cid in fp.class_ids_of_dim(n - 1))
         even = True
         if n >= 2:
@@ -447,8 +488,8 @@ class Triangulation:
             dimension=n,
             facet_count=self.facet_count,
             face_counts=counts,
-            euler=euler,
-            connected=connected,
+            euler=self.euler(),
+            connected=self.connected(),
             pseudo_manifold=pseudo,
             orientable=orientation is not None,
             orientation=orientation,
@@ -466,14 +507,13 @@ class Triangulation:
                     continue
                 edges.append((f, t) if f <= t else (t, f))
         edges.sort()
-        connected = self._facet_components().n_sets == 1
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
         for u, v in edges:
             adj[u].append((v, -1))
             adj[v].append((u, -1))
         color = signed_colouring(range(m), adj)
         bipartition = None if color is None else tuple(0 if color[f] == 1 else 1 for f in range(m))
-        return DualGraph(n_nodes=m, edges=tuple(edges), connected=connected, bipartition=bipartition)
+        return DualGraph(n_nodes=m, edges=tuple(edges), connected=self.connected(), bipartition=bipartition)
 
     # -- links ----------------------------------------------------------
 

@@ -307,6 +307,21 @@ def test_report_builds_each_subset_complex_once(build, monkeypatch):
     assert passes == [P.labels]
 
 
+@pytest.mark.parametrize("build", [rp3, d5, sd3])
+def test_each_complex_computes_its_connectivity_once(build, monkeypatch):
+    T, P = build()
+    _, builds = count_label_work(monkeypatch)
+    unions = []
+    union_find = cells.UnionFind
+    monkeypatch.setattr(cells, "UnionFind", lambda n: unions.append(n) or union_find(n))
+    validate(T, P)
+    multisection_report(T, P)
+    for label in range(P.k + 1):
+        inclusion_epimorphism(T, P, label)
+    # the kept central complex is asked by every call, yet answers from its first union-find
+    assert len(unions) == len(builds)
+
+
 def verdicts(T, P):
     """validate, then h1_onto_check and inclusion_epimorphism for every label, as text."""
     out = [repr(validate(T, P))]

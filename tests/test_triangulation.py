@@ -1,14 +1,16 @@
 """Gluing validation, face classes, covers and isomorphism."""
 
+import gc
 import pathlib
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from multisect.io import load_stream
+from multisect.io import load_stream, save_stream
 from multisect.subdivide import barycentric, stellar_facet
 from multisect.triangulation import Triangulation, TriangulationError, face_key, parse_face_key
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
@@ -109,6 +111,44 @@ def test_one_sided_permutation_edit_rejected(perm):
         return
     with pytest.raises(TriangulationError):
         Triangulation(3, rows)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Triangulation(3, doubled_rows(3)), lambda: barycentric(cross_projective(3))[0]],
+    ids=["double_simplex(3)", "sd cross_projective(3)"],
+)
+def test_loaded_corner_maps_are_kept_once(build):
+    T, _ = load_stream(save_stream(build()))
+    maps = [pi for row in T.gluings for _, pi in row]
+    assert len({id(pi) for pi in maps}) == len(set(maps)) < len(maps)
+
+
+def test_bad_map_in_two_slots_is_reported_at_the_first():
+    rows = doubled_rows(3)
+    rows[0][2] = (1, (0, 0, 1, 2))
+    rows[1][1] = (0, (0, 0, 1, 2))
+    text = "dim 3\nfacets 2\n" + "".join(
+        "%d %d %s\n" % (i, t, " ".join(map(str, pi))) for row in rows for i, (t, pi) in enumerate(row)
+    )
+    for build in (lambda: Triangulation(3, rows), lambda: load_stream(text)):
+        with pytest.raises(TriangulationError) as err:
+            build()
+        assert str(err.value) == "facet 0 slot 2: corner map (0, 0, 1, 2) is not a bijection"
+
+
+def test_involution_break_is_caught_against_a_kept_inverse():
+    # every slot of facet 0 carries the 3-cycle c and every slot of facet 1
+    # its inverse, each slot its own list; the break puts c, a kept map whose
+    # kept inverse is another tuple, on a back slot
+    c, c_inv = (1, 2, 0), (2, 0, 1)
+    rows = [[(1, list(c)) for _ in range(3)], [(0, list(c_inv)) for _ in range(3)]]
+    T = Triangulation(2, rows)
+    assert len({id(pi) for row in T.gluings for _, pi in row}) == 2
+    rows[1][1] = (0, list(c))
+    with pytest.raises(TriangulationError) as err:
+        Triangulation(2, rows)
+    assert str(err.value) == "gluing involution broken between facet 0 slot 0 and facet 1 slot 1"
 
 
 def test_face_key_round_trip():
@@ -409,7 +449,8 @@ def test_incarnation_maps_cover_class_degree():
 FACE_TABLE_INPUTS = {
     **{"double_simplex(%d)" % n: lambda n=n: double_simplex(n) for n in (2, 3, 4)},
     **{"cross_sphere(%d)" % n: lambda n=n: cross_sphere(n) for n in (2, 3, 4)},
-    **{"cross_projective(%d)" % n: lambda n=n: cross_projective(n) for n in (2, 3, 4)},
+    # relabelled, n = 5 keeps its corner maps in two bytes each
+    **{"cross_projective(%d)" % n: lambda n=n: cross_projective(n) for n in (2, 3, 4, 5)},
     "twisted_chain": twisted_chain,
     "sd double_simplex(3)": lambda: barycentric(double_simplex(3))[0],
     "sd cross_projective(3)": lambda: barycentric(cross_projective(3))[0],
@@ -430,6 +471,17 @@ def check_face_table(T):
     assert fp.dim_start == [sum(1 for d in dims.values() if d < k) for k in range(T.dimension + 2)]
     for cid in range(fp.n_classes):
         assert fp.incarnations(cid) == oracles.incarnations_by_bfs(T, fp.cls_canon[cid])
+        check_corner_maps(fp, cid)
+
+
+def check_corner_maps(fp, cid):
+    """corner_map agrees with incarnation_maps on each incarnation's corners, also with one repeated."""
+    for enc, phi in fp.incarnation_maps(cid).items():
+        f, mask = divmod(enc, fp.M)
+        corners = [c for c in range(fp.L) if mask >> c & 1]
+        for face in (corners, corners + corners[:1]):
+            got_cid, got = fp.corner_map(f, face)
+            assert got_cid == cid and {c: got[c] for c in corners} == phi
 
 
 @pytest.mark.parametrize("name", FACE_TABLE_INPUTS)
@@ -445,14 +497,34 @@ def test_face_table_matches_union_find(name, seed):
 
 
 def test_corner_map_is_the_incarnation_map():
-    T = cross_projective(3)
+    # relabelled, so the corner maps are not all the identity
+    T = relabel(cross_projective(3), random.Random(0))
     fp = T.face_poset
     for cid in range(fp.n_classes):
-        for enc, phi in fp.incarnation_maps(cid).items():
-            f, mask = divmod(enc, fp.M)
-            corners = [c for c in range(fp.L) if mask >> c & 1]
-            assert fp.corner_map(f, corners) == (cid, phi)
-            assert fp.corner_map(f, corners + corners[:1]) == (cid, phi)
+        check_corner_maps(fp, cid)
+    # every map is a whole corner bijection, and equal maps are one tuple
+    maps = [fp.corner_map(f, [c])[1] for f in range(T.facet_count) for c in range(fp.L)]
+    assert all(sorted(phi) == list(range(fp.L)) for phi in maps)
+    assert len({id(phi) for phi in maps}) == len(set(maps)) < len(maps)
+
+
+def test_corner_maps_keep_no_memory_per_incarnation():
+    T = barycentric(cross_sphere(3))[0]
+    fp = T.face_poset
+    faces = [
+        (f, [c for c in range(fp.L) if mask >> c & 1]) for f in range(T.facet_count) for mask in range(1, fp.M)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for f, corners in faces:
+            fp.corner_map(f, corners)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 OUTSIDE_FACES = {
