@@ -15,7 +15,6 @@ from .subdivide import (
     join,
     slot_carriers,
     infer_sides,
-    npc_sides,
     CarrierLabels,
     Limits,
 )
@@ -37,7 +36,6 @@ from .cells import (
     CellComplex,
     extract,
     class_label_multisets,
-    cell_summary,
     vertex_links,
     vertex_link,
     graph_genus,
@@ -77,7 +75,6 @@ __all__ = [
     "join",
     "slot_carriers",
     "infer_sides",
-    "npc_sides",
     "CarrierLabels",
     "Limits",
     "VertexPartition",
@@ -95,7 +92,6 @@ __all__ = [
     "CellComplex",
     "extract",
     "class_label_multisets",
-    "cell_summary",
     "vertex_links",
     "vertex_link",
     "graph_genus",

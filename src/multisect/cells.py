@@ -23,11 +23,14 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
 from .unionfind import UnionFind, signed_colouring
 from . import gf2
+
+if TYPE_CHECKING:
+    from .partition import VertexPartition
 
 
 @dataclass(eq=False)
@@ -40,9 +43,9 @@ class Labelling:
     central: Optional[CellComplex] = None         # kept once built
 
 
-def labelling(T: Triangulation, partition_or_labels) -> Labelling:
-    """T's record of these labels; T keeps the latest and replaces it when the labels differ."""
-    labels = tuple(getattr(partition_or_labels, "labels", partition_or_labels))
+def labelling(T: Triangulation, P: VertexPartition) -> Labelling:
+    """T's record of P's labels; T keeps the latest and replaces it when the labels differ."""
+    labels = tuple(P.labels)
     rec = T._labelling
     if rec is None or rec.labels != labels:
         rec = T._labelling = _label_pass(T, labels)
@@ -68,9 +71,9 @@ def _label_pass(T: Triangulation, labels: Tuple[int, ...]) -> Labelling:
     return Labelling(labels, multisets, by_support)
 
 
-def class_label_multisets(T: Triangulation, partition_or_labels) -> List[Tuple[int, ...]]:
+def class_label_multisets(T: Triangulation, P: VertexPartition) -> List[Tuple[int, ...]]:
     """Sorted label multiset of every face class; index = class id; the record's own list."""
-    return labelling(T, partition_or_labels).multisets
+    return labelling(T, P).multisets
 
 
 class Cube(NamedTuple):
@@ -329,24 +332,21 @@ class CellComplex:
 
 def extract(
     T: Triangulation,
-    partition_or_labels,
+    P: VertexPartition,
     subset: Sequence[int],
     multisets: Optional[List[Tuple[int, ...]]] = None,
 ) -> CellComplex:
     """The cell complex over the faces whose labels touch exactly `subset`.
 
-    The labelling record keeps the central complex, over labels 0..k (k of
-    a partition, else the largest label).  `multisets` is this labelling's
-    `class_label_multisets` list, which the record already holds.
+    The labelling record keeps the central complex, over labels 0..P.k.
+    `multisets` is this labelling's `class_label_multisets` list, which
+    the record already holds.
     """
     S = tuple(sorted(set(subset)))
     if not S:
         raise TriangulationError("subset of partition classes must be non-empty")
-    rec = labelling(T, partition_or_labels)
-    k = getattr(partition_or_labels, "k", None)
-    if k is None:
-        k = max(rec.labels)
-    if S != tuple(range(k + 1)):
+    rec = labelling(T, P)
+    if S != tuple(range(P.k + 1)):
         return _subset_complex(T, rec, S)
     if rec.central is None or rec.central.subset != S:
         rec.central = _subset_complex(T, rec, S)
@@ -400,11 +400,11 @@ def collapse(X: CellComplex) -> CollapseResult:
     parent, then lowest index, goes first.
     """
     ncells = len(X.cells)
-    parent_inc: List[List[int]] = [[] for _ in range(ncells)]  # parent indexes, with repetition
+    parent_inc: List[List[int]] = [[] for _ in range(ncells)]  # parent indexes, with repetition; dead ones stay
     for i, ch in enumerate(X.children):
         for c in ch:
             parent_inc[c].append(i)
-    pcount = [len(p) for p in parent_inc]
+    pcount = [len(p) for p in parent_inc]  # live parents, with repetition
     alive = [True] * ncells
     heap: List[Tuple[int, int]] = []
 
@@ -427,22 +427,12 @@ def collapse(X: CellComplex) -> CollapseResult:
             continue
         alive[i] = alive[p] = False
         removed += 1
-        for c in X.children[p]:
+        # both dead cells stop being parents, once per occurrence
+        for c in X.children[p] + X.children[i]:
             if alive[c]:
                 pcount[c] -= 1
                 if pcount[c] == 1:
                     push(c)
-        # the removed face stops being a parent of its own children
-        for c in X.children[i]:
-            if alive[c]:
-                pcount[c] -= sum(1 for q in parent_inc[c] if q == i)
-                parent_inc[c] = [q for q in parent_inc[c] if q != i]
-                if pcount[c] == 1:
-                    push(c)
-        # drop the dead parent from its other faces' parent lists
-        for c in set(X.children[p]):
-            if alive[c]:
-                parent_inc[c] = [q for q in parent_inc[c] if q != p]
     spine = tuple(i for i in range(ncells) if alive[i])
     sdims = [X.dims[i] for i in spine]
     sdim = max(sdims) if sdims else -1
@@ -657,11 +647,6 @@ def npc_check(X: CellComplex) -> NpcReport:
         failures=tuple(failures),
         degrees=tuple(degrees),
     )
-
-
-def cell_summary(C: CellComplex) -> dict:
-    """Summary fields of one complex; closedness only meaningful for the full subset."""
-    return C.summary()
 
 
 def vertex_link(C: CellComplex, v) -> LinkComplex:

@@ -54,13 +54,29 @@ def _csv(xs) -> str:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """A stream's text; streams are ASCII, on stdin as in a file."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
     except OSError as e:
         raise UsageError("cannot read %s: %s" % (path, e.strerror)) from None
+    except UnicodeDecodeError:
+        pass
+    else:
+        if text.isascii():
+            return text
+    raise UsageError("cannot read %s: not ASCII text" % path)
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (path, e.strerror)) from None
 
 
 def _parse_subset(text: str) -> Tuple[int, ...]:
@@ -339,8 +355,7 @@ def cmd_report(args) -> int:
             "supports_generalized": R.supports_generalized,
             "diagnostics": list(R.validation.diagnostics),
         }
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(io_mod.dump_json(payload))
+        _write(args.out, io_mod.dump_json(payload))
     if args.expect_multisection:
         want = R.supports_generalized if args.generalized else R.supports_multisection
         if not want:
@@ -377,8 +392,7 @@ def cmd_symrep(args) -> int:
 def cmd_export(args) -> int:
     _, X = _subcomplex(args)
     payload = io_mod.cell_complex_json(X)
-    with open(args.json, "w", encoding="ascii") as fh:
-        fh.write(io_mod.dump_json(payload))
+    _write(args.json, io_mod.dump_json(payload))
     return 0
 
 

@@ -48,7 +48,7 @@ def _expect(toks: Deque[str], word: str) -> None:
 
 def _vid(tok: str) -> Union[int, str]:
     body = tok[1:] if tok.startswith("-") else tok
-    return int(tok) if body.isdigit() else tok
+    return int(tok) if body.isascii() and body.isdigit() else tok
 
 
 def save_gluing(T: Triangulation) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .partition import VertexPartition
 from .triangulation import Triangulation, TriangulationError
@@ -106,27 +106,6 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
                     )
     dims = tuple(len(c[1]) - 1 for c in faces)  # type: ignore[index]
     return out, CarrierLabels(dims=dims, faces=tuple(faces))  # type: ignore[arg-type]
-
-
-def npc_sides(carriers: CarrierLabels, bipartition: Sequence[int]) -> Dict[int, int]:
-    """Sides for the top-carrier vertex classes of a second subdivision.
-
-    `bipartition` assigns 0/1 to the facets of the intermediate
-    triangulation (its dual graph must be bipartite); the barycentre of
-    facet f inherits bipartition[f].
-    """
-    if carriers.faces is None:
-        raise TriangulationError("carrier faces are required to assign sides")
-    top = max(carriers.dims) if carriers.dims else -1
-    out: Dict[int, int] = {}
-    for v, d in enumerate(carriers.dims):
-        if d == top:
-            f = carriers.faces[v][0]
-            s = bipartition[f]
-            if s not in (0, 1):
-                raise TriangulationError("facet %d has no 0/1 side in the bipartition" % f)
-            out[v] = s
-    return out
 
 
 def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulation, VertexPartition]:

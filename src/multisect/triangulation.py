@@ -19,7 +19,6 @@ lexicographically least (facet, sorted corner tuple) pair.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -237,36 +236,20 @@ class FacePoset:
         """All (facet, subset) incarnations of the class, as encoded ints.
 
         Enumerated by a breadth-first walk through the gluings from the
-        canonical incarnation, so the order is reproducible.
+        canonical incarnation, slots ascending, so the order is reproducible.
         """
-        return list(self.incarnation_maps(cid))
-
-    def incarnation_maps(self, cid: int) -> Dict[int, Dict[int, int]]:
-        """Corner identification of every incarnation with the canonical one.
-
-        Returns enc -> {corner of that incarnation: canonical corner}, in
-        the breadth-first order of `incarnations`.
-        """
-        glu = self.tri.gluings
-        L, M = self.L, self.M
-        images = self._images
-        start = self.cls_canon[cid]
-        f0, mask0 = divmod(start, M)
-        maps: Dict[int, Dict[int, int]] = {start: {c: c for c in self._corners_of[mask0]}}
-        queue = deque([start])
-        while queue:
-            enc = queue.popleft()
-            phi = maps[enc]
+        glu, M, images = self.tri.gluings, self.M, self._images
+        walk = [self.cls_canon[cid]]
+        seen = set(walk)
+        for enc in walk:
             f, mask = divmod(enc, M)
-            for i in range(L):
-                if mask >> i & 1:
-                    continue
-                t, pi = glu[f][i]
-                enc2 = t * M + images[pi][mask]
-                if enc2 not in maps:
-                    maps[enc2] = {pi[c]: v for c, v in phi.items()}
-                    queue.append(enc2)
-        return maps
+            for i, (t, pi) in enumerate(glu[f]):
+                if not mask >> i & 1:
+                    enc2 = t * M + images[pi][mask]
+                    if enc2 not in seen:
+                        seen.add(enc2)
+                        walk.append(enc2)
+        return walk
 
     def corner_map(self, facet: int, corners: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
         """Class of a face and its identification with the canonical incarnation.
@@ -631,39 +614,6 @@ class Triangulation:
             yield tuple(row)
             qi += 1
 
-    def canonical_form(self, max_work: int = 5_000_000) -> Tuple:
-        """Labelling-independent normal form, minimised over all start flags.
-
-        Each component contributes the least of its row tables over all
-        m*(n+1)! start flags, each table walked in full; the components'
-        tables are sorted.  Two triangulations are isomorphic exactly
-        when their forms are equal, but `isomorphic_to` decides that
-        far more cheaply.  Intended for small inputs (zoo members,
-        links): the work estimate is checked before any walk starts and
-        raises TriangulationError above `max_work`.
-        """
-        L = self.dimension + 1
-        n_perms = 1
-        for q in range(2, L + 1):
-            n_perms *= q
-        comps = self._components()
-        work = sum(len(c) * n_perms * len(c) * L for c in comps)
-        if work > max_work:
-            raise TriangulationError(
-                "canonical form would need about %d steps, above the %d limit" % (work, max_work)
-            )
-        reps = []
-        for facets in comps:
-            best = None
-            for f0 in facets:
-                for rho0 in permutations(range(L)):
-                    rep = tuple(self._component_rep(f0, rho0))
-                    if best is None or rep < best:
-                        best = rep
-            reps.append(best)
-        reps.sort()
-        return tuple(reps)
-
     def isomorphic_to(self, other: "Triangulation") -> bool:
         """True when some facet bijection with corner bijections carries these gluings onto other's.
 
@@ -675,10 +625,9 @@ class Triangulation:
         isomorphism of components is an equivalence relation.
 
         There is no work cap.  A walk that fails usually stops within a
-        few rows, so the cost is far below `canonical_form`'s; only
-        near-isomorphic components, whose walks agree on long prefixes
-        from many starts, approach its estimate of m*(n+1)! walks of m
-        rows each.
+        few rows; only near-isomorphic components, whose walks agree on
+        long prefixes from many starts, approach m*(n+1)! walks of m rows
+        each.
         """
         if self.dimension != other.dimension or self.facet_count != other.facet_count:
             return False

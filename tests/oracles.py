@@ -7,7 +7,7 @@ output against these.  The clique oracle for flag links uses networkx,
 which the library itself does not need.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
@@ -343,17 +343,65 @@ def monodromy_order(gluings) -> int:
 # --- isomorphism by exhaustive normal forms ---------------------------------
 
 
+def _rooted_rows(gluings, f0, rho0):
+    """Rows of f0's component, renumbered by a breadth-first walk from the flag (f0, rho0).
+
+    Facet f0 becomes facet 0 and its corner c becomes corner rho0[c]; a
+    facet first reached across a gluing takes the corner names that make
+    that gluing the identity.  Each row lists, per new slot, the new
+    number of the target facet followed by the renamed corner map.
+    """
+    L = len(gluings[f0])
+    number = {f0: 0}
+    rename = {f0: dict(enumerate(rho0))}  # per facet: old corner -> new corner
+    order = [f0]
+    rows = []
+    for f in order:
+        new = rename[f]
+        old = {x: c for c, x in new.items()}
+        row = []
+        for s in range(L):
+            t, pi = gluings[f][old[s]]
+            if t not in number:
+                number[t] = len(order)
+                order.append(t)
+                rename[t] = {pi[c]: new[c] for c in range(L)}
+            row.append((number[t],) + tuple(rename[t][pi[old[x]]] for x in range(L)))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def canonical_form(T):
+    """Least row table of each component over all its start flags, components sorted.
+
+    The exhaustive reference for isomorphism: every facet of a component,
+    with every order of its corners, starts a full walk, and no walk stops
+    early.  Reads only the gluing table.
+    """
+    gluings = T.gluings
+    flags = list(permutations(range(T.dimension + 1)))
+    unseen = set(range(T.facet_count))
+    forms = []
+    while unseen:
+        component = [min(unseen)]
+        unseen.discard(component[0])
+        for f in component:
+            for t, _ in gluings[f]:
+                if t in unseen:
+                    unseen.discard(t)
+                    component.append(t)
+        forms.append(min(_rooted_rows(gluings, f0, rho0) for f0 in component for rho0 in flags))
+    return tuple(sorted(forms))
+
+
 def isomorphic_by_canonical_form(A, B) -> bool:
     """Equal dimension, facet count and canonical form.
 
     The slow path that `Triangulation.isomorphic_to` is checked against.
-    Unlike the rest of this module it calls the library, because
-    `canonical_form` is itself the exhaustive reference: it walks every
-    component from every start flag and never stops early.
     """
     if A.dimension != B.dimension or A.facet_count != B.facet_count:
         return False
-    return A.canonical_form() == B.canonical_form()
+    return canonical_form(A) == canonical_form(B)
 
 
 # --- face classes by union-find over (facet, corner subset) -----------------
@@ -401,11 +449,16 @@ def face_classes_by_union_find(T):
     return {(f, mask): number[find((f, mask))] for f in range(T.facet_count) for mask in range(1, M)}
 
 
-def incarnations_by_bfs(T, start):
-    """Encoded incarnations reached from `start` by crossing gluings, breadth-first."""
+def incarnation_maps_by_bfs(T, start):
+    """Corner identification of every incarnation of a face with its incarnation `start`.
+
+    Returns encoded incarnation -> {its corner: corner at `start`}, in the
+    order a breadth-first walk from `start` reaches them, crossing the
+    gluings slot by slot.  Reads only the gluing table.
+    """
     L = T.dimension + 1
     M = 1 << L
-    seen = {start}
+    maps = {start: {c: c for c in range(L) if start % M >> c & 1}}
     queue = [start]
     for enc in queue:
         f, mask = divmod(enc, M)
@@ -414,10 +467,36 @@ def incarnations_by_bfs(T, start):
                 continue
             t, pi = T.gluings[f][i]
             enc2 = t * M + sum(1 << pi[c] for c in range(L) if mask >> c & 1)
-            if enc2 not in seen:
-                seen.add(enc2)
+            if enc2 not in maps:
+                maps[enc2] = {pi[c]: v for c, v in maps[enc].items()}
                 queue.append(enc2)
-    return queue
+    return maps
+
+
+# --- sides of a second subdivision from a facet 2-colouring -----------------
+
+
+def sides_by_dual_bipartition(intermediate, carriers):
+    """Side of every top-carrier vertex class of sd(`intermediate`).
+
+    The slow path `infer_sides` is checked against: the facets of
+    `intermediate` are 2-coloured breadth-first across its gluings from
+    facet 0, and the barycentre of facet f takes f's colour.  `carriers`
+    are the carrier labels `barycentric(intermediate)` returned, so there
+    is one top-carrier class per facet.  Reads only the gluing table.
+    """
+    colour = {0: 0}
+    queue = [0]
+    for f in queue:
+        for t, _ in intermediate.gluings[f]:
+            if t not in colour:
+                colour[t] = 1 - colour[f]
+                queue.append(t)
+            assert colour[t] != colour[f], "the dual graph is not bipartite"
+    top = max(carriers.dims)
+    sides = {v: colour[face[0]] for v, (d, face) in enumerate(zip(carriers.dims, carriers.faces)) if d == top}
+    assert len(colour) == intermediate.facet_count == len(sides)
+    return sides
 
 
 # --- generator words by explicit tree paths ---------------------------------

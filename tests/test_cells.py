@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 import oracles
 from multisect.cells import (
     LinkComplex,
-    cell_summary,
     class_label_multisets,
     collapse,
     extract,
@@ -394,7 +393,7 @@ def test_closed_means_two_parents():
 def test_cell_summary_dict():
     T, P = pairs_partition(5, ((0, 1), (2, 3), (4, 5)))
     X = extract(T, P, (0, 1, 2))
-    s = cell_summary(X)
+    s = X.summary()
     assert s["counts"] == (8, 12, 6, 2)
     assert s["euler"] == 0
     assert s["closed"] and s["connected"]

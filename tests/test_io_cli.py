@@ -451,3 +451,69 @@ def test_public_functions_have_docstrings():
     functions = [name for name in multisect.__all__ if inspect.isfunction(getattr(multisect, name))]
     assert functions
     assert [name for name in functions if not inspect.getdoc(getattr(multisect, name))] == []
+
+
+# --- unwritable output and non-ASCII input ----------------------------------
+
+
+def _rp3_pairs_stream():
+    T = cross_projective(3)
+    return save_stream(T, scheme_partition(T, "pairs", blocks=((0, 1), (2, 3))))
+
+
+@pytest.mark.parametrize("argv", [["export", "--json"], ["report", "--out"]], ids=["export", "report"])
+def test_cli_write_failure_exits_2(tmp_path, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run(argv + [str(path)], stdin_text=_rp3_pairs_stream())
+    assert code == 2
+    assert err == "multisect: cannot write %s: No such file or directory\n" % path
+    assert not path.exists()
+
+
+SUPERSCRIPT = "dim 1\nvertexfacets 3\n0 1\n1 ²\n² 0\n"
+
+
+def test_cli_non_ascii_file_exits_2(tmp_path):
+    path = tmp_path / "sq.txt"
+    path.write_text(SUPERSCRIPT, encoding="utf-8")
+    code, out, err = run(["info", str(path)])
+    assert (code, out, err) == (2, "", "multisect: cannot read %s: not ASCII text\n" % path)
+
+
+def test_cli_non_ascii_stdin_exits_2():
+    assert run(["info"], stdin_text=SUPERSCRIPT) == (2, "", "multisect: cannot read -: not ASCII text\n")
+    # bytes the stdin encoding cannot decode
+    old = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(b"dim 1\n\xff\n"), encoding="utf-8")
+    try:
+        assert run(["info"]) == (2, "", "multisect: cannot read -: not ASCII text\n")
+    finally:
+        sys.stdin = old
+
+
+def test_load_stream_keeps_non_ascii_digits_as_names():
+    # "2²".isdigit() holds, but only ASCII digit tokens are numbers
+    T, _ = load_stream("dim 1\nvertexfacets 3\n1² 2²\n2² 3²\n3² 1²\n")
+    assert T.vertex_ids == (("1²", "2²"), ("2²", "3²"), ("3²", "1²"))
+    assert T.summary().face_counts == (3, 3)
+    with pytest.raises(TriangulationError, match="dimension"):
+        load_stream("dim ²\n")
+
+
+# --- the documented scripts -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["scripts/genus_growth.py", "--rounds", "1"], "round  facets  genera"),
+        (["scripts/projective_even_scheme.py", "--dimension", "2"], "direct pairs: 4 facets"),
+    ],
+    ids=["genus_growth", "projective_even_scheme"],
+)
+def test_scripts_run(argv, header):
+    import subprocess
+
+    proc = subprocess.run([sys.executable] + argv, cwd=ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(header)

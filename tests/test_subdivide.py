@@ -12,7 +12,6 @@ from multisect.subdivide import (
     barycentric,
     infer_sides,
     join,
-    npc_sides,
     pachner_2n_pass,
     slot_carriers,
     stellar_facet,
@@ -252,9 +251,7 @@ def test_infer_sides_matches_two_coloring():
 def test_npc_sides_from_dual_bipartition():
     T1, _ = barycentric(double_simplex(2))
     T, carriers = barycentric(T1)
-    bip = T.dual_graph().bipartition
-    assert bip is not None
-    sides = npc_sides(carriers, bip)
+    sides = oracles.sides_by_dual_bipartition(T1, carriers)
     assert sides == infer_sides(T, carriers) or sides == {
         v: 1 - s for v, s in infer_sides(T, carriers).items()
     }

@@ -289,7 +289,8 @@ def test_census_is_input_order_independent(order):
     for name in ("face_counts", "euler", "connected", "pseudo_manifold",
                  "orientable", "even", "betti"):
         assert getattr(a, name) == getattr(b, name)
-    assert S.canonical_form() == T.canonical_form()
+    assert oracles.canonical_form(S) == oracles.canonical_form(T)
+    assert S.isomorphic_to(T)
 
 
 def test_isomorphic_to_distinguishes_twisted_double():
@@ -299,11 +300,6 @@ def test_isomorphic_to_distinguishes_twisted_double():
     assert not twisted.summary().orientable
     assert not twisted.isomorphic_to(plain)
     assert twisted.isomorphic_to(twisted)
-
-
-def test_canonical_form_refuses_above_work_limit():
-    with pytest.raises(TriangulationError, match="limit"):
-        cross_sphere(2).canonical_form(max_work=1)
 
 
 # (name, A, B): each member against itself, the orientation covers against
@@ -440,10 +436,14 @@ def test_incarnation_maps_cover_class_degree():
     T = cross_sphere(3)
     fp = T.face_poset
     for cid in fp.class_ids_of_dim(1):
-        maps = fp.incarnation_maps(cid)
-        assert len(maps) == fp.cls_count[cid]
-        for enc, phi in maps.items():
-            assert sorted(phi.values()) == sorted(phi.keys())
+        encs = fp.incarnations(cid)
+        assert len(encs) == len(set(encs)) == fp.cls_count[cid]
+        canonical_corners = list(fp.canonical(cid)[1])
+        for enc in encs:
+            f, mask = divmod(enc, fp.M)
+            corners = [c for c in range(fp.L) if mask >> c & 1]
+            got_cid, phi = fp.corner_map(f, corners)
+            assert got_cid == cid and sorted(phi[c] for c in corners) == canonical_corners
 
 
 FACE_TABLE_INPUTS = {
@@ -470,13 +470,14 @@ def check_face_table(T):
     assert fp.cls_dim == [dims[cid] for cid in range(len(dims))]
     assert fp.dim_start == [sum(1 for d in dims.values() if d < k) for k in range(T.dimension + 2)]
     for cid in range(fp.n_classes):
-        assert fp.incarnations(cid) == oracles.incarnations_by_bfs(T, fp.cls_canon[cid])
         check_corner_maps(fp, cid)
 
 
 def check_corner_maps(fp, cid):
-    """corner_map agrees with incarnation_maps on each incarnation's corners, also with one repeated."""
-    for enc, phi in fp.incarnation_maps(cid).items():
+    """incarnations and corner_map agree with the oracle's breadth-first maps, also with one corner repeated."""
+    maps = oracles.incarnation_maps_by_bfs(fp.tri, fp.cls_canon[cid])
+    assert fp.incarnations(cid) == list(maps)
+    for enc, phi in maps.items():
         f, mask = divmod(enc, fp.M)
         corners = [c for c in range(fp.L) if mask >> c & 1]
         for face in (corners, corners + corners[:1]):
