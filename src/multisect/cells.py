@@ -14,16 +14,18 @@ their collapsed dimension bounds spine dimensions.
 Each labelling's data is computed once and kept for the latest labels:
 one pass gives the label multisets and the classes of each label
 support, and the central complex is kept once built.  Complexes over
-proper subsets are rebuilt on each request.
+proper subsets are rebuilt on each request.  Vertex links are never
+kept: `npc_check` and `vertex_link` hold one at a time, `vertex_links` all.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import islice, product
+from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
 from .unionfind import UnionFind, signed_colouring
@@ -509,72 +511,89 @@ class LinkComplex:
 
 
 def vertex_links(X: CellComplex) -> Dict[int, LinkComplex]:
-    """Links of all 0-cells, keyed by cell index.
+    """Links of all 0-cells, keyed by cell index; holds every link at once.
 
     Requires an all-cube complex.  A link's `triangulation` is assembled
     when first read, and is None unless every ridge corner at the vertex
     is shared by exactly two top corners; the face lists always describe
-    the link.
+    the link.  `npc_check` reads the same links one at a time.
+    """
+    return dict(_links(X))
+
+
+def _incidences(X: CellComplex) -> Iterator[Tuple[int, int]]:
+    """(0-cell, cube index << D | corner choice) per corner of each cube of dimension >= 1.
+
+    Cubes come in index order and corners in `product(*pairs)` order; the choice is the corner's place.
     """
     if not X.all_cubes:
         raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
     fp = X.triangulation.face_poset
     D = X.dimension
-    # per 0-cell: (cube dim, link cell as end tuple) per cube corner, and the top corners
-    ends_at: Dict[int, List[Tuple[int, Tuple[Tuple[int, int], ...]]]] = {
-        i: [] for i, d in enumerate(X.dims) if d == 0
-    }
-    tops_at: Dict[int, List[Tuple[Cube, Tuple[int, ...]]]] = {v: [] for v in ends_at}
     for i, d in enumerate(X.dims):
-        if d < 1:
-            continue
-        cube = X.cubes[i]
-        f, pairs = cube.facet, cube.pairs
-        for choice in product(*pairs):
-            corner_face = cube.fixed + choice
-            v = X._index(fp.class_of(f, corner_face))
-            ends = []
-            for c, pair in zip(choice, pairs):
-                ecid, phi = fp.corner_map(f, corner_face + pair)
-                ends.append((X._index(ecid), phi[c]))
-            ends_at[v].append((d, tuple(ends)))
-            if d == D >= 2:
-                # dimension-1 links are vertex pairs with no gluing structure
-                tops_at[v].append((cube, corner_face))
+        if d >= 1:
+            cube = X.cubes[i]
+            for choice, corners in enumerate(product(*cube.pairs)):
+                yield X._index(fp.class_of(cube.facet, cube.fixed + corners)), i << D | choice
 
-    out: Dict[int, LinkComplex] = {}
-    for v, inc in ends_at.items():
-        vertex_ids = sorted({e for _, ends in inc for e in ends})
-        vindex = {e: j for j, e in enumerate(vertex_ids)}
-        cells_by_dim: List[List[Tuple[int, ...]]] = [[] for _ in range(max(D - 1, 0))]
-        for d, ends in inc:
-            if d >= 2:
-                cells_by_dim[d - 2].append(tuple(vindex[e] for e in ends))
-        simplicial = True
-        reason = None
-        for h, cells in enumerate(cells_by_dim, start=1):
-            seen = set()
-            for cell in cells:
-                if len(set(cell)) != len(cell):
-                    simplicial, reason = False, "a link %d-simplex has a repeated vertex" % h
-                    break
-                key = tuple(sorted(cell))
-                if key in seen:
-                    simplicial, reason = False, "two link %d-simplices share their vertex set" % h
-                    break
-                seen.add(key)
-            if not simplicial:
+
+def _links(X: CellComplex) -> Iterator[Tuple[int, LinkComplex]]:
+    """(0-cell, link) in ascending cell order; files every incidence first, assembles one link at a time."""
+    at = {i: array("i") for i, d in enumerate(X.dims) if d == 0}
+    for v, code in _incidences(X):
+        at[v].append(code)
+    D = X.dimension
+    for v, codes in at.items():
+        yield v, _link(X, D, v, codes)
+
+
+def _link(X: CellComplex, D: int, v: int, codes: Sequence[int]) -> LinkComplex:
+    """The link of 0-cell v, from its incidence codes in filing order."""
+    fp = X.triangulation.face_poset
+    inc: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []  # (cube dim, link cell as end tuple)
+    tops: List[Tuple[Cube, Tuple[int, ...]]] = []
+    for code in codes:
+        i, choice = divmod(code, 1 << D)
+        cube, d = X.cubes[i], X.dims[i]
+        corners = next(islice(product(*cube.pairs), choice, None))
+        corner_face = cube.fixed + corners
+        ends = []
+        for c, pair in zip(corners, cube.pairs):
+            ecid, phi = fp.corner_map(cube.facet, corner_face + pair)
+            ends.append((X._index(ecid), phi[c]))
+        inc.append((d, tuple(ends)))
+        if d == D >= 2:
+            # dimension-1 links are vertex pairs with no gluing structure
+            tops.append((cube, corner_face))
+    vertex_ids = sorted({e for _, ends in inc for e in ends})
+    vindex = {e: j for j, e in enumerate(vertex_ids)}
+    cells_by_dim: List[List[Tuple[int, ...]]] = [[] for _ in range(max(D - 1, 0))]
+    for d, ends in inc:
+        if d >= 2:
+            cells_by_dim[d - 2].append(tuple(vindex[e] for e in ends))
+    simplicial, reason = True, None
+    for h, cells in enumerate(cells_by_dim, start=1):
+        seen = set()
+        for cell in cells:
+            if len(set(cell)) != len(cell):
+                simplicial, reason = False, "a link %d-simplex has a repeated vertex" % h
                 break
-        out[v] = LinkComplex(
-            vertex_cell=v,
-            vertex_ids=tuple(vertex_ids),
-            cells_by_dim=tuple(tuple(c) for c in cells_by_dim),
-            simplicial=simplicial,
-            simplicial_reason=reason,
-            _tops=tuple(tops_at[v]),
-            _face_poset=fp,
-        )
-    return out
+            key = tuple(sorted(cell))
+            if key in seen:
+                simplicial, reason = False, "two link %d-simplices share their vertex set" % h
+                break
+            seen.add(key)
+        if not simplicial:
+            break
+    return LinkComplex(
+        vertex_cell=v,
+        vertex_ids=tuple(vertex_ids),
+        cells_by_dim=tuple(tuple(c) for c in cells_by_dim),
+        simplicial=simplicial,
+        simplicial_reason=reason,
+        _tops=tuple(tops),
+        _face_poset=fp,
+    )
 
 
 def _link_triangulation(fp: FacePoset, tops) -> Optional[Triangulation]:
@@ -625,14 +644,11 @@ class NpcReport:
 
 
 def npc_check(X: CellComplex) -> NpcReport:
-    """Non-positive curvature test: every vertex link simplicial and flag."""
+    """Non-positive curvature test: every vertex link simplicial and flag; holds one link at a time."""
     if not X.all_cubes:
         return NpcReport(False, False, 0, ((-1, "cells are not all cubes"),), ())
-    links = vertex_links(X)
-    failures = []
-    degrees = []
-    for v in sorted(links):
-        lk = links[v]
+    failures, degrees = [], []
+    for v, lk in _links(X):
         degrees.append(lk.vertex_count)
         if not lk.simplicial:
             failures.append((v, lk.simplicial_reason or "link is not simplicial"))
@@ -643,14 +659,14 @@ def npc_check(X: CellComplex) -> NpcReport:
     return NpcReport(
         ok=not failures,
         all_cubes=True,
-        link_count=len(links),
+        link_count=len(degrees),
         failures=tuple(failures),
         degrees=tuple(degrees),
     )
 
 
 def vertex_link(C: CellComplex, v) -> LinkComplex:
-    """Link of one 0-cell; `v` is a cell index or a canonical face key."""
+    """Link of one 0-cell, assembled alone; `v` is a cell index or a canonical face key."""
     fp = C.triangulation.face_poset
     if isinstance(v, str):
         i = C._index(fp.class_of_key(v))
@@ -658,7 +674,7 @@ def vertex_link(C: CellComplex, v) -> LinkComplex:
         i = int(v)
     if not (0 <= i < len(C.cells)) or C.dims[i] != 0:
         raise TriangulationError("cell %r is not a vertex of this complex" % (v,))
-    return vertex_links(C)[i]
+    return _link(C, C.dimension, i, [code for w, code in _incidences(C) if w == i])
 
 
 def graph_genus(C: CellComplex) -> int:

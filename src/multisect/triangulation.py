@@ -355,12 +355,15 @@ class Triangulation:
                 raise TriangulationError("facet %d repeats a vertex id" % f)
             vid.append(vs)
         ridge_slots: Dict[Tuple[int, ...], List[Tuple[int, int]]] = {}
+        mixed = len({type(v) for vs in vid for v in vs}) > 1  # ids of numbers and names: numbers sort first
+        order = (lambda v: (isinstance(v, str), v)) if mixed else None
         for f, vs in enumerate(vid):
             for i in range(L):
-                key = tuple(sorted(vs[:i] + vs[i + 1 :]))
+                key = tuple(sorted(vs[:i] + vs[i + 1 :], key=order))
                 ridge_slots.setdefault(key, []).append((f, i))
         gluings: List[List[Optional[Gluing]]] = [[None] * L for _ in vid]
-        for key, slots in sorted(ridge_slots.items()):
+        by_key = (lambda kv: tuple(map(order, kv[0]))) if mixed else None
+        for key, slots in sorted(ridge_slots.items(), key=by_key):
             if len(slots) != 2:
                 raise TriangulationError(
                     "codimension-1 face %s lies in %d facet slots, expected 2" % (key, len(slots))

@@ -743,3 +743,93 @@ def extract_by_scan(T, P, subset):
         children=tuple(children),
         all_cubes=all(multisets[cid].count(l) <= 2 for cid in cells for l in S),
     )
+
+
+# --- vertex links, all at once ----------------------------------------------
+
+
+def vertex_links_all_at_once(X):
+    """`cells.vertex_links(X)`, every link's data filed before any link is built.
+
+    The slow path the one-link-at-a-time generator is checked against:
+    one sweep over the cubes appends each corner's link cell (as a tuple
+    of edge ends) and top corner to per-vertex lists, and only then is
+    each link numbered and checked.  Uses the library's face poset, cube
+    records and link type.
+    """
+    from multisect.cells import LinkComplex
+    from multisect.triangulation import TriangulationError
+
+    if not X.all_cubes:
+        raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
+    fp = X.triangulation.face_poset
+    D = X.dimension
+    ends_at = {i: [] for i, d in enumerate(X.dims) if d == 0}
+    tops_at = {v: [] for v in ends_at}
+    for i, d in enumerate(X.dims):
+        if d < 1:
+            continue
+        cube = X.cubes[i]
+        f, pairs = cube.facet, cube.pairs
+        for choice in product(*pairs):
+            corner_face = cube.fixed + choice
+            v = X._index(fp.class_of(f, corner_face))
+            ends = []
+            for c, pair in zip(choice, pairs):
+                ecid, phi = fp.corner_map(f, corner_face + pair)
+                ends.append((X._index(ecid), phi[c]))
+            ends_at[v].append((d, tuple(ends)))
+            if d == D >= 2:
+                tops_at[v].append((cube, corner_face))
+
+    out = {}
+    for v, inc in ends_at.items():
+        vertex_ids = sorted({e for _, ends in inc for e in ends})
+        vindex = {e: j for j, e in enumerate(vertex_ids)}
+        cells_by_dim = [[] for _ in range(max(D - 1, 0))]
+        for d, ends in inc:
+            if d >= 2:
+                cells_by_dim[d - 2].append(tuple(vindex[e] for e in ends))
+        simplicial = True
+        reason = None
+        for h, cells in enumerate(cells_by_dim, start=1):
+            seen = set()
+            for cell in cells:
+                if len(set(cell)) != len(cell):
+                    simplicial, reason = False, "a link %d-simplex has a repeated vertex" % h
+                    break
+                key = tuple(sorted(cell))
+                if key in seen:
+                    simplicial, reason = False, "two link %d-simplices share their vertex set" % h
+                    break
+                seen.add(key)
+            if not simplicial:
+                break
+        out[v] = LinkComplex(
+            vertex_cell=v,
+            vertex_ids=tuple(vertex_ids),
+            cells_by_dim=tuple(tuple(c) for c in cells_by_dim),
+            simplicial=simplicial,
+            simplicial_reason=reason,
+            _tops=tuple(tops_at[v]),
+            _face_poset=fp,
+        )
+    return out
+
+
+def npc_check_all_at_once(X):
+    """`cells.npc_check(X)` over `vertex_links_all_at_once`, as (ok, all_cubes, link_count, degrees, failures)."""
+    if not X.all_cubes:
+        return False, False, 0, (), ((-1, "cells are not all cubes"),)
+    links = vertex_links_all_at_once(X)
+    failures, degrees = [], []
+    for v in sorted(links):
+        lk = links[v]
+        degrees.append(lk.vertex_count)
+        if not lk.simplicial:
+            failures.append((v, lk.simplicial_reason or "link is not simplicial"))
+            continue
+        ok, why = lk.flag()
+        if not ok:
+            failures.append((v, why or "link is not flag"))
+    return not failures, True, len(links), tuple(degrees), tuple(failures)

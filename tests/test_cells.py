@@ -1,7 +1,9 @@
 """Cubical subset complexes: extraction, links, curvature test, collapse."""
 
 import collections
+import pathlib
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -18,6 +20,7 @@ from multisect.cells import (
     vertex_link,
     vertex_links,
 )
+from multisect.io import load_stream
 from multisect.partition import VertexPartition, scheme_partition
 from multisect.subdivide import barycentric
 from multisect.triangulation import Triangulation, TriangulationError
@@ -306,12 +309,83 @@ def test_flag_matches_clique_enumeration_on_vertex_links(build):
         assert lk.flag() == oracles.flag_by_cliques(lk)
 
 
+def link_fields(lk):
+    return (lk.vertex_cell, lk.vertex_ids, lk.cells_by_dim, lk.simplicial, lk.simplicial_reason, lk._tops)
+
+
+def twisted_chain_central():
+    # the two 3-simplices repeat a vertex class, so a square has two corners at one vertex
+    T, _ = load_stream((pathlib.Path(__file__).parent / "fixtures" / "twisted_chain.txt").read_text())
+    return extract(T, VertexPartition(k=1, labels=(0, 1, 0)), (0, 1))
+
+
+def not_all_cubes_central():
+    T = double_simplex(3)
+    return extract(T, VertexPartition(k=1, labels=(1, 1, 0, 1)), (0, 1))
+
+
+LINK_INPUTS = {
+    "sd3 central": sd3_central,
+    "doubled 4-simplex central": lambda: extract(*pairs_partition(4, ((0, 1), (2, 3), (4,))), (0, 1, 2)),
+    "doubled 5-simplex central": lambda: extract(*pairs_partition(5, ((0, 1), (2, 3), (4, 5))), (0, 1, 2)),
+    "RP3 pairs central": lambda: extract(
+        cross_projective(3), scheme_partition(cross_projective(3), "pairs", blocks=((0, 1), (2, 3))), (0, 1)
+    ),
+    "twisted chain central": twisted_chain_central,
+    "doubled 5-simplex side": lambda: extract(*pairs_partition(5, ((0, 1), (2, 3), (4, 5))), (0, 1)),
+}
+
+
 def test_vertex_link_lookup_forms():
     X = sd3_central()
     lk_by_index = vertex_link(X, 0)
     assert lk_by_index.vertex_cell == 0
     with pytest.raises(TriangulationError):
         vertex_link(X, 10_000)
+    # one link assembled alone, by index or by face key, equals its entry among all links
+    for build in LINK_INPUTS.values():
+        X = build()
+        fp = X.triangulation.face_poset
+        for i, lk in vertex_links(X).items():
+            assert link_fields(vertex_link(X, i)) == link_fields(lk)
+            assert link_fields(vertex_link(X, fp.key(X.cells[i]))) == link_fields(lk)
+
+
+@pytest.mark.parametrize(
+    "build",
+    list(LINK_INPUTS.values()) + [not_all_cubes_central],
+    ids=list(LINK_INPUTS) + ["not all cubes"],
+)
+def test_vertex_links_match_all_at_once_oracle(build):
+    X = build()
+    rep = npc_check(X)
+    assert (rep.ok, rep.all_cubes, rep.link_count, rep.degrees, rep.failures) == oracles.npc_check_all_at_once(X)
+    if not X.all_cubes:
+        for links in (vertex_links, oracles.vertex_links_all_at_once, lambda X: vertex_link(X, 0)):
+            with pytest.raises(TriangulationError, match="need a cube complex"):
+                links(X)
+        return
+    got, want = vertex_links(X), oracles.vertex_links_all_at_once(X)
+    assert list(got) == list(want)
+    for v in want:
+        assert link_fields(got[v]) == link_fields(want[v])
+
+
+def test_npc_check_holds_one_link_at_a_time():
+    # sd^2(RP^3) odd-bary central complex, 4,224 vertex links: filing every
+    # link's data before checking any grew tracemalloc by ~13 MiB here
+    T, carriers = barycentric(barycentric(cross_projective(3))[0])
+    X = extract(T, scheme_partition(T, "odd-bary", carriers=carriers), (0, 1))
+    X.cubes  # the complex's own cube records are not part of the transient
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rep = npc_check(X)
+        growth = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.link_count == 4224
+    assert growth < 4 * 2**20
 
 
 def test_collapse_preserves_euler_and_betti():

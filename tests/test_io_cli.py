@@ -500,6 +500,30 @@ def test_load_stream_keeps_non_ascii_digits_as_names():
         load_stream("dim ²\n")
 
 
+@pytest.mark.parametrize(
+    "mixed, numbers, names, want",
+    [
+        ("0 1\n1 a\na 0\n", "0 1\n1 2\n2 0\n", "x y\ny a\na x\n", "faces 3,3\n"),
+        (
+            "0 1 a\n0 1 b\n0 a b\n1 a b\n",
+            "0 1 2\n0 1 3\n0 2 3\n1 2 3\n",
+            "a b c\na b d\na c d\nb c d\n",
+            "faces 4,6,4\n",
+        ),
+    ],
+    ids=["circle", "2-sphere"],
+)
+def test_cli_info_on_mixed_number_and_name_ids(mixed, numbers, names, want):
+    def info(rows):
+        lines = rows.splitlines()
+        return run(["info"], stdin_text="dim %d\nvertexfacets %d\n%s" % (len(lines[0].split()) - 1, len(lines), rows))
+
+    code, out, err = info(mixed)
+    assert (code, err) == (0, "") and want in out
+    # the same complex with all-number or all-name ids prints the same
+    assert info(numbers) == info(names) == (0, out, "")
+
+
 # --- the documented scripts -------------------------------------------------
 
 
