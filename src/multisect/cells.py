@@ -11,6 +11,11 @@ The complex over the full label set is the central object; the ones
 over proper subsets are what the surrounding regions collapse onto, so
 their collapsed dimension bounds spine dimensions.
 
+A complex reads its incidences off the face table: a cell's children are
+its class's `FacePoset.children` that lie in the complex, and an edge's
+ends are its two children.  Homology goes through `gf2.betti`, whose
+elimination is `gf2.Basis`, as for the ambient triangulation.
+
 Each labelling's data is computed once and kept for the latest labels:
 one pass gives the label multisets and the classes of each label
 support, and the central complex is kept once built.  Complexes over
@@ -93,6 +98,18 @@ class Cube(NamedTuple):
     pairs: Tuple[Tuple[int, int], ...]    # (lo, hi) corners of each doubled label
 
 
+def _counts(dims: Sequence[int]) -> Tuple[int, ...]:
+    """Cells per dimension, from 0 up to the largest of `dims`."""
+    out = [0] * (max(dims, default=-1) + 1)
+    for d in dims:
+        out[d] += 1
+    return tuple(out)
+
+
+def _euler(counts: Sequence[int]) -> int:
+    return sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
+
+
 @dataclass(eq=False)
 class CellComplex:
     """Cells indexed 0..len(cells)-1 in ambient class order (dimension ascending)."""
@@ -110,14 +127,10 @@ class CellComplex:
         return max(self.dims) if self.dims else -1
 
     def counts(self) -> Tuple[int, ...]:
-        d = self.dimension
-        out = [0] * (d + 1)
-        for x in self.dims:
-            out[x] += 1
-        return tuple(out)
+        return _counts(self.dims)
 
     def euler(self) -> int:
-        return sum(1 if d % 2 == 0 else -1 for d in self.dims)
+        return _euler(self.counts())
 
     def connected(self) -> bool:
         return self._connected
@@ -157,35 +170,24 @@ class CellComplex:
         return True
 
     def top_count(self) -> int:
-        D = self.dimension
-        return sum(1 for d in self.dims if d == D)
+        return self.counts()[-1] if self.cells else 0
 
-    def boundary_ranks(self) -> Tuple[int, ...]:
-        """Rank over GF(2) of the boundary map from dimension d, for d = 1..D."""
-        D = self.dimension
-        ranks = []
-        index_in_dim: Dict[int, int] = {}
-        by_dim: List[List[int]] = [[] for _ in range(D + 1)]
-        for i, d in enumerate(self.dims):
-            index_in_dim[i] = len(by_dim[d])
-            by_dim[d].append(i)
-        for d in range(1, D + 1):
-            cols = []
-            for i in by_dim[d]:
-                v = 0
-                for c in self.children[i]:
-                    v ^= 1 << index_in_dim[c]
-                cols.append(v)
-            ranks.append(gf2.rank(cols))
-        return tuple(ranks)
+    def boundary_columns(self, d: int) -> List[int]:
+        """Per d-cell, its GF(2) boundary: cells run in ascending dimension, so bit j is the j-th (d-1)-cell."""
+        counts = self.counts()
+        if d >= len(counts):
+            return []
+        lo, hi = sum(counts[: max(d - 1, 0)]), sum(counts[:d])  # the first (d-1)-cell and d-cell
+        cols = []
+        for ch in self.children[hi : hi + counts[d]]:
+            col = 0
+            for c in ch:
+                col ^= 1 << (c - lo)
+            cols.append(col)
+        return cols
 
     def betti(self) -> Tuple[int, ...]:
-        D = self.dimension
-        if D < 0:
-            return ()
-        counts = self.counts()
-        ranks = (0,) + self.boundary_ranks() + (0,)
-        return tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(D + 1))
+        return gf2.betti(self.counts(), self.boundary_columns)
 
     def orientable(self) -> Optional[bool]:
         """Coherent top-cell orientations; None when cells are not all cubes."""
@@ -256,14 +258,12 @@ class CellComplex:
     @cached_property
     def edge_ends(self) -> Dict[int, Tuple[int, int, int, int]]:
         """Per edge cell: (tail vertex, head vertex, tail corner, head corner) by canonical corner order."""
-        fp = self.triangulation.face_poset
         ends = {}
         for i, d in enumerate(self.dims):
             if d != 1:
                 continue
-            f, _, fixed, _, ((a, b),) = self.cubes[i]
-            va = self._index(fp.class_of(f, fixed + (a,)))
-            vb = self._index(fp.class_of(f, fixed + (b,)))
+            ((a, b),) = self.cubes[i].pairs
+            vb, va = self.children[i]  # deleting the lower corner a leaves the end at b
             ends[i] = (va, vb, a, b)
         return ends
 
@@ -326,7 +326,7 @@ class CellComplex:
             "connected": self.connected(),
             "closed": self.closed(),
             "all_cubes": self.all_cubes,
-            "top_cells": self.top_count() if self.cells else 0,
+            "top_cells": self.top_count(),
         }
         out["orientable"] = self.orientable() if out["closed"] else None
         return out
@@ -356,32 +356,22 @@ def extract(
 
 
 def _subset_complex(T: Triangulation, rec: Labelling, S: Tuple[int, ...]) -> CellComplex:
-    """The complex over S, from the classes whose label support is S."""
+    """The complex over S, from the classes whose label support is S.
+
+    A cell's children are its face-table children inside the complex: deleting
+    a corner keeps the support S exactly when that corner's label is doubled.
+    """
     fp = T.face_poset
-    labels, multisets = rec.labels, rec.multisets
     cells = rec.by_support.get(S, [])
     index = {cid: i for i, cid in enumerate(cells)}
-    dims = []
-    children: List[Tuple[int, ...]] = []
-    for cid in cells:
-        f, corners = fp.canonical(cid)
-        ms = multisets[cid]
-        dims.append(len(corners) - len(S))
-        ch = []
-        row = fp.facet_vertices[f]
-        for c in corners:
-            if ms.count(labels[row[c]]) >= 2:
-                rest = tuple(x for x in corners if x != c)
-                ch.append(index[fp.class_of(f, rest)])
-        children.append(tuple(ch))
     return CellComplex(
         triangulation=T,
-        labels=labels,
+        labels=rec.labels,
         subset=S,
         cells=tuple(cells),
-        dims=tuple(dims),
-        children=tuple(children),
-        all_cubes=all(multisets[cid].count(l) <= 2 for cid in cells for l in S),
+        dims=tuple(fp.cls_dim[cid] + 1 - len(S) for cid in cells),
+        children=tuple(tuple([index[c] for c in fp.children(cid) if c in index]) for cid in cells),
+        all_cubes=all(rec.multisets[cid].count(l) <= 2 for cid in cells for l in S),
     )
 
 
@@ -436,19 +426,14 @@ def collapse(X: CellComplex) -> CollapseResult:
                 if pcount[c] == 1:
                     push(c)
     spine = tuple(i for i in range(ncells) if alive[i])
-    sdims = [X.dims[i] for i in spine]
-    sdim = max(sdims) if sdims else -1
-    counts = [0] * (sdim + 1)
-    for d in sdims:
-        counts[d] += 1
-    euler = sum(1 if d % 2 == 0 else -1 for d in sdims)
+    counts = _counts([X.dims[i] for i in spine])
     return CollapseResult(
         pairs_removed=removed,
         spine_cells=spine,
         raw_dim=X.dimension,
-        spine_dim=sdim,
-        spine_counts=tuple(counts),
-        spine_euler=euler,
+        spine_dim=len(counts) - 1,
+        spine_counts=counts,
+        spine_euler=_euler(counts),
     )
 
 
@@ -683,7 +668,4 @@ def graph_genus(C: CellComplex) -> int:
         raise TriangulationError("genus is defined for graphs; this complex has dimension %d" % C.dimension)
     if not C.connected():
         raise TriangulationError("genus is defined for connected graphs")
-    counts = C.counts()
-    v = counts[0] if counts else 0
-    e = counts[1] if len(counts) > 1 else 0
-    return e - v + 1
+    return 1 - C.euler()

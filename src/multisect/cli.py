@@ -150,7 +150,7 @@ def cmd_gen(args) -> int:
 
 def cmd_info(args) -> int:
     T, P = io_mod.load_stream(_read(args.file))
-    s = T.summary(with_betti=True)
+    s = T.summary()
     lines = [
         "dim %d" % T.dimension,
         "facets %d" % T.facet_count,

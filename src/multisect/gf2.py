@@ -1,40 +1,35 @@
 """GF(2) linear algebra on vectors packed into Python integers.
 
 A vector over GF(2) is an int whose set bits are the nonzero coordinates.
-Addition is ^, which keeps the elimination loops short and avoids any
-array dependency.
+Addition is ^, which keeps the elimination loop short and avoids any
+array dependency.  `Basis` is the one elimination routine: `rank` and
+`betti` are loops over `Basis.add`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, Sequence, Tuple
 
 
 def rank(vectors: Iterable[int]) -> int:
-    """Rank of the span of the given bit-vectors.
-
-    Args:
-        vectors: iterable of ints; zero entries are allowed and ignored.
-
-    Returns:
-        Dimension of the GF(2) span.
-    """
-    pivots: dict[int, int] = {}
-    r = 0
+    """Dimension of the GF(2) span of the given bit-vectors; zeros are ignored."""
+    basis = Basis()
     for v in vectors:
-        while v:
-            p = v.bit_length() - 1
-            row = pivots.get(p)
-            if row is None:
-                pivots[p] = v
-                r += 1
-                break
-            v ^= row
-    return r
+        basis.add(v)
+    return basis.rank
+
+
+def betti(counts: Sequence[int], columns: Callable[[int], Iterable[int]]) -> Tuple[int, ...]:
+    """Mod-2 Betti numbers in dimensions 0..len(counts)-1, from the cell count per dimension.
+
+    columns(d) is the boundary map from dimension d, one bit-vector per d-cell.
+    """
+    ranks = [0] + [rank(columns(d)) for d in range(1, len(counts))] + [0]
+    return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
 
 
 class Basis:
-    """Incremental row basis, used where membership tests interleave with inserts."""
+    """Incremental row basis; membership tests may interleave with inserts."""
 
     def __init__(self):
         self.pivots: dict[int, int] = {}
@@ -61,4 +56,3 @@ class Basis:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-

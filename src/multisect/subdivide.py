@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partition import VertexPartition
 from .triangulation import Triangulation, TriangulationError
@@ -291,7 +291,7 @@ def stellar_facet(T: Triangulation, facet: int) -> Triangulation:
 
     vertex_ids = None
     if T.vertex_ids is not None:
-        fresh = max(max(v) for v in T.vertex_ids) + 1
+        fresh = _fresh_id(T.vertex_ids)
         vertex_ids = [list(v) for v in T.vertex_ids]
         base = list(T.vertex_ids[facet])
         new_rows = []
@@ -317,6 +317,11 @@ def stellar_facet(T: Triangulation, facet: int) -> Triangulation:
     return Triangulation(n, glu_out, vertex_ids=vertex_ids, extras=extras or None)
 
 
+def _fresh_id(vertex_ids: Sequence[Sequence]) -> int:
+    """The least integer above every integer vertex id; 0 when no id is an integer."""
+    return max((v for vs in vertex_ids for v in vs if isinstance(v, int)), default=-1) + 1
+
+
 def join(A: Triangulation, B: Triangulation, limits: Limits = Limits()) -> Triangulation:
     """Simplicial join of two vertex-format triangulations.
 
@@ -330,11 +335,16 @@ def join(A: Triangulation, B: Triangulation, limits: Limits = Limits()) -> Trian
     m = A.facet_count * B.facet_count
     if m > limits.ceiling():
         raise TriangulationError("join would produce %d facets, over the ceiling %d" % (m, limits.ceiling()))
-    offset = max(max(v) for v in A.vertex_ids) + 1
+    # B's numbers shift above A's; B's names become further fresh numbers, in order of appearance
+    offset = _fresh_id(A.vertex_ids)
+    fresh = offset + max(0, _fresh_id(B.vertex_ids))
+    names: Dict[str, int] = {}
+    for x in (x for vb in B.vertex_ids for x in vb if isinstance(x, str)):
+        names.setdefault(x, fresh + len(names))
     facets = []
     for va in A.vertex_ids:
         for vb in B.vertex_ids:
-            facets.append(tuple(va) + tuple(x + offset for x in vb))
+            facets.append(tuple(va) + tuple(names[x] if isinstance(x, str) else x + offset for x in vb))
     extras = None
     la = A.extras.get("corner_labels")
     lb = B.extras.get("corner_labels")

@@ -63,7 +63,7 @@ class TriSummary:
     orientable: bool
     orientation: Optional[Tuple[int, ...]]
     even: bool
-    betti: Optional[Tuple[int, ...]]
+    betti: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -220,17 +220,12 @@ class FacePoset:
         return self.class_of(f, corners)
 
     def children(self, cid: int) -> Tuple[int, ...]:
-        """Boundary face classes, one per deleted corner, repeats kept."""
+        """Boundary face classes, one per deleted corner, repeats kept; read with that corner's bit cleared."""
         enc = self.cls_canon[cid]
-        f, mask = divmod(enc, self.M)
-        corners = self._corners_of[mask]
+        corners = self._corners_of[enc % self.M]
         if len(corners) == 1:
             return ()
-        base = f * self.M
-        out = []
-        for c in corners:
-            out.append(self.class_of_enc(base + (mask ^ (1 << c))))
-        return tuple(out)
+        return tuple([self._table[enc ^ (1 << c)] for c in corners])
 
     def incarnations(self, cid: int) -> List[int]:
         """All (facet, subset) incarnations of the class, as encoded ints.
@@ -448,15 +443,7 @@ class Triangulation:
             cols.append(col)
         return cols
 
-    def boundary_ranks(self) -> Tuple[int, ...]:
-        """GF(2) ranks of the face boundary maps, index d for C_d -> C_{d-1}."""
-        n = self.dimension
-        ranks = [0] * (n + 2)
-        for d in range(1, n + 1):
-            ranks[d] = gf2.rank(self.boundary_columns(d))
-        return tuple(ranks)
-
-    def summary(self, with_betti: bool = True) -> TriSummary:
+    def summary(self) -> TriSummary:
         """Face census plus connectivity, orientability, parity and homology."""
         fp = self.face_poset
         n = self.dimension
@@ -466,10 +453,6 @@ class Triangulation:
         if n >= 2:
             even = all(fp.cls_count[cid] % 2 == 0 for cid in fp.class_ids_of_dim(n - 2))
         orientation = self._orientation()
-        betti = None
-        if with_betti:
-            ranks = self.boundary_ranks()
-            betti = tuple(counts[d] - ranks[d] - ranks[d + 1] for d in range(n + 1))
         return TriSummary(
             dimension=n,
             facet_count=self.facet_count,
@@ -480,7 +463,7 @@ class Triangulation:
             orientable=orientation is not None,
             orientation=orientation,
             even=even,
-            betti=betti,
+            betti=gf2.betti(counts, self.boundary_columns),
         )
 
     def dual_graph(self) -> DualGraph:

@@ -524,6 +524,30 @@ def test_cli_info_on_mixed_number_and_name_ids(mixed, numbers, names, want):
     assert info(numbers) == info(names) == (0, out, "")
 
 
+@pytest.mark.parametrize(
+    "rows, joined",
+    [
+        ("x y\ny z\nz x\n", ["x y 0 1", "x y 1 2", "x y 2 0"]),
+        ("0 1\n1 a\na 0\n", ["0 1 2 3", "0 1 3 4", "0 1 4 2"]),
+    ],
+    ids=["names", "mixed"],
+)
+def test_cli_stellar_and_join_on_named_ids(tmp_path, rows, joined):
+    # fresh ids are numbers above every number in use; B's names become further fresh numbers
+    circle = tmp_path / "circle.txt"
+    circle.write_text("dim 1\nvertexfacets 3\n" + rows)
+    for argv, betti, first_rows in (
+        (["stellar", "--facet", "0", str(circle)], "betti 1,1\n", None),
+        (["join", str(circle), str(circle)], "betti 1,0,0,1\n", joined),
+    ):
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        if first_rows:
+            assert out.splitlines()[3:6] == first_rows
+        code, info, err = run(["info"], stdin_text=out)
+        assert (code, err) == (0, "") and betti in info
+
+
 # --- the documented scripts -------------------------------------------------
 
 

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from multisect.cells import extract
 from multisect.io import load_stream, save_stream
+from multisect.partition import VertexPartition, scheme_partition
 from multisect.subdivide import barycentric, stellar_facet
 from multisect.triangulation import Triangulation, TriangulationError, face_key, parse_face_key
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
@@ -416,20 +418,64 @@ def test_face_poset_class_lookup():
         fp.class_of(0, ())
 
 
-@pytest.mark.parametrize("build", [cross_sphere, cross_projective, double_simplex], ids=lambda f: f.__name__)
+def sd3_odd_bary(subset):
+    T, carriers = barycentric(double_simplex(3))
+    return extract(T, scheme_partition(T, "odd-bary", carriers=carriers), subset)
+
+
+def rp3_pairs(subset):
+    T = cross_projective(3)
+    return extract(T, scheme_partition(T, "pairs", blocks=((0, 1), (2, 3))), subset)
+
+
+def twisted_chain_central():
+    T, _ = load_stream((pathlib.Path(__file__).parent / "fixtures" / "twisted_chain.txt").read_text())
+    return extract(T, VertexPartition(k=1, labels=(0, 1, 0)), (0, 1))
+
+
+BOUNDARY_INPUTS = {
+    "cross_sphere": lambda: cross_sphere(3),
+    "cross_projective": lambda: cross_projective(3),
+    "double_simplex": lambda: double_simplex(3),
+    "sd3 odd-bary central": lambda: sd3_odd_bary((0, 1)),
+    "sd3 odd-bary (0,)": lambda: sd3_odd_bary((0,)),
+    "RP3 pairs central": lambda: rp3_pairs((0, 1)),
+    "RP3 pairs (0,)": lambda: rp3_pairs((0,)),
+    "RP3 pairs (1,)": lambda: rp3_pairs((1,)),
+    "twisted chain central": twisted_chain_central,
+}
+
+
+@pytest.mark.parametrize("build", BOUNDARY_INPUTS.values(), ids=BOUNDARY_INPUTS.keys())
 def test_boundary_columns_compose_to_zero(build):
-    T = build(3)
-    counts = T.face_poset.counts()
-    for d in range(2, T.dimension + 1):
-        lower = T.boundary_columns(d - 1)
-        upper = T.boundary_columns(d)
+    X = build()
+    counts = X.face_poset.counts() if isinstance(X, Triangulation) else X.counts()
+    top = len(counts) - 1
+    assert X.boundary_columns(top + 1) == []
+    for d in range(1, top + 1):
+        lower = X.boundary_columns(d - 1)
+        upper = X.boundary_columns(d)
         assert (len(lower), len(upper)) == (counts[d - 1], counts[d])
         for col in upper:
+            assert col >> len(lower) == 0
             acc = 0
             for j in range(len(lower)):
                 if col >> j & 1:
                     acc ^= lower[j]
             assert acc == 0
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(double_simplex, n) for n in range(2, 6)]
+    + [(cross_sphere, n) for n in range(2, 5)]
+    + [(cross_projective, n) for n in range(2, 6)],
+    ids=lambda x: x if isinstance(x, int) else x.__name__,
+)
+def test_ambient_betti_closed_forms(build, n):
+    # spheres have the mod-2 homology of a point plus a top class; RP^n has Betti number 1 in every dimension
+    want = (1,) * (n + 1) if build is cross_projective else (1,) + (0,) * (n - 1) + (1,)
+    assert build(n).summary().betti == want
 
 
 def test_incarnation_maps_cover_class_degree():
