@@ -13,11 +13,16 @@ their collapsed dimension bounds spine dimensions.
 
 A complex reads its incidences off the face table: a cell's children are
 its class's `FacePoset.children` that lie in the complex, and an edge's
-ends are its two children.  Homology goes through `gf2.betti`, whose
+ends are its two children.  It keeps them in flat arrays: the cells'
+class ids and dimensions, the children in CSR form (offsets plus one
+flat array), a class-to-cell array, and per cell a shape id into a short
+list of cube shapes shared by the cells.  A complex holds its face poset,
+not its triangulation, so no reference cycle keeps a dropped
+triangulation alive.  Homology goes through `gf2.betti`, whose
 elimination is `gf2.Basis`, as for the ambient triangulation.
 
 Each labelling's data is computed once and kept for the latest labels:
-one pass gives the label multisets and the classes of each label
+one pass gives the label multisets and the class ids of each label
 support, and the central complex is kept once built.  Complexes over
 proper subsets are rebuilt on each request.  Vertex links are never
 kept: `npc_check` and `vertex_link` hold one at a time, `vertex_links` all.
@@ -46,7 +51,7 @@ class Labelling:
 
     labels: Tuple[int, ...]
     multisets: List[Tuple[int, ...]]              # sorted label multiset; index = class id
-    by_support: Dict[Tuple[int, ...], List[int]]  # ascending class ids per sorted label set
+    by_support: Dict[Tuple[int, ...], array]      # ascending class ids per sorted label set
     central: Optional[CellComplex] = None         # kept once built
 
 
@@ -66,15 +71,18 @@ def _label_pass(T: Triangulation, labels: Tuple[int, ...]) -> Labelling:
             "expected %d vertex labels, got %d" % (fp.dim_start[1], len(labels))
         )
     multisets: List[Tuple[int, ...]] = []
-    by_support: Dict[Tuple[int, ...], List[int]] = {}
-    shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}  # the record keeps one tuple per distinct multiset
+    by_support: Dict[Tuple[int, ...], array] = {}
+    # the record keeps one tuple per distinct multiset, seen with its support's class ids
+    seen: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], array]] = {}
+    L, corner_labels = fp.L, [labels[v] for v in fp.facet_vertices]
     for cid in range(fp.n_classes):
         f, corners = fp.canonical(cid)
-        row = fp.facet_vertices[f]
-        ms = tuple(sorted(labels[row[c]] for c in corners))
-        ms = shared.setdefault(ms, ms)
-        multisets.append(ms)
-        by_support.setdefault(tuple(sorted(set(ms))), []).append(cid)
+        ms = tuple(sorted([corner_labels[f * L + c] for c in corners]))
+        hit = seen.get(ms)
+        if hit is None:
+            hit = seen[ms] = (ms, by_support.setdefault(tuple(sorted(set(ms))), array("i")))
+        multisets.append(hit[0])
+        hit[1].append(cid)
     return Labelling(labels, multisets, by_support)
 
 
@@ -112,15 +120,34 @@ def _euler(counts: Sequence[int]) -> int:
 
 @dataclass(eq=False)
 class CellComplex:
-    """Cells indexed 0..len(cells)-1 in ambient class order (dimension ascending)."""
+    """Cells indexed 0..len(cells)-1 in ambient class order (dimension ascending), in flat tables.
 
-    triangulation: Triangulation
+    Children are in CSR form: cell i's are `child_flat[child_start[i]:child_start[i + 1]]`.
+    """
+
+    face_poset: FacePoset
     labels: Tuple[int, ...]
     subset: Tuple[int, ...]
-    cells: Tuple[int, ...]                     # ambient face-class ids
-    dims: Tuple[int, ...]                      # cell dimension (product of simplices)
-    children: Tuple[Tuple[int, ...], ...]      # codim-1 face indexes, with repetition
+    cells: array                               # ambient face-class ids, ascending
+    dims: array                                # cell dimension (product of simplices)
+    child_start: array                         # offsets into child_flat, one past each cell
+    child_flat: array                          # codim-1 face indexes, with repetition
+    cell_of: array                             # cell index per ambient class, -1 off the complex
     all_cubes: bool                            # no label occurs more than twice in a cell
+
+    @property
+    def triangulation(self) -> Optional[Triangulation]:
+        """The ambient triangulation, while something else keeps it alive."""
+        return self.face_poset.tri
+
+    def children_of(self, i: int) -> array:
+        """Cell i's codim-1 face indexes, with repetition."""
+        return self.child_flat[self.child_start[i] : self.child_start[i + 1]]
+
+    @property
+    def children(self) -> Tuple[Tuple[int, ...], ...]:
+        """`children_of` every cell, as tuples; built on each read."""
+        return tuple(tuple(self.children_of(i)) for i in range(len(self.cells)))
 
     @property
     def dimension(self) -> int:
@@ -140,20 +167,16 @@ class CellComplex:
         if not self.cells:
             return False
         uf = UnionFind(len(self.cells))
-        for i, ch in enumerate(self.children):
-            for c in ch:
+        s, flat = self.child_start, self.child_flat
+        for i in range(len(self.cells)):
+            for c in flat[s[i] : s[i + 1]]:
                 uf.union(i, c)
         return uf.n_sets == 1
 
     def parent_counts(self) -> Tuple[int, ...]:
-        return self._parent_counts
-
-    @cached_property
-    def _parent_counts(self) -> Tuple[int, ...]:
         counts = [0] * len(self.cells)
-        for ch in self.children:
-            for c in ch:
-                counts[c] += 1
+        for c in self.child_flat:
+            counts[c] += 1
         return tuple(counts)
 
     def closed(self) -> bool:
@@ -179,9 +202,9 @@ class CellComplex:
             return []
         lo, hi = sum(counts[: max(d - 1, 0)]), sum(counts[:d])  # the first (d-1)-cell and d-cell
         cols = []
-        for ch in self.children[hi : hi + counts[d]]:
+        for i in range(hi, hi + counts[d]):
             col = 0
-            for c in ch:
+            for c in self.children_of(i):
                 col ^= 1 << (c - lo)
             cols.append(col)
         return cols
@@ -196,13 +219,13 @@ class CellComplex:
         D = self.dimension
         if D <= 0:
             return True
-        fp = self.triangulation.face_poset
+        fp = self.face_poset
         # per codim-1 cell: list of (top cell, transfer sign)
         incidences: Dict[int, List[Tuple[int, int]]] = {}
         for i, d in enumerate(self.dims):
             if d != D:
                 continue
-            f, corners, _, _, pairs = self.cubes[i]
+            f, corners, _, _, pairs = self.cube(i)
             for t, (lo, hi) in enumerate(pairs):
                 for deleted, side in ((lo, 1), (hi, 0)):
                     gcid, phi = fp.corner_map(f, (c for c in corners if c != deleted))
@@ -223,47 +246,57 @@ class CellComplex:
         return signed_colouring(adj.keys(), adj) is not None
 
     def _index(self, cid: int) -> int:
-        i = self._cell_index.get(cid)
-        if i is None:
+        i = self.cell_of[cid] if 0 <= cid < len(self.cell_of) else -1
+        if i < 0:
             raise TriangulationError("face class %d is not a cell of this complex" % cid)
         return i
 
     @cached_property
-    def _cell_index(self) -> Dict[int, int]:
-        return {cid: i for i, cid in enumerate(self.cells)}
-
-    @cached_property
-    def cubes(self) -> Tuple[Cube, ...]:
-        """The cube record of every cell, index-aligned with `cells`."""
-        fp = self.triangulation.face_poset
-        labels = self.labels
-        # cells with the same corners and corner labels share everything but the facet
-        shapes: Dict[Tuple, Tuple] = {}
-        out = []
+    def _shapes(self) -> Tuple[array, List[Tuple]]:
+        """Each cell's shape id, and the shapes: (corners, fixed, dirs, pairs, and the corner
+        faces' masks in `product(*pairs)` order), one per distinct corners and corner labels."""
+        fp = self.face_poset
+        labels, fv, L = self.labels, fp.facet_vertices, fp.L
+        ids: Dict[Tuple, int] = {}
+        shapes: List[Tuple] = []
+        shape_of = array("i")
         for cid in self.cells:
             f, corners = fp.canonical(cid)
-            row = fp.facet_vertices[f]
-            key = (corners, tuple(labels[row[c]] for c in corners))
-            shape = shapes.get(key)
-            if shape is None:
+            key = (corners, tuple(labels[fv[f * L + c]] for c in corners))
+            s = ids.get(key)
+            if s is None:
                 groups: Dict[int, List[int]] = {}
                 for c, l in zip(*key):
                     groups.setdefault(l, []).append(c)
                 dirs = tuple(sorted(l for l, cs in groups.items() if len(cs) == 2))
                 fixed = tuple(cs[0] for cs in groups.values() if len(cs) == 1)
-                shape = shapes[key] = (corners, fixed, dirs, tuple(tuple(groups[l]) for l in dirs))
-            out.append(Cube(f, *shape))
-        return tuple(out)
+                pairs = tuple(tuple(groups[l]) for l in dirs)
+                masks = tuple(sum(1 << c for c in fixed + choice) for choice in product(*pairs))
+                s = ids[key] = len(shapes)
+                shapes.append((corners, fixed, dirs, pairs, masks))
+            shape_of.append(s)
+        return shape_of, shapes
+
+    def cube(self, i: int) -> Cube:
+        """The cube record of cell i."""
+        shape_of, shapes = self._shapes
+        return Cube(self.face_poset.cls_canon[self.cells[i]] // self.face_poset.M, *shapes[shape_of[i]][:4])
+
+    @property
+    def cubes(self) -> Tuple[Cube, ...]:
+        """The cube record of every cell, index-aligned with `cells`; built on each read."""
+        return tuple(self.cube(i) for i in range(len(self.cells)))
 
     @cached_property
     def edge_ends(self) -> Dict[int, Tuple[int, int, int, int]]:
         """Per edge cell: (tail vertex, head vertex, tail corner, head corner) by canonical corner order."""
+        shape_of, shapes = self._shapes
         ends = {}
         for i, d in enumerate(self.dims):
             if d != 1:
                 continue
-            ((a, b),) = self.cubes[i].pairs
-            vb, va = self.children[i]  # deleting the lower corner a leaves the end at b
+            ((a, b),) = shapes[shape_of[i]][3]
+            vb, va = self.children_of(i)  # deleting the lower corner a leaves the end at b
             ends[i] = (va, vb, a, b)
         return ends
 
@@ -298,12 +331,12 @@ class CellComplex:
     @cached_property
     def square_boundaries(self) -> Dict[int, List[Tuple[int, int]]]:
         """Per square cell of an all-cube complex: its 4-cycle as (edge, direction) steps."""
-        fp = self.triangulation.face_poset
+        fp = self.face_poset
         out = {}
         for i, d in enumerate(self.dims):
             if d != 2:
                 continue
-            f, _, fixed, _, pairs = self.cubes[i]
+            f, _, fixed, _, pairs = self.cube(i)
             (a1, b1), (a2, b2) = pairs
             path = []
             corner_cycle = [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (a1, a2)]
@@ -362,17 +395,17 @@ def _subset_complex(T: Triangulation, rec: Labelling, S: Tuple[int, ...]) -> Cel
     a corner keeps the support S exactly when that corner's label is doubled.
     """
     fp = T.face_poset
-    cells = rec.by_support.get(S, [])
-    index = {cid: i for i, cid in enumerate(cells)}
-    return CellComplex(
-        triangulation=T,
-        labels=rec.labels,
-        subset=S,
-        cells=tuple(cells),
-        dims=tuple(fp.cls_dim[cid] + 1 - len(S) for cid in cells),
-        children=tuple(tuple([index[c] for c in fp.children(cid) if c in index]) for cid in cells),
-        all_cubes=all(rec.multisets[cid].count(l) <= 2 for cid in cells for l in S),
-    )
+    cells = rec.by_support.get(S, array("i"))
+    cell_of = array("i", [-1]) * fp.n_classes
+    for i, cid in enumerate(cells):
+        cell_of[cid] = i
+    start, flat = array("i", [0]), array("i")
+    for cid in cells:
+        flat.extend([i for i in map(cell_of.__getitem__, fp.children(cid)) if i >= 0])
+        start.append(len(flat))
+    dims = array("b", [fp.cls_dim[cid] + 1 - len(S) for cid in cells])
+    all_cubes = all(rec.multisets[cid].count(l) <= 2 for cid in cells for l in S)
+    return CellComplex(fp, rec.labels, S, cells, dims, start, flat, cell_of, all_cubes)
 
 
 @dataclass(frozen=True)
@@ -392,39 +425,35 @@ def collapse(X: CellComplex) -> CollapseResult:
     parent, then lowest index, goes first.
     """
     ncells = len(X.cells)
-    parent_inc: List[List[int]] = [[] for _ in range(ncells)]  # parent indexes, with repetition; dead ones stay
-    for i, ch in enumerate(X.children):
-        for c in ch:
-            parent_inc[c].append(i)
-    pcount = [len(p) for p in parent_inc]  # live parents, with repetition
-    alive = [True] * ncells
-    heap: List[Tuple[int, int]] = []
-
-    def push(i: int) -> None:
-        if pcount[i] == 1:
-            p = next((q for q in parent_inc[i] if alive[q]), None)
-            if p is not None:
-                heapq.heappush(heap, (-X.dims[p], i))
-
+    s, flat, dims = X.child_start, X.child_flat, X.dims
+    # per cell, its live parents counted with repetition and the sum of their
+    # indexes, so the sum names the parent once the count is down to one
+    pcount, psum = [0] * ncells, [0] * ncells
     for i in range(ncells):
-        if pcount[i] == 1:
-            push(i)
+        for c in flat[s[i] : s[i + 1]]:
+            pcount[c] += 1
+            psum[c] += i
+    alive = bytearray([1]) * ncells
+    # a free face i waits as one int: highest parent dimension first, then lowest i
+    D = X.dimension
+    heap = [(D - dims[psum[i]]) * ncells + i for i in range(ncells) if pcount[i] == 1]
+    heapq.heapify(heap)
     removed = 0
     while heap:
-        _, i = heapq.heappop(heap)
+        i = heapq.heappop(heap) % ncells
         if not alive[i] or pcount[i] != 1:
             continue
-        p = next((q for q in parent_inc[i] if alive[q]), None)
-        if p is None:
-            continue
+        p = psum[i]
         alive[i] = alive[p] = False
         removed += 1
         # both dead cells stop being parents, once per occurrence
-        for c in X.children[p] + X.children[i]:
-            if alive[c]:
-                pcount[c] -= 1
-                if pcount[c] == 1:
-                    push(c)
+        for dead in (p, i):
+            for c in flat[s[dead] : s[dead + 1]]:
+                if alive[c]:
+                    pcount[c] -= 1
+                    psum[c] -= dead
+                    if pcount[c] == 1:
+                        heapq.heappush(heap, (D - dims[psum[c]]) * ncells + c)
     spine = tuple(i for i in range(ncells) if alive[i])
     counts = _counts([X.dims[i] for i in spine])
     return CollapseResult(
@@ -513,13 +542,14 @@ def _incidences(X: CellComplex) -> Iterator[Tuple[int, int]]:
     """
     if not X.all_cubes:
         raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
-    fp = X.triangulation.face_poset
+    fp = X.face_poset
     D = X.dimension
+    shape_of, shapes = X._shapes
     for i, d in enumerate(X.dims):
         if d >= 1:
-            cube = X.cubes[i]
-            for choice, corners in enumerate(product(*cube.pairs)):
-                yield X._index(fp.class_of(cube.facet, cube.fixed + corners)), i << D | choice
+            base = fp.cls_canon[X.cells[i]] // fp.M * fp.M
+            for choice, mask in enumerate(shapes[shape_of[i]][4]):
+                yield X._index(fp.class_of_enc(base + mask)), i << D | choice
 
 
 def _links(X: CellComplex) -> Iterator[Tuple[int, LinkComplex]]:
@@ -534,22 +564,24 @@ def _links(X: CellComplex) -> Iterator[Tuple[int, LinkComplex]]:
 
 def _link(X: CellComplex, D: int, v: int, codes: Sequence[int]) -> LinkComplex:
     """The link of 0-cell v, from its incidence codes in filing order."""
-    fp = X.triangulation.face_poset
+    fp = X.face_poset
+    shape_of, shapes = X._shapes
     inc: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []  # (cube dim, link cell as end tuple)
     tops: List[Tuple[Cube, Tuple[int, ...]]] = []
     for code in codes:
         i, choice = divmod(code, 1 << D)
-        cube, d = X.cubes[i], X.dims[i]
-        corners = next(islice(product(*cube.pairs), choice, None))
-        corner_face = cube.fixed + corners
+        _, fixed, _, pairs, _ = shapes[shape_of[i]]
+        f, d = fp.cls_canon[X.cells[i]] // fp.M, X.dims[i]
+        corners = next(islice(product(*pairs), choice, None))
+        corner_face = fixed + corners
         ends = []
-        for c, pair in zip(corners, cube.pairs):
-            ecid, phi = fp.corner_map(cube.facet, corner_face + pair)
+        for c, pair in zip(corners, pairs):
+            ecid, phi = fp.corner_map(f, corner_face + pair)
             ends.append((X._index(ecid), phi[c]))
         inc.append((d, tuple(ends)))
         if d == D >= 2:
             # dimension-1 links are vertex pairs with no gluing structure
-            tops.append((cube, corner_face))
+            tops.append((X.cube(i), corner_face))
     vertex_ids = sorted({e for _, ends in inc for e in ends})
     vindex = {e: j for j, e in enumerate(vertex_ids)}
     cells_by_dim: List[List[Tuple[int, ...]]] = [[] for _ in range(max(D - 1, 0))]
@@ -652,7 +684,7 @@ def npc_check(X: CellComplex) -> NpcReport:
 
 def vertex_link(C: CellComplex, v) -> LinkComplex:
     """Link of one 0-cell, assembled alone; `v` is a cell index or a canonical face key."""
-    fp = C.triangulation.face_poset
+    fp = C.face_poset
     if isinstance(v, str):
         i = C._index(fp.class_of_key(v))
     else:

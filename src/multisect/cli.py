@@ -335,7 +335,7 @@ def cmd_report(args) -> int:
         lines.append("npc ok %s" % _b(R.npc_ok))
     if R.euler_identity is not None:
         lines.append("euler identity %s" % _b(R.euler_identity))
-    for d in R.validation.diagnostics:
+    for d in R.diagnostics:
         lines.append("diagnostic %s" % d)
     _emit(HEADER + "\n".join(lines) + "\n")
     if args.out:
@@ -353,7 +353,7 @@ def cmd_report(args) -> int:
             "euler_identity": R.euler_identity,
             "supports_multisection": R.supports_multisection,
             "supports_generalized": R.supports_generalized,
-            "diagnostics": list(R.validation.diagnostics),
+            "diagnostics": list(R.diagnostics),
         }
         _write(args.out, io_mod.dump_json(payload))
     if args.expect_multisection:

@@ -31,11 +31,19 @@ class MultisectionReport:
     euler_identity: Optional[bool]     # the dimension-4 identity, when applicable
     supports_multisection: bool
     supports_generalized: bool
+    diagnostics: Tuple[str, ...]       # validation's, then the report's own manifold checks
     validation: ValidationReport = field(repr=False)
 
 
 def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = True) -> MultisectionReport:
-    """Validate the partition and summarise the induced decomposition."""
+    """Validate the partition and summarise the induced decomposition.
+
+    Two necessary conditions on a closed manifold are checked on data at
+    hand; each failure adds a diagnostic and refuses a multisection.  A
+    closed odd-dimensional manifold has Euler characteristic 0, and in
+    dimension 3 a closed connected central surface bounds each genus-g
+    handlebody, so has Euler characteristic 2 - 2g.
+    """
     rep = validate(T, P)
     n, k = rep.n, rep.k
     central = cells_mod.extract(T, P, tuple(range(k + 1)))
@@ -55,6 +63,16 @@ def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = T
     identity = None
     if n == 4 and genus is not None:
         identity = ambient_euler == 2 + genus - sum(genera)
+    failed: List[str] = []
+    if n % 2 == 1 and ambient_euler != 0:
+        failed.append("euler characteristic %d, not 0 as on a closed odd-dimensional manifold" % ambient_euler)
+    if n == 3 and genus is not None:  # a closed connected central surface
+        for g in genera:
+            if summ["euler"] != 2 - 2 * g:
+                failed.append(
+                    "central euler characteristic %d, not %d as on the boundary of a genus-%d handlebody"
+                    % (summ["euler"], 2 - 2 * g, g)
+                )
     return MultisectionReport(
         n=n,
         k=k,
@@ -66,8 +84,9 @@ def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = T
         central_genus=genus,
         npc_ok=npc_ok,
         euler_identity=identity,
-        supports_multisection=rep.supports_multisection,
+        supports_multisection=rep.supports_multisection and not failed,
         supports_generalized=rep.supports_generalized,
+        diagnostics=rep.diagnostics + tuple(failed),
         validation=rep,
     )
 
@@ -203,20 +222,24 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
     _, g_cotree = graph.spanning_forest
     g_gen = {e: j + 1 for j, e in enumerate(g_cotree)}
 
-    def edge_image(e: int, dr: int) -> Tuple[int, ...]:
-        f, _, _, (doubled,), ((a, b),) = central.cubes[e]
+    def letter(e: int) -> int:
+        """The letter central edge e maps to along its canonical direction, 0 for none."""
+        f, _, _, (doubled,), ((a, b),) = central.cube(e)
         if doubled != label:
-            return ()
+            return 0
         gi = graph._index(fp.class_of(f, (a, b)))
-        # orient along the central edge's canonical direction, then apply dr;
         # its ends lie on the graph vertices at corners a and b
-        row = fp.facet_vertices[f]
-        tail, head = graph._index(row[a]), graph._index(row[b])
+        tail, head = graph._index(fp.facet_vertices[f * fp.L + a]), graph._index(fp.facet_vertices[f * fp.L + b])
         gva, gvb, _, _ = g_ends[gi]
         if head not in (gva, gvb) or tail not in (gva, gvb):
             raise TriangulationError("inclusion image of an edge misses its endpoints")
         sign = 1 if tail == gva else -1
-        return (sign * dr * g_gen[gi],) if gi in g_gen else ()
+        return sign * g_gen[gi] if gi in g_gen else 0
+
+    letters = {e: letter(e) for e in c_ends}  # once per edge; paths cross edges many times
+
+    def edge_image(e: int, dr: int) -> Tuple[int, ...]:
+        return (dr * letters[e],) if letters[e] else ()
 
     # image of the tree path from the root to each central vertex, reduced;
     # the spanning forest lists each vertex after the one it was reached from
@@ -273,9 +296,9 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     parent, cotree = central.spanning_forest
 
     def image(e: int) -> int:
-        f, _, _, (doubled,), _ = central.cubes[e]
-        _, _, a, b = ends[e]
-        return 1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0
+        _, _, a, b = ends[e]  # the corners of the edge's doubled label
+        f = fp.canonical(central.cells[e])[0]
+        return 1 << (fp.class_of(f, (a, b)) - e_start) if P.labels[fp.facet_vertices[f * fp.L + a]] == cls else 0
 
     # image of the forest path from its root to each central vertex; the
     # fundamental cycle of a cotree edge then images to pot[va] ^ image ^ pot[vb]

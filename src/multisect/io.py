@@ -52,12 +52,11 @@ def _vid(tok: str) -> Union[int, str]:
 
 
 def save_gluing(T: Triangulation) -> str:
-    n = T.dimension
-    lines = ["dim %d" % n, "facets %d" % T.facet_count]
-    for row in T.gluings:
-        for i in range(n + 1):
-            t, pi = row[i]
-            lines.append("%d %d %s" % (i, t, " ".join(str(x) for x in pi)))
+    L = T.dimension + 1
+    lines = ["dim %d" % T.dimension, "facets %d" % T.facet_count]
+    maps = [" ".join(str(x) for x in pi) for pi in T.maps]
+    for k, (t, p) in enumerate(zip(T.targets, T.map_ids)):
+        lines.append("%d %d %s" % (k % L, t, maps[p]))
     return "\n".join(lines) + "\n"
 
 
@@ -151,9 +150,8 @@ def _load_partition(toks: Deque[str], T: Triangulation) -> VertexPartition:
     nv = fp.dim_start[1]
     by_id: Dict[str, int] = {}
     if T.vertex_ids is not None:
-        for row, vs in zip(T.vertex_ids, fp.facet_vertices):
-            for vid, v in zip(row, vs):
-                by_id[str(vid)] = v
+        for vid, v in zip((vid for row in T.vertex_ids for vid in row), fp.facet_vertices):
+            by_id[str(vid)] = v
     labels: List[Optional[int]] = [None] * nv
     while toks and toks[0] == "v":
         toks.popleft()
@@ -193,7 +191,7 @@ def cell_complex_json(X: CellComplex) -> dict:
     s = X.summary()
     return {
         "format": 1,
-        "ambient_dimension": X.triangulation.dimension,
+        "ambient_dimension": X.face_poset.L - 1,
         "subset": list(X.subset),
         "dimension": s["dimension"],
         "counts": list(s["counts"]),

@@ -54,7 +54,7 @@ def coordinate_labels(T: Triangulation) -> Tuple[int, ...]:
     nv = fp.dim_start[1]
     out: List[Optional[int]] = [None] * nv
     for f, row in enumerate(rows):
-        for v, lab in zip(fp.facet_vertices[f], row):
+        for v, lab in zip(fp.facet_vertices[f * fp.L : (f + 1) * fp.L], row):
             if lab is None:
                 continue
             if out[v] is None:
@@ -225,9 +225,9 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
     diagnostics: List[str] = []
 
     profiles = []
-    for vs in fp.facet_vertices:
+    for f in range(T.facet_count):
         row = [0] * (k + 1)
-        for v in vs:
+        for v in fp.facet_vertices[f * fp.L : (f + 1) * fp.L]:
             row[labels[v]] += 1
         profiles.append(tuple(row))
     if n % 2 == 1:
@@ -367,7 +367,7 @@ def _propagate_tree(T: Triangulation):
         f = order[head]
         head += 1
         for i in range(L):
-            t, pi = T.gluings[f][i]
+            t, pi = T.gluing(f, i)
             if lab[t] is None:
                 lab[t] = compose(lab[f], invert(pi))
                 order.append(t)
@@ -391,7 +391,7 @@ def symmetric_representation(T: Triangulation) -> SymRep:
     seen = set()
     ident = identity(L)
     for f, i in cross:
-        t, pi = T.gluings[f][i]
+        t, pi = T.gluing(f, i)
         prop = compose(lab[f], invert(pi))
         # permutation of the label alphabet sending the stored labeling to the propagated one
         g = compose(prop, invert(lab[t]))
@@ -432,7 +432,7 @@ def labeling_cover(T: Triangulation) -> Triangulation:
         f, labf = order[head]
         head += 1
         for i in range(L):
-            t, pi = T.gluings[f][i]
+            t, pi = T.gluing(f, i)
             nxt = (t, compose(labf, invert(pi)))
             if nxt not in index:
                 index[nxt] = len(order)
@@ -441,7 +441,7 @@ def labeling_cover(T: Triangulation) -> Triangulation:
     for f, labf in order:
         row = []
         for i in range(L):
-            t, pi = T.gluings[f][i]
+            t, pi = T.gluing(f, i)
             row.append((index[(t, compose(labf, invert(pi)))], pi))
         glu.append(row)
     extras = {"cover_sheets": tuple(order), "cover_degree": len(order) // T.facet_count}
@@ -502,7 +502,7 @@ def twisted_admissible(T: Triangulation, P: VertexPartition, R: SymRep) -> Twist
         for a in range(L):
             for b in range(a + 1, L):
                 if P.labels[lab[f][a]] == P.labels[lab[f][b]]:
-                    uf.union(fp.facet_vertices[f][a], fp.facet_vertices[f][b])
+                    uf.union(fp.facet_vertices[f * L + a], fp.facet_vertices[f * L + b])
     roots = {uf.find(v) for v in range(fp.dim_start[1])}
     return TwistedReport(
         admissible=admissible,

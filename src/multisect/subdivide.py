@@ -12,6 +12,7 @@ map onto the flag.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -72,20 +73,17 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
             "barycentric subdivision would produce %d facets, over the ceiling %d" % (m2, limits.ceiling())
         )
     pindex = {p: i for i, p in enumerate(perms)}
-    ident = tuple(range(L))
-    glu: List[List[Tuple[int, Tuple[int, ...]]]] = []
+    # internal neighbours: flag j's neighbour across corner j < n swaps places j and j + 1
+    swaps = [[pindex[rho[:j] + (rho[j + 1], rho[j]) + rho[j + 2 :]] for j in range(n)] for rho in perms]
+    targets = array("i")
     for f in range(T.facet_count):
         base = f * P
-        for rho in perms:
-            row = []
-            for j in range(n):
-                swapped = list(rho)
-                swapped[j], swapped[j + 1] = swapped[j + 1], swapped[j]
-                row.append((base + pindex[tuple(swapped)], ident))
-            t, sigma = T.gluings[f][rho[n]]
-            row.append((t * P + pindex[compose(sigma, rho)], ident))
-            glu.append(row)
-    out = Triangulation(n, glu)
+        for rho, swapped in zip(perms, swaps):
+            targets.extend([base + q for q in swapped])
+            t, sigma = T.gluing(f, rho[n])
+            targets.append(t * P + pindex[compose(sigma, rho)])
+    # every gluing of a flag subdivision has the identity corner map
+    out = Triangulation._from_tables(n, targets, array("B", bytes(len(targets))), [tuple(range(L))])
 
     fp_in = T.face_poset
     fp_out = out.face_poset
@@ -96,7 +94,7 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
         for p_idx, rho in enumerate(perms):
             F = base + p_idx
             for j in range(L):
-                v = fp_out.facet_vertices[F][j]
+                v = fp_out.facet_vertices[F * L + j]
                 carrier = fp_in.canonical(fp_in.class_of(f, rho[: j + 1]))
                 if faces[v] is None:
                     faces[v] = carrier
@@ -130,14 +128,14 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
 
     special = []
     for f in range(m):
-        ks = [c for c, v in enumerate(fp.facet_vertices[f]) if labels[v] == k]
+        ks = [c for c in range(L) if labels[fp.facet_vertices[f * L + c]] == k]
         if len(ks) != 1:
             raise TriangulationError(
                 "facet %d has %d corners in the last class, so it has no unique face avoiding it"
                 % (f, len(ks))
             )
         special.append(ks[0])
-    partner = [T.gluings[f][special[f]][0] for f in range(m)]
+    partner = [T.gluing(f, special[f])[0] for f in range(m)]
     for f in range(m):
         if partner[f] == f:
             raise TriangulationError("facet %d is its own partner across its distinguished face" % f)
@@ -161,7 +159,7 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
         u = tuple(c for c in range(L) if c != a)
         ridge.append(u)
         ridx.append({c: r for r, c in enumerate(u)})
-        pair_pi.append(T.gluings[sigma][a][1])
+        pair_pi.append(T.gluing(sigma, a)[1])
 
     def pos_in(p: int, j: int, u: int) -> int:
         r = ridx[p][u]
@@ -208,7 +206,7 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
                     bij[pos_in(p, j, u)] = pos_in(p, j2, u) if u != u_all[j2] else pos_in(p, j2, u_all[j])
                 row[pos_in(p, j, u_all[j2])] = (p * n + j2, tuple(bij))
             # external across the first member's old ridge (slot 1 omits corner 1)
-            t2, nu = T.gluings[sigma][u_all[j]]
+            t2, nu = T.gluing(sigma, u_all[j])
             target, cov_slot, trans = covering(t2, nu[u_all[j]])
             bij = [0] * L
             bij[0] = trans(nu[a])
@@ -219,7 +217,7 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
                 bij[pos_in(p, j, u)] = trans(nu[u])
             row[1] = (target, tuple(bij))
             # external across the second member's old ridge (slot 0 omits corner 0)
-            t3, mu = T.gluings[sigma2][pi[u_all[j]]]
+            t3, mu = T.gluing(sigma2, pi[u_all[j]])
             target, cov_slot, trans = covering(t3, mu[pi[u_all[j]]])
             bij = [0] * L
             bij[1] = trans(mu[pi[a]])
@@ -245,8 +243,8 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
                 if u != u_all[j]:
                     origins[pos_in(p, j, u)] = (sigma, u)
             for c, (of, oc) in origins.items():
-                v = fp_out.facet_vertices[F][c]
-                lab = labels[fp.facet_vertices[of][oc]]
+                v = fp_out.facet_vertices[F * L + c]
+                lab = labels[fp.facet_vertices[of * L + oc]]
                 if new_labels[v] is None:
                     new_labels[v] = lab
                 elif new_labels[v] != lab:
@@ -273,7 +271,7 @@ def stellar_facet(T: Triangulation, facet: int) -> Triangulation:
     glu_out: List[List[Tuple[int, Tuple[int, ...]]]] = [list(row) for row in T.gluings]
     rows: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in range(L)]
     for i in range(L):
-        t, pi = T.gluings[facet][i]
+        t, pi = T.gluing(facet, i)
         if t == facet:
             rows[i][i] = (sid(pi[i]), pi)
         else:
@@ -371,14 +369,12 @@ def slot_carriers(T: Triangulation) -> CarrierLabels:
     fp = T.face_poset
     nv = fp.dim_start[1]
     dims: List[Optional[int]] = [None] * nv
-    for vs in fp.facet_vertices:
-        for c, v in enumerate(vs):
-            if dims[v] is None:
-                dims[v] = c
-            elif dims[v] != c:
-                raise TriangulationError(
-                    "corner slots do not determine carriers (vertex class %s)" % fp.key(v)
-                )
+    for k, v in enumerate(fp.facet_vertices):
+        c = k % fp.L
+        if dims[v] is None:
+            dims[v] = c
+        elif dims[v] != c:
+            raise TriangulationError("corner slots do not determine carriers (vertex class %s)" % fp.key(v))
     return CarrierLabels(dims=tuple(dims))  # type: ignore[arg-type]
 
 

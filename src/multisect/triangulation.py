@@ -8,16 +8,25 @@ glued face.  Self-gluings of one facet across two distinct faces are
 allowed, so quotient spaces such as the doubled simplex or lens-type
 identifications are in scope; a face is never glued to itself.
 
+The gluings are kept in flat tables: slot f*(n+1) + i holds the target
+facet in one `array('i')` and the id of the corner map in a second, an
+index into the list of distinct corner maps, each kept once.  Rows of
+(target, map) pairs are built only when read.
+
 Faces of every dimension are identified by propagating the gluings over
 corner subsets: one breadth-first walk per face class writes its id into
 a flat table from each (facet, subset) pair to its class id, and the id
-of that incarnation's corner map into a second table beside it.  All
-derived orderings use the canonical incarnation of a face class: the
-lexicographically least (facet, sorted corner tuple) pair.
+of that incarnation's corner map into a second table beside it.  Each
+class's canonical incarnation, incarnation count and dimension, and each
+facet's vertex classes, are flat arrays too.  All derived orderings use
+the canonical incarnation of a face class: the lexicographically least
+(facet, sorted corner tuple) pair.  A face poset refers to its
+triangulation weakly, so dropping a triangulation frees both.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,9 +89,10 @@ class FacePoset:
     """Face classes of a triangulation, grouped and ordered canonically.
 
     Classes carry their dimension, incarnation count and canonical
-    incarnation.  Class ids are assigned by (dimension, canonical key)
-    so that identical inputs always produce identical numbering.
-    `facet_vertices[f][c]` is the vertex class at corner c of facet f.
+    incarnation, each in a flat array indexed by class id.  Class ids are
+    assigned by (dimension, canonical key) so that identical inputs always
+    produce identical numbering.  `facet_vertices[f * L + c]` is the
+    vertex class at corner c of facet f, with L = n + 1 corners a facet.
 
     Two flat tables, indexed by facet * 2^(n+1) + corner mask, hold every
     incarnation's class id and the id of its corner map into `_perms`,
@@ -90,24 +100,20 @@ class FacePoset:
     """
 
     def __init__(self, tri: "Triangulation"):
-        self.tri = tri
+        self._tri = weakref.ref(tri)
         n = tri.dimension
         L = n + 1
         M = 1 << L
         m = tri.facet_count
         self.L = L
         self.M = M
-        glu = tri.gluings
+        self.facet_count = m
+        self._targets, self._map_ids = targets, ids = tri.targets, tri.map_ids  # `incarnations` walks them
 
         corners_of = [tuple(c for c in range(L) if mask >> c & 1) for mask in range(M)]
         self._corners_of = corners_of
-        # the image of every corner mask across a corner map, one table per map
-        images: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for row in glu:
-            for _, pi in row:
-                if pi not in images:
-                    images[pi] = tuple(sum(1 << pi[c] for c in cs) for cs in corners_of)
-        self._images = images
+        # the image of every corner mask across a corner map, one table per map id
+        self._images = images = [tuple(sum(1 << pi[c] for c in cs) for cs in corners_of) for pi in tri.maps]
         # The walk also carries each incarnation's corner map: the bijection
         # from its facet's corners to the canonical incarnation's, kept once
         # in `_perms` and referred to by id.  Crossing gluing pi from a node
@@ -117,9 +123,12 @@ class FacePoset:
         # every corner map, and the walk leaves the zeroed map table as it is.
         perms: List[Tuple[int, ...]] = [identity(L)]
         perm_id = {perms[0]: 0}
-        moves = any(pi != perms[0] for pi in images)
-        steps = {pi: ({}, invert(pi)) if moves else (None, None) for pi in images}
-        slots = [[(1 << i, t * M, images[pi], *steps[pi]) for i, (t, pi) in enumerate(row)] for row in glu]
+        moves = any(pi != perms[0] for pi in tri.maps)
+        steps = [({}, invert(pi)) if moves else (None, None) for pi in tri.maps]
+        slots = [
+            [(1 << i, targets[k + i] * M, images[ids[k + i]], *steps[ids[k + i]]) for i in range(L)]
+            for k in range(0, m * L, L)
+        ]
 
         # Visiting masks by (size, facet, corner tuple) meets each class first
         # at its canonical incarnation, so ids come out in canonical order.
@@ -128,9 +137,9 @@ class FacePoset:
         table = array("i", [-1]) * (m * M)
         n_maps = min(factorial(L), m * M) if moves else 1
         map_of = array("B" if n_maps <= 1 << 8 else "H" if n_maps <= 1 << 16 else "i", [0]) * (m * M)
-        self.cls_canon: List[int] = []
-        self.cls_count: List[int] = []
-        self.cls_dim: List[int] = []
+        self.cls_canon = array("i")
+        self.cls_count = array("i")
+        self.cls_dim = array("b")
         self.dim_start = [0]
         by_corners = sorted(range(1, M), key=corners_of.__getitem__)
         for size in range(1, L + 1):
@@ -167,9 +176,12 @@ class FacePoset:
         self._table = table
         self._map_of = map_of
         self._perms = perms
-        self.facet_vertices: List[Tuple[int, ...]] = [
-            tuple(table[f * M + (1 << c)] for c in range(L)) for f in range(m)
-        ]
+        self.facet_vertices = array("i", [table[base + (1 << c)] for base in range(0, m * M, M) for c in range(L)])
+
+    @property
+    def tri(self) -> Optional["Triangulation"]:
+        """The triangulation, while something else keeps it alive."""
+        return self._tri()
 
     @property
     def n_classes(self) -> int:
@@ -177,7 +189,7 @@ class FacePoset:
 
     def counts(self) -> Tuple[int, ...]:
         ds = self.dim_start
-        return tuple(ds[d + 1] - ds[d] for d in range(self.tri.dimension + 1))
+        return tuple(ds[d + 1] - ds[d] for d in range(self.L))
 
     def class_ids_of_dim(self, d: int) -> range:
         return range(self.dim_start[d], self.dim_start[d + 1])
@@ -207,7 +219,7 @@ class FacePoset:
 
     def _check_face(self, facet: int, corners: Sequence[int], name: str) -> None:
         """Raise TriangulationError, naming the face `name`, unless it lies in the table."""
-        if not (0 <= facet < self.tri.facet_count):
+        if not (0 <= facet < self.facet_count):
             raise TriangulationError("%s: facet out of range" % name)
         if not corners or any(not 0 <= c < self.L for c in corners):
             raise TriangulationError("%s: corner out of range" % name)
@@ -233,14 +245,15 @@ class FacePoset:
         Enumerated by a breadth-first walk through the gluings from the
         canonical incarnation, slots ascending, so the order is reproducible.
         """
-        glu, M, images = self.tri.gluings, self.M, self._images
+        L, M, images, targets, ids = self.L, self.M, self._images, self._targets, self._map_ids
         walk = [self.cls_canon[cid]]
         seen = set(walk)
         for enc in walk:
             f, mask = divmod(enc, M)
-            for i, (t, pi) in enumerate(glu[f]):
+            for i in range(L):
                 if not mask >> i & 1:
-                    enc2 = t * M + images[pi][mask]
+                    k = f * L + i
+                    enc2 = targets[k] * M + images[ids[k]][mask]
                     if enc2 not in seen:
                         seen.add(enc2)
                         walk.append(enc2)
@@ -270,6 +283,12 @@ class Triangulation:
             for complexes built from vertex tuples.
         extras: free-form metadata (coordinate corner labels, deck
             pairings).  Never consulted by structural operations.
+
+    The gluings are kept as three tables: `targets[f * (n+1) + i]` is the
+    facet glued at slot i of facet f, and `maps[map_ids[f * (n+1) + i]]`
+    the corner bijection, each distinct map kept once as one tuple and
+    numbered in order of first appearance.  `gluing(f, i)` reads one
+    slot; `gluings` builds every row.
     """
 
     def __init__(
@@ -281,46 +300,57 @@ class Triangulation:
     ):
         if dimension < 1:
             raise TriangulationError("dimension must be at least 1, got %d" % dimension)
-        self.dimension = dimension
         L = dimension + 1
-        glu: List[Tuple[Gluing, ...]] = []
         m = len(gluings)
         if m == 0:
             raise TriangulationError("a triangulation needs at least one facet")
-        # every distinct corner map is checked once and kept as one tuple
-        shared: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        targets, ids = array("i"), array("i")
+        maps: List[Tuple[int, ...]] = []
+        # every distinct corner map is checked once and numbered
+        map_id: Dict[Tuple[int, ...], int] = {}
         for f, row in enumerate(gluings):
             if len(row) != L:
                 raise TriangulationError("facet %d has %d slots, expected %d" % (f, len(row), L))
-            new_row = []
             for i, (t, pi) in enumerate(row):
                 pi = tuple(pi)
                 if not 0 <= t < m:
                     raise TriangulationError("facet %d slot %d: target %d out of range" % (f, i, t))
-                p = shared.get(pi)
+                p = map_id.get(pi)
                 if p is None:
                     if len(pi) != L or not is_perm(pi):
                         raise TriangulationError("facet %d slot %d: corner map %r is not a bijection" % (f, i, pi))
-                    p = shared[pi] = pi
-                if t == f and p[i] == i:
+                    p = map_id[pi] = len(maps)
+                    maps.append(pi)
+                if t == f and pi[i] == i:
                     raise TriangulationError("facet %d slot %d glued to itself" % (f, i))
-                new_row.append((t, p))
-            glu.append(tuple(new_row))
-        self.gluings: Tuple[Tuple[Gluing, ...], ...] = tuple(glu)
-        # the kept inverse of each map, or None when no slot carries it
-        inverse = {pi: shared.get(invert(pi)) for pi in shared}
-        for f in range(m):
-            for i in range(L):
-                t, pi = self.gluings[f][i]
-                back_t, back_pi = self.gluings[t][pi[i]]
-                if back_t != f or back_pi is not inverse[pi]:
-                    raise TriangulationError(
-                        "gluing involution broken between facet %d slot %d and facet %d slot %d"
-                        % (f, i, t, pi[i])
-                    )
+                targets.append(t)
+                ids.append(p)
+        self._adopt(dimension, targets, ids, maps, vertex_ids, extras)
+
+    @classmethod
+    def _from_tables(cls, dimension: int, targets: array, map_ids: array, maps: List[Tuple[int, ...]], extras=None):
+        """From tables an operator filled with valid slots, as the row constructor checks them; checks the involution."""
+        T = cls.__new__(cls)
+        T._adopt(dimension, targets, map_ids, maps, None, extras)
+        return T
+
+    def _adopt(self, dimension, targets, map_ids, maps, vertex_ids, extras) -> None:
+        L = dimension + 1
+        self.dimension, self.facet_count = dimension, len(targets) // L
+        self.targets, self.map_ids, self.maps = targets, map_ids, maps
+        # the id of each map's inverse, or -1 when no slot carries it
+        map_id = {pi: p for p, pi in enumerate(maps)}
+        inverse = [map_id.get(invert(pi), -1) for pi in maps]
+        for k, (t, p) in enumerate(zip(targets, map_ids)):
+            j = maps[p][k % L]
+            if targets[t * L + j] != k // L or map_ids[t * L + j] != inverse[p]:
+                raise TriangulationError(
+                    "gluing involution broken between facet %d slot %d and facet %d slot %d"
+                    % (k // L, k % L, t, j)
+                )
         if vertex_ids is not None:
             vertex_ids = tuple(tuple(v) for v in vertex_ids)
-            if len(vertex_ids) != m or any(len(v) != L for v in vertex_ids):
+            if len(vertex_ids) != self.facet_count or any(len(v) != L for v in vertex_ids):
                 raise TriangulationError("vertex id table shape does not match facets")
         self.vertex_ids = vertex_ids
         self.extras = dict(extras) if extras else {}
@@ -365,22 +395,23 @@ class Triangulation:
                 )
             (f, i), (t, j) = slots
             pos_t = {v: c for c, v in enumerate(vid[t])}
-            pos_f = {v: c for c, v in enumerate(vid[f])}
-            pi = [0] * L
-            for c, v in enumerate(vid[f]):
-                pi[c] = j if c == i else pos_t[v]
-            sigma = [0] * L
-            for c, v in enumerate(vid[t]):
-                sigma[c] = i if c == j else pos_f[v]
-            gluings[f][i] = (t, tuple(pi))
-            gluings[t][j] = (f, tuple(sigma))
+            pi = tuple(j if c == i else pos_t[v] for c, v in enumerate(vid[f]))
+            gluings[f][i] = (t, pi)
+            gluings[t][j] = (f, invert(pi))
         return cls(dimension, gluings, vertex_ids=vid, extras=extras)
 
     # -- basic data -----------------------------------------------------
 
+    def gluing(self, facet: int, slot: int) -> Gluing:
+        """(target facet, corner map) at one slot."""
+        k = facet * (self.dimension + 1) + slot
+        return self.targets[k], self.maps[self.map_ids[k]]
+
     @property
-    def facet_count(self) -> int:
-        return len(self.gluings)
+    def gluings(self) -> Tuple[Tuple[Gluing, ...], ...]:
+        """Per facet, per slot, (target facet, corner map); built from the tables on each read."""
+        L, targets, ids, maps = self.dimension + 1, self.targets, self.map_ids, self.maps
+        return tuple(tuple((targets[k], maps[ids[k]]) for k in range(b, b + L)) for b in range(0, len(targets), L))
 
     def __eq__(self, other) -> bool:
         return (
@@ -397,17 +428,13 @@ class Triangulation:
     def face_poset(self) -> FacePoset:
         return FacePoset(self)
 
-    @cached_property
-    def _gluing_signs(self) -> Tuple[Tuple[int, ...], ...]:
-        return tuple(tuple(sign(pi) for (_, pi) in row) for row in self.gluings)
-
     # -- invariants -----------------------------------------------------
 
     def _facet_components(self) -> UnionFind:
         uf = UnionFind(self.facet_count)
-        for f, row in enumerate(self.gluings):
-            for t, _ in row:
-                uf.union(f, t)
+        L = self.dimension + 1
+        for k, t in enumerate(self.targets):
+            uf.union(k // L, t)
         return uf
 
     def connected(self) -> bool:
@@ -419,9 +446,9 @@ class Triangulation:
 
     def _orientation(self) -> Optional[Tuple[int, ...]]:
         """Cross a gluing with corner map pi: signs satisfy eps_t = -sign(pi) * eps_f."""
-        m = self.facet_count
-        signs = self._gluing_signs
-        adj = [[(t, -s) for (t, _), s in zip(row, signs[f])] for f, row in enumerate(self.gluings)]
+        m, L = self.facet_count, self.dimension + 1
+        signs = [sign(pi) for pi in self.maps]
+        adj = [[(self.targets[k], -signs[self.map_ids[k]]) for k in range(b, b + L)] for b in range(0, m * L, L)]
         eps = signed_colouring(range(m), adj)
         return None if eps is None else tuple(eps[f] for f in range(m))
 
@@ -468,13 +495,13 @@ class Triangulation:
 
     def dual_graph(self) -> DualGraph:
         """Facet adjacency with parallel edges and loops, plus a 2-coloring if one exists."""
-        m = self.facet_count
+        m, L = self.facet_count, self.dimension + 1
         edges = []
-        for f, row in enumerate(self.gluings):
-            for i, (t, pi) in enumerate(row):
-                if (f, i) > (t, pi[i]):
-                    continue
-                edges.append((f, t) if f <= t else (t, f))
+        for k, (t, p) in enumerate(zip(self.targets, self.map_ids)):
+            f, i = divmod(k, L)
+            if (f, i) > (t, self.maps[p][i]):
+                continue
+            edges.append((f, t) if f <= t else (t, f))
         edges.sort()
         adj: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
         for u, v in edges:
@@ -514,24 +541,17 @@ class Triangulation:
         L, M = fp.L, fp.M
         encs = fp.incarnations(cid)
         index = {enc: i for i, enc in enumerate(encs)}
-        star = []
-        link_glu = []
-        corners_of = fp._corners_of
+        star, link_glu = [], []
         for enc in encs:
             f, mask = divmod(enc, M)
-            star.append((f, corners_of[mask]))
-        for enc in encs:
-            f, mask = divmod(enc, M)
+            star.append((f, fp._corners_of[mask]))
             rest = [c for c in range(L) if not mask >> c & 1]
-            pos = {c: p for p, c in enumerate(rest)}
             row = []
             for j in rest:
-                t, pi = self.gluings[f][j]
-                img = fp._images[pi][mask]
-                target = index[t * M + img]
-                rest_t = [c for c in range(L) if not img >> c & 1]
-                pos_t = {c: p for p, c in enumerate(rest_t)}
-                row.append((target, tuple(pos_t[pi[c]] for c in rest)))
+                t, pi = self.gluing(f, j)
+                img = fp._images[self.map_ids[f * L + j]][mask]
+                pos_t = {c: p for p, c in enumerate(c for c in range(L) if not img >> c & 1)}
+                row.append((index[t * M + img], tuple(pos_t[pi[c]] for c in rest)))
             link_glu.append(row)
         return Triangulation(self.dimension - d - 1, link_glu), star
 
@@ -544,17 +564,11 @@ class Triangulation:
         the deck involution swaps them and is recorded in extras.
         """
         m = self.facet_count
-        signs = self._gluing_signs
-        glu = []
-        for s in (1, -1):
-            for f in range(m):
-                row = []
-                for i, (t, pi) in enumerate(self.gluings[f]):
-                    s_t = -s * signs[f][i]
-                    row.append((t if s_t == 1 else t + m, pi))
-                glu.append(row)
+        signs = [sign(pi) for pi in self.maps]
+        # a slot of sheet s reaches the positive sheet when -s * sign(pi) is 1
+        targets = array("i", [t if -s * signs[p] == 1 else t + m for s in (1, -1) for t, p in zip(self.targets, self.map_ids)])
         deck = tuple(list(range(m, 2 * m)) + list(range(m)))
-        return Triangulation(self.dimension, glu, extras={"deck_involution": deck})
+        return Triangulation._from_tables(self.dimension, targets, self.map_ids * 2, self.maps, {"deck_involution": deck})
 
     # -- isomorphism ----------------------------------------------------
 
@@ -589,7 +603,7 @@ class Triangulation:
             row = []
             for s in range(L):
                 i = rho_inv[s]
-                t, pi = self.gluings[f][i]
+                t, pi = self.gluing(f, i)
                 rho_t = compose(rho, invert(pi))
                 if t not in index:
                     index[t] = len(order)

@@ -8,6 +8,7 @@ which the library itself does not need.
 """
 
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 
@@ -458,6 +459,7 @@ def incarnation_maps_by_bfs(T, start):
     """
     L = T.dimension + 1
     M = 1 << L
+    gluings = T.gluings
     maps = {start: {c: c for c in range(L) if start % M >> c & 1}}
     queue = [start]
     for enc in queue:
@@ -465,7 +467,7 @@ def incarnation_maps_by_bfs(T, start):
         for i in range(L):
             if mask >> i & 1:
                 continue
-            t, pi = T.gluings[f][i]
+            t, pi = gluings[f][i]
             enc2 = t * M + sum(1 << pi[c] for c in range(L) if mask >> c & 1)
             if enc2 not in maps:
                 maps[enc2] = {pi[c]: v for c, v in maps[enc].items()}
@@ -487,8 +489,9 @@ def sides_by_dual_bipartition(intermediate, carriers):
     """
     colour = {0: 0}
     queue = [0]
+    gluings = intermediate.gluings
     for f in queue:
-        for t, _ in intermediate.gluings[f]:
+        for t, _ in gluings[f]:
             if t not in colour:
                 colour[t] = 1 - colour[f]
                 queue.append(t)
@@ -523,17 +526,19 @@ def generator_words_by_tree_paths(T, P, label):
     _, g_cotree = graph.spanning_forest
     g_gen = {e: j for j, e in enumerate(g_cotree)}
     graph_vertex_of = {graph.cells[i]: i for i, d in enumerate(graph.dims) if d == 0}
+    cubes = cubes_by_grouping(central)
+    graph_index = cell_index(graph)
 
     def class_vertex(cell):
-        cube = central.cubes[cell]
-        row = fp.facet_vertices[cube.facet]
+        cube = cubes[cell]
+        row = [fp.class_of(cube.facet, (c,)) for c in range(fp.L)]
         return next(row[c] for c in cube.corners if central.labels[row[c]] == label)
 
     def edge_image(e, dr):
-        f, _, _, (doubled,), (pair,) = central.cubes[e]
+        f, _, _, (doubled,), (pair,) = cubes[e]
         if doubled != label:
             return []
-        gi = graph._index(fp.class_of(f, pair))
+        gi = graph_index[fp.class_of(f, pair)]
         va, vb, _, _ = c_ends[e]
         tail_cell = graph_vertex_of[class_vertex(va)]
         head_cell = graph_vertex_of[class_vertex(vb)]
@@ -625,8 +630,7 @@ def class_graphs_by_edge_union_find(T, P):
         if len(ms) == 2:
             edges[ms[0]] += 1
             f, (a, b) = fp.canonical(cid)
-            vs = fp.facet_vertices[f]
-            parent[find(vs[a])] = find(vs[b])
+            parent[find(fp.class_of(f, (a,)))] = find(fp.class_of(f, (b,)))
     roots = [set() for _ in range(k + 1)]
     for v, l in enumerate(P.labels):
         roots[l].add(find(v))
@@ -662,9 +666,10 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
     c_vpos = {i: j for j, i in enumerate(i for i, d in enumerate(central.dims) if d == 0)}
     cols = []
     images = []
+    cubes = cubes_by_grouping(central)
     for i, (va, vb, a, b) in central.edge_ends.items():
         cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
-        f, _, _, (doubled,), _ = central.cubes[i]
+        f, _, _, (doubled,), _ = cubes[i]
         images.append(1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0)
 
     pivots = {}  # pivot bit -> (column, combination mask)
@@ -701,24 +706,22 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
 
 
 def extract_by_scan(T, P, subset):
-    """`cells.extract(T, P, subset)`, from its own label pass and a full scan.
+    """`cells.extract(T, P, subset)`'s tables, from its own label pass and a full scan.
 
-    The slow path the labelling record is checked against: every face
-    class gets its sorted label multiset afresh, every class is tested for
-    support exactly `subset`, and the kept classes are numbered in class
-    order with their codimension-1 faces as children.  Uses the library's
-    face poset and cell complex type.
+    The slow path the labelling record and the flat cell tables are
+    checked against: every face class gets its sorted label multiset
+    afresh, every class is tested for support exactly `subset`, and the
+    kept classes are numbered in class order with a tuple of their
+    codimension-1 faces as children, looked up in a dict from class id to
+    cell index.  Uses the library's face poset.
     """
-    from multisect.cells import CellComplex
-
     fp = T.face_poset
     labels = tuple(P.labels)
     S = tuple(sorted(set(subset)))
     multisets = []
     for cid in range(fp.n_classes):
         f, corners = fp.canonical(cid)
-        row = fp.facet_vertices[f]
-        multisets.append(tuple(sorted(labels[row[c]] for c in corners)))
+        multisets.append(tuple(sorted(labels[fp.class_of(f, (c,))] for c in corners)))
     cells = [cid for cid in range(fp.n_classes) if set(multisets[cid]) == set(S)]
     index = {cid: i for i, cid in enumerate(cells)}
     dims, children = [], []
@@ -726,23 +729,107 @@ def extract_by_scan(T, P, subset):
         f, corners = fp.canonical(cid)
         ms = multisets[cid]
         dims.append(len(corners) - len(S))
-        row = fp.facet_vertices[f]
         children.append(
             tuple(
                 index[fp.class_of(f, tuple(x for x in corners if x != c))]
                 for c in corners
-                if ms.count(labels[row[c]]) >= 2
+                if ms.count(labels[fp.class_of(f, (c,))]) >= 2
             )
         )
-    return CellComplex(
-        triangulation=T,
-        labels=labels,
-        subset=S,
+    return SimpleNamespace(
         cells=tuple(cells),
         dims=tuple(dims),
         children=tuple(children),
         all_cubes=all(multisets[cid].count(l) <= 2 for cid in cells for l in S),
+        cell_index=index,
     )
+
+
+# --- per-cell records: one cube per cell, a dict index, edge ends by lookup --
+
+
+def cell_index(X):
+    """The dict from ambient class id to cell index that the class-to-cell array replaced."""
+    return {cid: i for i, cid in enumerate(X.cells)}
+
+
+def cubes_by_grouping(X):
+    """One `Cube` per cell of X, each grouped afresh from its canonical corners' labels.
+
+    The slow path the shared shape table is checked against.  Uses the
+    library's face poset and cube type.
+    """
+    from multisect.cells import Cube
+
+    fp = X.face_poset
+    out = []
+    for cid in X.cells:
+        f, corners = fp.canonical(cid)
+        groups = {}
+        for c in corners:
+            groups.setdefault(X.labels[fp.class_of(f, (c,))], []).append(c)
+        dirs = tuple(sorted(l for l, cs in groups.items() if len(cs) == 2))
+        fixed = tuple(cs[0] for cs in groups.values() if len(cs) == 1)
+        out.append(Cube(f, corners, fixed, dirs, tuple(tuple(groups[l]) for l in dirs)))
+    return tuple(out)
+
+
+def edge_ends_by_lookup(X):
+    """`X.edge_ends`, each end found as the class of the edge with one corner deleted.
+
+    Two class lookups and two dict lookups per edge, where the library
+    reads the edge's two children.
+    """
+    fp = X.face_poset
+    index = cell_index(X)
+    ends = {}
+    for i, cube in enumerate(cubes_by_grouping(X)):
+        if X.dims[i] != 1:
+            continue
+        ((a, b),) = cube.pairs
+        tail = index[fp.class_of(cube.facet, [c for c in cube.corners if c != b])]
+        head = index[fp.class_of(cube.facet, [c for c in cube.corners if c != a])]
+        ends[i] = (tail, head, a, b)
+    return ends
+
+
+# --- gluing rows of (target, corner map) pairs ------------------------------
+
+
+def gluing_rows(rows):
+    """Per facet a tuple of (target, corner map) pairs, each distinct map one shared tuple.
+
+    The per-slot storage the flat gluing tables replaced; reads the rows
+    as given to the constructor.
+    """
+    shared = {}
+    return tuple(tuple((t, shared.setdefault(tuple(pi), tuple(pi))) for t, pi in row) for row in rows)
+
+
+def face_records_by_union_find(T, classes):
+    """Per class id its canonical (facet, corners) and its children, one per deleted corner; then the vertex rows.
+
+    Read off `classes`, the output of `face_classes_by_union_find(T)`;
+    the slow path for `FacePoset.canonical`, `children` and
+    `facet_vertices` (a flat list, corner c of facet f at f * L + c).
+    """
+    L = T.dimension + 1
+    least = {}
+    for (f, mask), cid in classes.items():
+        key = (bin(mask).count("1"), f, _corners(mask, L))
+        if cid not in least or key < least[cid]:
+            least[cid] = key
+    canon = [least[cid][1:] for cid in range(len(least))]
+    children = []
+    for f, corners in canon:
+        mask = sum(1 << c for c in corners)
+        children.append(tuple(classes[(f, mask ^ 1 << c)] for c in corners) if len(corners) > 1 else ())
+    vertices = [classes[(f, 1 << c)] for f in range(T.facet_count) for c in range(L)]
+    return canon, children, vertices
+
+
+def _corners(mask, L):
+    return tuple(c for c in range(L) if mask >> c & 1)
 
 
 # --- vertex links, all at once ----------------------------------------------
@@ -762,22 +849,23 @@ def vertex_links_all_at_once(X):
 
     if not X.all_cubes:
         raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
-    fp = X.triangulation.face_poset
+    fp = X.face_poset
     D = X.dimension
+    index = cell_index(X)
     ends_at = {i: [] for i, d in enumerate(X.dims) if d == 0}
     tops_at = {v: [] for v in ends_at}
-    for i, d in enumerate(X.dims):
+    for i, cube in enumerate(cubes_by_grouping(X)):
+        d = X.dims[i]
         if d < 1:
             continue
-        cube = X.cubes[i]
         f, pairs = cube.facet, cube.pairs
         for choice in product(*pairs):
             corner_face = cube.fixed + choice
-            v = X._index(fp.class_of(f, corner_face))
+            v = index[fp.class_of(f, corner_face)]
             ends = []
             for c, pair in zip(choice, pairs):
                 ecid, phi = fp.corner_map(f, corner_face + pair)
-                ends.append((X._index(ecid), phi[c]))
+                ends.append((index[ecid], phi[c]))
             ends_at[v].append((d, tuple(ends)))
             if d == D >= 2:
                 tops_at[v].append((cube, corner_face))
@@ -833,3 +921,52 @@ def npc_check_all_at_once(X):
         if not ok:
             failures.append((v, why or "link is not flag"))
     return not failures, True, len(links), tuple(degrees), tuple(failures)
+
+
+# --- greedy collapse over explicit parent lists ------------------------------
+
+
+def collapse_by_parent_lists(X):
+    """`cells.collapse(X)`'s (pairs removed, spine cells), each face's live parent found by a scan.
+
+    The slow path the count-and-index-sum bookkeeping is checked against:
+    one list of parent occurrences per cell, scanned for a live one when
+    the face is free; same order (highest parent dimension, then lowest
+    face index).  Uses the library's cell complex tables.
+    """
+    import heapq
+
+    n = len(X.cells)
+    children = X.children
+    parents = [[] for _ in range(n)]
+    for i, ch in enumerate(children):
+        for c in ch:
+            parents[c].append(i)
+    count = [len(p) for p in parents]
+    alive = [True] * n
+    heap = []
+
+    def push(i):
+        p = next((q for q in parents[i] if alive[q]), None)
+        if p is not None:
+            heapq.heappush(heap, (-X.dims[p], i))
+
+    for i in range(n):
+        if count[i] == 1:
+            push(i)
+    removed = 0
+    while heap:
+        _, i = heapq.heappop(heap)
+        if not alive[i] or count[i] != 1:
+            continue
+        p = next((q for q in parents[i] if alive[q]), None)
+        if p is None:
+            continue
+        alive[i] = alive[p] = False
+        removed += 1
+        for c in children[p] + children[i]:
+            if alive[c]:
+                count[c] -= 1
+                if count[c] == 1:
+                    push(c)
+    return removed, tuple(i for i in range(n) if alive[i])

@@ -1,6 +1,7 @@
 """Cubical subset complexes: extraction, links, curvature test, collapse."""
 
 import collections
+import gc
 import pathlib
 import random
 import tracemalloc
@@ -22,9 +23,10 @@ from multisect.cells import (
 )
 from multisect.io import load_stream
 from multisect.partition import VertexPartition, scheme_partition
-from multisect.subdivide import barycentric
+from multisect.subdivide import barycentric, infer_sides, slot_carriers
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
+from test_triangulation import relabel
 
 
 def pairs_partition(n, blocks):
@@ -135,21 +137,42 @@ def test_extract_matches_full_scan_oracle():
                 P = VertexPartition(k=k, labels=tuple(rng.randrange(k + 1) for _ in range(nv)))
                 for r in range(1, k + 2):
                     for S in combinations(range(k + 1), r):
-                        got, want = extract(T, P, S), oracles.extract_by_scan(T, P, S)
-                        assert (got.cells, got.dims, got.children, got.all_cubes) == (
-                            want.cells,
-                            want.dims,
-                            want.children,
-                            want.all_cubes,
-                        )
-                        cubes.add(got.all_cubes)
+                        cubes.add(check_cell_tables(T, P, S).all_cubes)
     assert cubes == {True, False}
 
 
-def sd3_central():
+def check_cell_tables(T, P, S):
+    """Every read of the flat cell tables against the per-element oracles: tuple children, a dict
+    from class to cell, one cube record per cell and edge ends found by class lookups."""
+    got, want = extract(T, P, S), oracles.extract_by_scan(T, P, S)
+    assert (tuple(got.cells), tuple(got.dims), got.children, got.all_cubes) == (
+        want.cells,
+        want.dims,
+        want.children,
+        want.all_cubes,
+    )
+    assert [tuple(got.children_of(i)) for i in range(len(got.cells))] == list(want.children)
+    assert {cid: got._index(cid) for cid in want.cell_index} == want.cell_index
+    outside = [cid for cid in range(T.face_poset.n_classes) if cid not in want.cell_index]
+    assert all(got.cell_of[cid] == -1 for cid in outside)
+    for cid in outside[:1] + [-1, T.face_poset.n_classes]:
+        with pytest.raises(TriangulationError, match="not a cell"):
+            got._index(cid)
+    cubes = oracles.cubes_by_grouping(got)
+    assert got.cubes == cubes == tuple(got.cube(i) for i in range(len(got.cells)))
+    assert got.edge_ends == oracles.edge_ends_by_lookup(got)
+    res = collapse(got)
+    assert (res.pairs_removed, res.spine_cells) == oracles.collapse_by_parent_lists(got)
+    return got
+
+
+def sd3_partitioned():
     T, carriers = barycentric(double_simplex(3))
-    P = scheme_partition(T, "odd-bary", carriers=carriers)
-    return extract(T, P, (0, 1))
+    return T, scheme_partition(T, "odd-bary", carriers=carriers)
+
+
+def sd3_central():
+    return extract(*sd3_partitioned(), (0, 1))
 
 
 def test_flag_central_surface():
@@ -313,10 +336,14 @@ def link_fields(lk):
     return (lk.vertex_cell, lk.vertex_ids, lk.cells_by_dim, lk.simplicial, lk.simplicial_reason, lk._tops)
 
 
-def twisted_chain_central():
+def twisted_chain_partitioned():
     # the two 3-simplices repeat a vertex class, so a square has two corners at one vertex
     T, _ = load_stream((pathlib.Path(__file__).parent / "fixtures" / "twisted_chain.txt").read_text())
-    return extract(T, VertexPartition(k=1, labels=(0, 1, 0)), (0, 1))
+    return T, VertexPartition(k=1, labels=(0, 1, 0))
+
+
+def twisted_chain_central():
+    return extract(*twisted_chain_partitioned(), (0, 1))
 
 
 def not_all_cubes_central():
@@ -336,6 +363,32 @@ LINK_INPUTS = {
 }
 
 
+def relabelled_projective(n, seed):
+    rng = random.Random(seed)
+    T = relabel(cross_projective(n), rng)
+    return T, VertexPartition(k=2, labels=tuple(rng.randrange(3) for _ in range(T.face_poset.dim_start[1])))
+
+
+CELL_TABLE_INPUTS = {
+    "relabelled cross_projective(3)": lambda: relabelled_projective(3, 1),
+    "relabelled cross_projective(4)": lambda: relabelled_projective(4, 2),
+    "sd double_simplex(3) odd-bary": sd3_partitioned,
+    "twisted chain": twisted_chain_partitioned,
+    "cross_projective(3) pairs": lambda: (
+        cross_projective(3),
+        scheme_partition(cross_projective(3), "pairs", blocks=((0, 1), (2, 3))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CELL_TABLE_INPUTS)
+def test_cell_tables_match_per_element_oracles(name):
+    T, P = CELL_TABLE_INPUTS[name]()
+    for r in range(1, P.k + 2):
+        for S in combinations(range(P.k + 1), r):
+            check_cell_tables(T, P, S)
+
+
 def test_vertex_link_lookup_forms():
     X = sd3_central()
     lk_by_index = vertex_link(X, 0)
@@ -345,7 +398,7 @@ def test_vertex_link_lookup_forms():
     # one link assembled alone, by index or by face key, equals its entry among all links
     for build in LINK_INPUTS.values():
         X = build()
-        fp = X.triangulation.face_poset
+        fp = X.face_poset
         for i, lk in vertex_links(X).items():
             assert link_fields(vertex_link(X, i)) == link_fields(lk)
             assert link_fields(vertex_link(X, fp.key(X.cells[i]))) == link_fields(lk)
@@ -386,6 +439,24 @@ def test_npc_check_holds_one_link_at_a_time():
         tracemalloc.stop()
     assert rep.ok and rep.link_count == 4224
     assert growth < 4 * 2**20
+
+
+def test_flat_tables_keep_the_subdivided_crosspolytope_small():
+    # sd(∂ 5-crosspolytope) even-npc, 3,840 facets and 14,720 central cells:
+    # with per-element tuples, cube records and dicts this retained 8.4 MiB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        T, carriers = barycentric(cross_sphere(4))
+        P = scheme_partition(T, "even-npc", carriers=carriers, sides=infer_sides(T, slot_carriers(T)))
+        X = extract(T, P, tuple(range(P.k + 1)))
+        X.cubes
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert T.face_poset.n_classes == 24482 and len(X.cells) == 14720 and X.all_cubes
+    assert retained < 3 * 2**20
 
 
 def test_collapse_preserves_euler_and_betti():

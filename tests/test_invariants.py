@@ -1,7 +1,10 @@
 """Group-level certificates: presentations, inclusions, Euler identity."""
 
 import copy
+import gc
+import pathlib
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from multisect import cells
+from multisect.io import load_stream
 from multisect.invariants import (
     euler_trisection_check,
     free_reduce,
@@ -362,6 +366,42 @@ def test_report_is_pure():
         b.spine_dims,
     )
     assert a.central_summary == b.central_summary
+
+
+@pytest.mark.parametrize("build", [sd3, rp3, d5, sd_rp3], ids=["sd3", "rp3", "d5", "sd rp3"])
+def test_report_manifold_checks_pass_on_manifolds(build):
+    R = multisection_report(*build())
+    assert R.ambient_euler == 0 and R.supports_multisection
+    assert R.diagnostics == R.validation.diagnostics
+
+
+def test_report_refuses_the_suspension_of_rp2():
+    T, _ = load_stream((pathlib.Path(__file__).parent / "fixtures" / "suspension_rp2.txt").read_text())
+    S, carriers = barycentric(T)
+    R = multisection_report(S, scheme_partition(S, "odd-bary", carriers=carriers))
+    assert R.validation.supports_multisection and not R.validation.diagnostics
+    assert (R.ambient_euler, R.genera, R.central_summary["euler"]) == (1, (20, 21), -40)
+    assert not R.supports_multisection and R.supports_generalized
+    assert R.diagnostics == (
+        "euler characteristic 1, not 0 as on a closed odd-dimensional manifold",
+        "central euler characteristic -40, not -38 as on the boundary of a genus-20 handlebody",
+    )
+
+
+def test_dropped_triangulation_is_freed_without_the_collector():
+    # a face poset refers to its triangulation weakly and a cell complex holds
+    # its face poset, so no reference cycle outlives the last outside reference
+    T, P = sd3()
+    gc.collect()
+    gc.disable()
+    try:
+        multisection_report(T, P)
+        refs = [weakref.ref(x) for x in (T, T.face_poset, cells.extract(T, P, (0, 1)))]
+        assert refs[2]() is T._labelling.central
+        del T
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_report_central_dimension():

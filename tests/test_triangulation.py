@@ -33,6 +33,10 @@ def twisted_chain():
 
 def relabel(T, rng):
     """T with its facets renumbered and the corners of each facet permuted by rng."""
+    return Triangulation(T.dimension, relabelled_rows(T, rng))
+
+
+def relabelled_rows(T, rng):
     m, L = T.facet_count, T.dimension + 1
     facet = rng.sample(range(m), m)
     corner = [rng.sample(range(L), L) for _ in range(m)]
@@ -45,7 +49,7 @@ def relabel(T, rng):
             for c in range(L):
                 new_pi[corner[f][c]] = corner[t][pi[c]]
             rows[facet[f]][corner[f][i]] = (facet[t], tuple(new_pi))
-    return Triangulation(T.dimension, rows)
+    return rows
 
 
 def disjoint_union(*parts):
@@ -124,6 +128,28 @@ def test_loaded_corner_maps_are_kept_once(build):
     T, _ = load_stream(save_stream(build()))
     maps = [pi for row in T.gluings for _, pi in row]
     assert len({id(pi) for pi in maps}) == len(set(maps)) < len(maps)
+
+
+GLUING_INPUTS = {
+    **{"double_simplex(%d)" % n: lambda n=n: double_simplex(n) for n in (1, 2, 3, 4, 5)},
+    **{"cross_sphere(%d)" % n: lambda n=n: cross_sphere(n) for n in (1, 2, 3, 4)},
+    **{"cross_projective(%d)" % n: lambda n=n: cross_projective(n) for n in (2, 3, 4, 5)},
+    "twisted_chain": twisted_chain,
+}
+
+
+@pytest.mark.parametrize("name", GLUING_INPUTS)
+def test_gluing_tables_match_tuple_rows(name):
+    # relabelled, so the rows given to the constructor carry many distinct corner maps
+    T = GLUING_INPUTS[name]()
+    rows = relabelled_rows(T, random.Random(len(name)))
+    R, want = Triangulation(T.dimension, rows), oracles.gluing_rows(rows)
+    assert R.gluings == want
+    assert [R.gluing(f, i) for f in range(R.facet_count) for i in range(R.dimension + 1)] == [g for row in want for g in row]
+    # each distinct map is kept once, numbered in order of first appearance, and every read shares it
+    assert R.maps == list(dict.fromkeys(pi for row in want for _, pi in row))
+    assert {id(pi) for row in R.gluings for _, pi in row} == {id(pi) for pi in R.maps}
+    assert R == Triangulation(T.dimension, want) and R.facet_count == T.facet_count
 
 
 def test_bad_map_in_two_slots_is_reported_at_the_first():
@@ -508,12 +534,15 @@ def check_face_table(T):
     fp = T.face_poset
     want = oracles.face_classes_by_union_find(T)
     assert {(f, mask): fp.class_of_enc(f * fp.M + mask) for f, mask in want} == want
-    for f, row in enumerate(fp.facet_vertices):
-        assert row == tuple(want[(f, 1 << c)] for c in range(T.dimension + 1))
+    canon, children, vertices = oracles.face_records_by_union_find(T, want)
+    assert list(fp.facet_vertices) == vertices
+    assert [fp.canonical(cid) for cid in range(fp.n_classes)] == canon
+    assert [fp.children(cid) for cid in range(fp.n_classes)] == children
+    assert list(fp.cls_canon) == [f * fp.M + sum(1 << c for c in cs) for f, cs in canon]
     sizes = Counter(want.values())
     dims = {cid: bin(mask).count("1") - 1 for (_, mask), cid in want.items()}
-    assert fp.cls_count == [sizes[cid] for cid in range(len(sizes))]
-    assert fp.cls_dim == [dims[cid] for cid in range(len(dims))]
+    assert list(fp.cls_count) == [sizes[cid] for cid in range(len(sizes))]
+    assert list(fp.cls_dim) == [dims[cid] for cid in range(len(dims))]
     assert fp.dim_start == [sum(1 for d in dims.values() if d < k) for k in range(T.dimension + 2)]
     for cid in range(fp.n_classes):
         check_corner_maps(fp, cid)
