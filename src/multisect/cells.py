@@ -23,9 +23,21 @@ elimination is `gf2.Basis`, as for the ambient triangulation.
 
 Each labelling's data is computed once and kept for the latest labels:
 one pass gives the label multisets and the class ids of each label
-support, and the central complex is kept once built.  Complexes over
-proper subsets are rebuilt on each request.  Vertex links are never
-kept: `npc_check` and `vertex_link` hold one at a time, `vertex_links` all.
+support, the central complex is kept once built, and so is `validate`'s
+report.  Complexes over proper subsets are rebuilt on each request.
+
+Vertex links are assembled from per-shape corner templates: for each
+corner of a cube shape, the corner's mask and, per direction, the mask
+of the edge leaving it and the end corner.  Every cube corner files one
+int code at its vertex, found as `cell_of[table[base + mask]]`; a link
+is then read off its vertex's codes alone.  A link vertex is the int
+edge cell * L + the edge's canonical end corner, the corner read through
+the face poset's corner map; a link simplex is a bitmask over the link's
+vertices, so the simplicial test compares masks and the flag test takes
+common neighbours as the AND of adjacency masks.  Vertex links are never
+kept: `npc_check` and `vertex_link` hold one at a time, `vertex_links`
+all, and only `vertex_links` and `vertex_link` build `LinkComplex`
+records.
 """
 
 from __future__ import annotations
@@ -34,15 +46,15 @@ import heapq
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, product
-from typing import TYPE_CHECKING, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import product
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
 from .unionfind import UnionFind, signed_colouring
 from . import gf2
 
 if TYPE_CHECKING:
-    from .partition import VertexPartition
+    from .partition import ValidationReport, VertexPartition
 
 
 @dataclass(eq=False)
@@ -53,6 +65,7 @@ class Labelling:
     multisets: List[Tuple[int, ...]]              # sorted label multiset; index = class id
     by_support: Dict[Tuple[int, ...], array]      # ascending class ids per sorted label set
     central: Optional[CellComplex] = None         # kept once built
+    report: Optional[ValidationReport] = None     # `validate`'s, kept for the k it was made under
 
 
 def labelling(T: Triangulation, P: VertexPartition) -> Labelling:
@@ -253,27 +266,40 @@ class CellComplex:
 
     @cached_property
     def _shapes(self) -> Tuple[array, List[Tuple]]:
-        """Each cell's shape id, and the shapes: (corners, fixed, dirs, pairs, and the corner
-        faces' masks in `product(*pairs)` order), one per distinct corners and corner labels."""
+        """Each cell's shape id, and the shapes, one per distinct corners and corner labels.
+
+        A shape is (corners, fixed, dirs, pairs, corner templates).  Its
+        templates run in `product(*pairs)` order, one per corner of the
+        cube: (corner mask, corner face, edges), where the corner face is
+        `fixed` plus the chosen corner of each pair, and edges holds per
+        direction the mask of the edge leaving the corner that way and
+        the corner of the pair that sits at the corner.
+        """
         fp = self.face_poset
-        labels, fv, L = self.labels, fp.facet_vertices, fp.L
+        canon, M, L, corners_of = fp.cls_canon, fp.M, fp.L, fp._corners_of
+        labels, fv = self.labels, fp.facet_vertices
         ids: Dict[Tuple, int] = {}
         shapes: List[Tuple] = []
         shape_of = array("i")
         for cid in self.cells:
-            f, corners = fp.canonical(cid)
-            key = (corners, tuple(labels[fv[f * L + c]] for c in corners))
+            f, mask = divmod(canon[cid], M)
+            corners = corners_of[mask]
+            key = (mask, tuple([labels[fv[f * L + c]] for c in corners]))
             s = ids.get(key)
             if s is None:
                 groups: Dict[int, List[int]] = {}
-                for c, l in zip(*key):
+                for c, l in zip(corners, key[1]):
                     groups.setdefault(l, []).append(c)
                 dirs = tuple(sorted(l for l, cs in groups.items() if len(cs) == 2))
                 fixed = tuple(cs[0] for cs in groups.values() if len(cs) == 1)
                 pairs = tuple(tuple(groups[l]) for l in dirs)
-                masks = tuple(sum(1 << c for c in fixed + choice) for choice in product(*pairs))
+                templates = []
+                for choice in product(*pairs):
+                    corner = sum(1 << c for c in fixed + choice)
+                    edges = tuple((corner | 1 << a | 1 << b, c) for c, (a, b) in zip(choice, pairs))
+                    templates.append((corner, fixed + choice, edges))
                 s = ids[key] = len(shapes)
-                shapes.append((corners, fixed, dirs, pairs, masks))
+                shapes.append((corners, fixed, dirs, pairs, tuple(templates)))
             shape_of.append(s)
         return shape_of, shapes
 
@@ -471,7 +497,7 @@ class LinkComplex:
     """Link of a vertex of a cube complex: h-simplices are corners of (h+1)-cubes."""
 
     vertex_cell: int
-    vertex_ids: Tuple[Tuple[int, int], ...]   # (edge cell index, canonical end corner)
+    vertex_ids: Tuple[Tuple[int, int], ...]   # (edge cell index, canonical end corner), ascending
     cells_by_dim: Tuple[Tuple[Tuple[int, ...], ...], ...]  # from dim 1 up; vertex index tuples
     simplicial: bool
     simplicial_reason: Optional[str]
@@ -495,33 +521,11 @@ class LinkComplex:
         return _link_triangulation(self._face_poset, self._tops)
 
     def flag(self) -> Tuple[bool, Optional[str]]:
-        """Every clique of the 1-skeleton spans a simplex of the link.
-
-        A complex is flag exactly when each of its minimal non-faces is
-        an edge.  So the check grows simplices one vertex at a time,
-        starting from the edges: each simplex joined with any vertex
-        adjacent to all of its vertices must again be a simplex.  Sizes
-        go up one at a time, so the clique reported is a smallest one
-        that spans nothing.
-        """
+        """Every clique of the 1-skeleton spans a simplex of the link; see `_flag_reason`."""
         if not self.simplicial:
             return False, self.simplicial_reason
-        have = [{frozenset(cell) for cell in cells} for cells in self.cells_by_dim]
-        adj: List[set] = [set() for _ in range(self.vertex_count)]
-        level = have[0] if have else set()
-        for a, b in level:
-            adj[a].add(b)
-            adj[b].add(a)
-        for h in range(1, len(have) + 1):
-            simplices = have[h] if h < len(have) else set()
-            grown = set()
-            for sigma in level:
-                for w in set.intersection(*(adj[x] for x in sigma)):
-                    if sigma | {w} not in simplices:
-                        return False, "clique of size %d spans no simplex" % (h + 2)
-                    grown.add(sigma | {w})
-            level = grown
-        return True, None
+        why = _flag_reason(sum(1 << x for x in set(cell)) for cells in self.cells_by_dim for cell in cells)
+        return why is None, why
 
 
 def vertex_links(X: CellComplex) -> Dict[int, LinkComplex]:
@@ -532,84 +536,145 @@ def vertex_links(X: CellComplex) -> Dict[int, LinkComplex]:
     is shared by exactly two top corners; the face lists always describe
     the link.  `npc_check` reads the same links one at a time.
     """
-    return dict(_links(X))
+    D = X.dimension
+    return {v: _link_complex(X, D, v, codes) for v, codes in _codes(X).items()}
 
 
-def _incidences(X: CellComplex) -> Iterator[Tuple[int, int]]:
-    """(0-cell, cube index << D | corner choice) per corner of each cube of dimension >= 1.
+def _codes(X: CellComplex) -> Dict[int, array]:
+    """Per 0-cell, ascending, the code cube index << D | corner choice of each cube corner at it.
 
-    Cubes come in index order and corners in `product(*pairs)` order; the choice is the corner's place.
+    Cubes of dimension >= 1 come in index order, so in dimension order,
+    and corners in `product(*pairs)` order; the choice is the corner's place.
     """
     if not X.all_cubes:
         raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
     fp = X.face_poset
+    table, canon, M, cells, cell_of = fp._table, fp.cls_canon, fp.M, X.cells, X.cell_of
     D = X.dimension
     shape_of, shapes = X._shapes
+    at = {i: array("i") for i, d in enumerate(X.dims) if d == 0}
     for i, d in enumerate(X.dims):
         if d >= 1:
-            base = fp.cls_canon[X.cells[i]] // fp.M * fp.M
-            for choice, mask in enumerate(shapes[shape_of[i]][4]):
-                yield X._index(fp.class_of_enc(base + mask)), i << D | choice
+            base = canon[cells[i]] // M * M
+            for choice, (mask, _, _) in enumerate(shapes[shape_of[i]][4]):
+                at[cell_of[table[base + mask]]].append(i << D | choice)
+    return at
 
 
-def _links(X: CellComplex) -> Iterator[Tuple[int, LinkComplex]]:
-    """(0-cell, link) in ascending cell order; files every incidence first, assembles one link at a time."""
-    at = {i: array("i") for i, d in enumerate(X.dims) if d == 0}
-    for v, code in _incidences(X):
-        at[v].append(code)
-    D = X.dimension
-    for v, codes in at.items():
-        yield v, _link(X, D, v, codes)
+def _link_cells(X: CellComplex, D: int, codes: Sequence[int], number: Dict[int, int]) -> Tuple[List[List[int]], List[int]]:
+    """The link of one 0-cell, from its codes: per cube corner, in filing order, its link vertices and their bitmask.
 
-
-def _link(X: CellComplex, D: int, v: int, codes: Sequence[int]) -> LinkComplex:
-    """The link of 0-cell v, from its incidence codes in filing order."""
+    A link vertex is the edge leaving the corner along one direction, as
+    the int edge cell * L + the edge's canonical corner at the vertex;
+    `number` numbers these ints as they are met, and a corner's vertices
+    are listed by number in direction order, so a d-cube's corner gives a
+    (d - 1)-simplex of the link.
+    """
     fp = X.face_poset
+    table, map_of, perms, canon, M, L = fp._table, fp._map_of, fp._perms, fp.cls_canon, fp.M, fp.L
+    cells, cell_of = X.cells, X.cell_of
     shape_of, shapes = X._shapes
-    inc: List[Tuple[int, Tuple[Tuple[int, int], ...]]] = []  # (cube dim, link cell as end tuple)
-    tops: List[Tuple[Cube, Tuple[int, ...]]] = []
+    low = (1 << D) - 1
+    out, masks = [], []
     for code in codes:
-        i, choice = divmod(code, 1 << D)
-        _, fixed, _, pairs, _ = shapes[shape_of[i]]
-        f, d = fp.cls_canon[X.cells[i]] // fp.M, X.dims[i]
-        corners = next(islice(product(*pairs), choice, None))
-        corner_face = fixed + corners
-        ends = []
-        for c, pair in zip(corners, pairs):
-            ecid, phi = fp.corner_map(f, corner_face + pair)
-            ends.append((X._index(ecid), phi[c]))
-        inc.append((d, tuple(ends)))
-        if d == D >= 2:
-            # dimension-1 links are vertex pairs with no gluing structure
-            tops.append((X.cube(i), corner_face))
-    vertex_ids = sorted({e for _, ends in inc for e in ends})
-    vindex = {e: j for j, e in enumerate(vertex_ids)}
+        i = code >> D
+        base = canon[cells[i]] // M * M
+        simplex, mask = [], 0
+        for edge, c in shapes[shape_of[i]][4][code & low][2]:
+            enc = base + edge
+            b = number.setdefault(cell_of[table[enc]] * L + perms[map_of[enc]][c], len(number))
+            simplex.append(b)
+            mask |= 1 << b
+        out.append(simplex)
+        masks.append(mask)
+    return out, masks
+
+
+def _simplicial_reason(link: List[List[int]], masks: List[int]) -> Optional[str]:
+    """Why the link cells, with their vertex masks, are not simplicial, or None.
+
+    Cells come in filing order, so in ascending size, and the first
+    failure is at the lowest dimension.
+    """
+    seen = set()
+    for ends, mask in zip(link, masks):
+        size = len(ends)
+        if size >= 2:
+            if mask.bit_count() != size:
+                return "a link %d-simplex has a repeated vertex" % (size - 1)
+            if mask in seen:
+                return "two link %d-simplices share their vertex set" % (size - 1)
+            seen.add(mask)
+    return None
+
+
+def _flag_reason(simplices: Iterable[int]) -> Optional[str]:
+    """Why a simplicial complex, given by the vertex masks of its simplices of dimension >= 1, is not flag, or None.
+
+    A complex is flag exactly when each of its minimal non-faces is an
+    edge.  So the check grows simplices one vertex at a time, starting
+    from the edges: each simplex joined with any vertex adjacent to all
+    of its vertices, that is a bit of the AND of their adjacency masks,
+    must again be a simplex.  Sizes go up one at a time, so the clique
+    reported is a smallest one that spans nothing.
+    """
+    have = set(simplices)
+    adj: Dict[int, int] = {}
+    edges = []
+    for s in have:
+        if s.bit_count() == 2:
+            a, b = s & -s, s & (s - 1)
+            adj[a] = adj.get(a, 0) | b
+            adj[b] = adj.get(b, 0) | a
+            edges.append(s)
+    # each simplex of the current size with the common neighbours of its vertices
+    level = {s: adj[s & -s] & adj[s & (s - 1)] for s in edges}
+    size = 2
+    while level:
+        size += 1
+        grown = {}
+        for sigma, common in level.items():
+            rest = common
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                tau = sigma | w
+                if tau not in have:
+                    return "clique of size %d spans no simplex" % size
+                grown[tau] = common & adj[w]
+        level = grown
+    return None
+
+
+def _link_complex(X: CellComplex, D: int, v: int, codes: Sequence[int]) -> LinkComplex:
+    """The link of 0-cell v as a record, its vertices renumbered in ascending order."""
+    number: Dict[int, int] = {}
+    link, masks = _link_cells(X, D, codes, number)
+    vertex_ids = sorted(number)
+    rank = [0] * len(number)
+    for j, e in enumerate(vertex_ids):
+        rank[number[e]] = j
     cells_by_dim: List[List[Tuple[int, ...]]] = [[] for _ in range(max(D - 1, 0))]
-    for d, ends in inc:
-        if d >= 2:
-            cells_by_dim[d - 2].append(tuple(vindex[e] for e in ends))
-    simplicial, reason = True, None
-    for h, cells in enumerate(cells_by_dim, start=1):
-        seen = set()
-        for cell in cells:
-            if len(set(cell)) != len(cell):
-                simplicial, reason = False, "a link %d-simplex has a repeated vertex" % h
-                break
-            key = tuple(sorted(cell))
-            if key in seen:
-                simplicial, reason = False, "two link %d-simplices share their vertex set" % h
-                break
-            seen.add(key)
-        if not simplicial:
-            break
+    for simplex in link:
+        if len(simplex) >= 2:
+            cells_by_dim[len(simplex) - 2].append(tuple(rank[b] for b in simplex))
+    reason = _simplicial_reason(link, masks)
+    tops = []
+    if D >= 2:
+        # dimension-1 links are vertex pairs with no gluing structure
+        shape_of, shapes = X._shapes
+        for code in codes:
+            i = code >> D
+            if X.dims[i] == D:
+                tops.append((X.cube(i), shapes[shape_of[i]][4][code & (1 << D) - 1][1]))
     return LinkComplex(
         vertex_cell=v,
-        vertex_ids=tuple(vertex_ids),
+        vertex_ids=tuple(divmod(e, X.face_poset.L) for e in vertex_ids),
         cells_by_dim=tuple(tuple(c) for c in cells_by_dim),
-        simplicial=simplicial,
+        simplicial=reason is None,
         simplicial_reason=reason,
         _tops=tuple(tops),
-        _face_poset=fp,
+        _face_poset=X.face_poset,
     )
 
 
@@ -661,18 +726,22 @@ class NpcReport:
 
 
 def npc_check(X: CellComplex) -> NpcReport:
-    """Non-positive curvature test: every vertex link simplicial and flag; holds one link at a time."""
+    """Non-positive curvature test: every vertex link simplicial and flag; holds one link at a time.
+
+    Each link's vertices are numbered as they are met, and its simplices
+    are bitmasks over that numbering.
+    """
     if not X.all_cubes:
         return NpcReport(False, False, 0, ((-1, "cells are not all cubes"),), ())
     failures, degrees = [], []
-    for v, lk in _links(X):
-        degrees.append(lk.vertex_count)
-        if not lk.simplicial:
-            failures.append((v, lk.simplicial_reason or "link is not simplicial"))
-            continue
-        ok, why = lk.flag()
-        if not ok:
-            failures.append((v, why or "link is not flag"))
+    D = X.dimension
+    for v, codes in _codes(X).items():
+        number: Dict[int, int] = {}
+        link, masks = _link_cells(X, D, codes, number)
+        degrees.append(len(number))
+        why = _simplicial_reason(link, masks) or _flag_reason(masks)
+        if why:
+            failures.append((v, why))
     return NpcReport(
         ok=not failures,
         all_cubes=True,
@@ -691,7 +760,7 @@ def vertex_link(C: CellComplex, v) -> LinkComplex:
         i = int(v)
     if not (0 <= i < len(C.cells)) or C.dims[i] != 0:
         raise TriangulationError("cell %r is not a vertex of this complex" % (v,))
-    return _link(C, C.dimension, i, [code for w, code in _incidences(C) if w == i])
+    return _link_complex(C, C.dimension, i, _codes(C)[i])
 
 
 def graph_genus(C: CellComplex) -> int:

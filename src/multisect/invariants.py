@@ -31,18 +31,14 @@ class MultisectionReport:
     euler_identity: Optional[bool]     # the dimension-4 identity, when applicable
     supports_multisection: bool
     supports_generalized: bool
-    diagnostics: Tuple[str, ...]       # validation's, then the report's own manifold checks
+    diagnostics: Tuple[str, ...]       # validation's, its manifold checks last
     validation: ValidationReport = field(repr=False)
 
 
 def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = True) -> MultisectionReport:
     """Validate the partition and summarise the induced decomposition.
 
-    Two necessary conditions on a closed manifold are checked on data at
-    hand; each failure adds a diagnostic and refuses a multisection.  A
-    closed odd-dimensional manifold has Euler characteristic 0, and in
-    dimension 3 a closed connected central surface bounds each genus-g
-    handlebody, so has Euler characteristic 2 - 2g.
+    The verdicts and diagnostics are `validate`'s, whose kept report is read.
     """
     rep = validate(T, P)
     n, k = rep.n, rep.k
@@ -63,16 +59,6 @@ def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = T
     identity = None
     if n == 4 and genus is not None:
         identity = ambient_euler == 2 + genus - sum(genera)
-    failed: List[str] = []
-    if n % 2 == 1 and ambient_euler != 0:
-        failed.append("euler characteristic %d, not 0 as on a closed odd-dimensional manifold" % ambient_euler)
-    if n == 3 and genus is not None:  # a closed connected central surface
-        for g in genera:
-            if summ["euler"] != 2 - 2 * g:
-                failed.append(
-                    "central euler characteristic %d, not %d as on the boundary of a genus-%d handlebody"
-                    % (summ["euler"], 2 - 2 * g, g)
-                )
     return MultisectionReport(
         n=n,
         k=k,
@@ -84,9 +70,9 @@ def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = T
         central_genus=genus,
         npc_ok=npc_ok,
         euler_identity=identity,
-        supports_multisection=rep.supports_multisection and not failed,
+        supports_multisection=rep.supports_multisection,
         supports_generalized=rep.supports_generalized,
-        diagnostics=rep.diagnostics + tuple(failed),
+        diagnostics=rep.diagnostics,
         validation=rep,
     )
 

@@ -212,6 +212,13 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
     """Check the partition against the multisection conditions.
 
     Failures never raise; they land in the report and its diagnostics.
+    Two necessary conditions on a closed manifold are checked last, on
+    data at hand; each failure adds a diagnostic and refuses a
+    multisection.  A closed odd-dimensional manifold has Euler
+    characteristic 0, and in dimension 3 a closed connected central
+    surface bounds each genus-g handlebody, so has Euler characteristic
+    2 - 2g.  The report is kept on T's labelling record, for P's labels
+    and k, and returned again while they stay.
     """
     n = T.dimension
     k = P.k
@@ -221,21 +228,27 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
         raise TriangulationError("partition labels cover %d vertex classes, expected %d" % (len(P.labels), nv))
     if k > 15:
         raise TriangulationError("subset enumeration over k=%d classes is not supported (k <= 15)" % k)
+    rec = cells_mod.labelling(T, P)
+    if rec.report is not None and rec.report.k == k:
+        return rec.report
     labels = P.labels
     diagnostics: List[str] = []
 
-    profiles = []
+    # one tuple per distinct profile, shared by the facets that have it
+    profiles: List[Tuple[int, ...]] = []
+    distinct: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for f in range(T.facet_count):
         row = [0] * (k + 1)
         for v in fp.facet_vertices[f * fp.L : (f + 1) * fp.L]:
             row[labels[v]] += 1
-        profiles.append(tuple(row))
+        key = tuple(row)
+        profiles.append(distinct.setdefault(key, key))
     if n % 2 == 1:
-        profile_ok = all(all(x == 2 for x in row) for row in profiles)
+        profile_ok = all(all(x == 2 for x in row) for row in distinct)
         if not profile_ok:
             diagnostics.append("some facet lacks the two-vertices-per-class profile")
     else:
-        profile_ok = all(sorted(row) == [1] + [2] * k for row in profiles)
+        profile_ok = all(sorted(row) == [1] + [2] * k for row in distinct)
         if not profile_ok:
             diagnostics.append("some facet lacks the one-singleton profile")
 
@@ -317,7 +330,19 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
         elif not g.connected:
             diagnostics.append("class graph %d disconnected" % l)
     ok_mult = ok_mult and all(g.connected for g in class_graphs)
-    return ValidationReport(
+    failed: List[str] = []
+    ambient_euler = T.euler()
+    if n % 2 == 1 and ambient_euler != 0:
+        failed.append("euler characteristic %d, not 0 as on a closed odd-dimensional manifold" % ambient_euler)
+    c = central_report
+    if n == 3 and c.raw_dim == 2 and c.closed and c.connected:
+        for g in class_graphs:
+            if c.euler != 2 - 2 * g.genus:
+                failed.append(
+                    "central euler characteristic %d, not %d as on the boundary of a genus-%d handlebody"
+                    % (c.euler, 2 - 2 * g.genus, g.genus)
+                )
+    rec.report = ValidationReport(
         n=n,
         k=k,
         profile_ok=profile_ok,
@@ -325,10 +350,11 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
         class_graphs=tuple(class_graphs),
         subsets=tuple(subset_reports),
         central=central_report,
-        supports_multisection=ok_mult,
+        supports_multisection=ok_mult and not failed,
         supports_generalized=ok_gen,
-        diagnostics=tuple(diagnostics + subset_diagnostics),
+        diagnostics=tuple(diagnostics + subset_diagnostics + failed),
     )
+    return rec.report
 
 
 @dataclass(eq=False)

@@ -16,7 +16,11 @@ index into the list of distinct corner maps, each kept once.  Rows of
 Faces of every dimension are identified by propagating the gluings over
 corner subsets: one breadth-first walk per face class writes its id into
 a flat table from each (facet, subset) pair to its class id, and the id
-of that incarnation's corner map into a second table beside it.  Each
+of that incarnation's corner map into a second table beside it.  From a
+(facet, subset) pair the walk crosses only the slots the subset leaves
+free, a tuple computed once per corner mask, and reads each slot's
+target, map id and the map's image of the subset straight from the
+gluing tables and one image table per distinct map.  Each
 class's canonical incarnation, incarnation count and dimension, and each
 facet's vertex classes, are flat arrays too.  All derived orderings use
 the canonical incarnation of a face class: the lexicographically least
@@ -97,6 +101,9 @@ class FacePoset:
     Two flat tables, indexed by facet * 2^(n+1) + corner mask, hold every
     incarnation's class id and the id of its corner map into `_perms`,
     the list of distinct corner bijections the walks met, each kept once.
+    The build holds nothing per gluing slot beyond the triangulation's own
+    tables: besides the two, it keeps one tuple of free slots per corner
+    mask and one image table per distinct gluing map.
     """
 
     def __init__(self, tri: "Triangulation"):
@@ -124,11 +131,9 @@ class FacePoset:
         perms: List[Tuple[int, ...]] = [identity(L)]
         perm_id = {perms[0]: 0}
         moves = any(pi != perms[0] for pi in tri.maps)
-        steps = [({}, invert(pi)) if moves else (None, None) for pi in tri.maps]
-        slots = [
-            [(1 << i, targets[k + i] * M, images[ids[k + i]], *steps[ids[k + i]]) for i in range(L)]
-            for k in range(0, m * L, L)
-        ]
+        steps = [({}, invert(pi)) for pi in tri.maps] if moves else None
+        # the slots left free by each corner mask: the walk crosses only those
+        free = [tuple(i for i in range(L) if not mask >> i & 1) for mask in range(M)]
 
         # Visiting masks by (size, facet, corner tuple) meets each class first
         # at its canonical incarnation, so ids come out in canonical order.
@@ -153,22 +158,24 @@ class FacePoset:
                     walk = [base + mask]  # its map is the identity, id 0, as the table starts
                     for enc in walk:
                         f, sub = divmod(enc, M)
-                        for bit, t_base, img, sent, pi_inv in slots[f]:
-                            if not sub & bit:
-                                enc2 = t_base + img[sub]
-                                if table[enc2] < 0:
-                                    table[enc2] = cid
-                                    walk.append(enc2)
-                                    if sent is not None:
-                                        p = map_of[enc]
-                                        try:
-                                            map_of[enc2] = sent[p]
-                                        except KeyError:
-                                            phi = compose(perms[p], pi_inv)
-                                            q = sent[p] = perm_id.setdefault(phi, len(perms))
-                                            if q == len(perms):
-                                                perms.append(phi)
-                                            map_of[enc2] = q
+                        k0 = f * L
+                        for i in free[sub]:
+                            k = k0 + i
+                            # with every map the identity, a mask is its own image
+                            enc2 = targets[k] * M + (images[ids[k]][sub] if moves else sub)
+                            if table[enc2] < 0:
+                                table[enc2] = cid
+                                walk.append(enc2)
+                                if moves:
+                                    sent, pi_inv = steps[ids[k]]
+                                    q = map_of[enc]
+                                    r = sent.get(q)
+                                    if r is None:
+                                        phi = compose(perms[q], pi_inv)
+                                        r = sent[q] = perm_id.setdefault(phi, len(perms))
+                                        if r == len(perms):
+                                            perms.append(phi)
+                                    map_of[enc2] = r
                     self.cls_canon.append(base + mask)
                     self.cls_count.append(len(walk))
                     self.cls_dim.append(size - 1)

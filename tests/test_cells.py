@@ -297,7 +297,7 @@ def cycle(n):
          "two points", "not simplicial"],
 )
 def test_flag_matches_clique_enumeration(link, want):
-    assert link.flag() == oracles.flag_by_cliques(link) == want
+    assert link.flag() == oracles.flag_by_cliques(link) == oracles.flag_by_growing_sets(link) == want
 
 
 @given(
@@ -319,13 +319,17 @@ def test_flag_matches_clique_enumeration_on_drawn_complexes(drawn):
         faces = {s for s in faces if len(s) < max(map(len, faces))}
     top = max(map(len, faces), default=1)
     link = link_complex(n, *([s for s in sorted(faces) if len(s) == r] for r in range(2, top + 1)))
-    assert link.flag() == oracles.flag_by_cliques(link)
+    assert link.flag() == oracles.flag_by_cliques(link) == oracles.flag_by_growing_sets(link)
 
 
 @pytest.mark.parametrize(
     "build",
-    [sd3_central, lambda: extract(*pairs_partition(5, ((0, 1), (2, 3), (4, 5))), (0, 1, 2))],
-    ids=["sd3 central", "doubled 5-simplex central"],
+    [
+        sd3_central,
+        lambda: extract(*pairs_partition(5, ((0, 1), (2, 3), (4, 5))), (0, 1, 2)),
+        lambda: balanced_join_central(),
+    ],
+    ids=["sd3 central", "doubled 5-simplex central", "16-cell joined with a balanced sphere"],
 )
 def test_flag_matches_clique_enumeration_on_vertex_links(build):
     for lk in vertex_links(build()).values():
@@ -404,10 +408,67 @@ def test_vertex_link_lookup_forms():
             assert link_fields(vertex_link(X, fp.key(X.cells[i]))) == link_fields(lk)
 
 
+def twisted_doubled_5_simplex_central():
+    # two 5-simplices glued along every face, two of the gluings swapping corners 2 and 3
+    swap, ident = (0, 1, 3, 2, 4, 5), tuple(range(6))
+    rows = [[(1 - f, swap if i < 2 else ident) for i in range(6)] for f in range(2)]
+    T = Triangulation(5, rows)
+    return extract(T, VertexPartition(k=2, labels=(2, 1, 0, 2, 1)), (0, 1, 2))
+
+
+def doubled_5_simplex_folded_corner():
+    # The face table is edited so that two directions at one corner of a
+    # 3-cube reach one edge germ: the second direction's edge is read as
+    # the first's, with its corner map carrying the second end corner onto
+    # the first, so the link's 1- and 2-simplices at that corner both
+    # repeat a vertex.  No labelled triangulation does this: two directions
+    # double distinct labels, so their edges are distinct cells.
+    X = extract(*pairs_partition(5, ((0, 1), (2, 3), (4, 5))), (0, 1, 2))
+    fp = X.face_poset
+    i = list(X.dims).index(3)
+    base = fp.cls_canon[X.cells[i]] // fp.M * fp.M
+    _, _, ((e1, c1), (e2, c2), _) = X._shapes[1][X._shapes[0][i]][4][0]
+    assert fp._map_of[base + e1] == 0  # the identity
+    swap = list(range(fp.L))
+    swap[c1], swap[c2] = c2, c1
+    fp._table[base + e2] = fp._table[base + e1]
+    fp._map_of[base + e2] = len(fp._perms)
+    fp._perms.append(tuple(swap))
+    return X
+
+
+def balanced_join_central():
+    # The 16-cell joined with a balanced 3-sphere L, four labels by colour:
+    # L is two 16-cells glued along the boundary of a facet, so it holds
+    # every triangle of that facet but not the facet.  At a vertex that is
+    # a facet of the first 16-cell the central complex's link is L, whose
+    # glued facet is a 4-clique that spans nothing.
+    signs = list(product((1, -1), repeat=4))
+    left = [tuple(("a", c, s[c]) for c in range(4)) for s in signs]
+    right = [tuple(("b", c) if s[c] == 1 else ("b", c, half) for c in range(4)) for half in (0, 1) for s in signs[1:]]
+    ids = {}
+    facets = [tuple(ids.setdefault(v, len(ids)) for v in a + b) for a in left for b in right]
+    T = Triangulation.from_vertex_facets(7, facets)
+    fp = T.face_poset
+    colour = {ids[v]: v[1] for v in ids}
+    labels = [0] * fp.dim_start[1]
+    for f, vs in enumerate(T.vertex_ids):
+        for c, v in enumerate(vs):
+            labels[fp.facet_vertices[f * 8 + c]] = colour[v]
+    return extract(T, VertexPartition(k=3, labels=tuple(labels)), (0, 1, 2, 3))
+
+
+FAILING_LINK_INPUTS = {
+    "twisted doubled 5-simplex central": twisted_doubled_5_simplex_central,
+    "doubled 5-simplex, folded corner": doubled_5_simplex_folded_corner,
+    "16-cell joined with a balanced sphere": balanced_join_central,
+}
+
+
 @pytest.mark.parametrize(
     "build",
-    list(LINK_INPUTS.values()) + [not_all_cubes_central],
-    ids=list(LINK_INPUTS) + ["not all cubes"],
+    [*LINK_INPUTS.values(), *FAILING_LINK_INPUTS.values(), not_all_cubes_central],
+    ids=[*LINK_INPUTS, *FAILING_LINK_INPUTS, "not all cubes"],
 )
 def test_vertex_links_match_all_at_once_oracle(build):
     X = build()
@@ -422,6 +483,31 @@ def test_vertex_links_match_all_at_once_oracle(build):
     assert list(got) == list(want)
     for v in want:
         assert link_fields(got[v]) == link_fields(want[v])
+
+
+def test_failing_links_of_dimension_3_and_up_cover_every_reason():
+    reasons = {}
+    for build in [LINK_INPUTS["doubled 5-simplex central"], *FAILING_LINK_INPUTS.values()]:
+        X = build()
+        assert X.all_cubes and X.dimension >= 3
+        for _, why in npc_check(X).failures:
+            reasons.setdefault(why, X.dimension)
+    assert reasons == {
+        "two link 1-simplices share their vertex set": 3,
+        "two link 2-simplices share their vertex set": 3,
+        "a link 1-simplex has a repeated vertex": 3,
+        "clique of size 3 spans no simplex": 4,
+        "clique of size 4 spans no simplex": 4,
+    }
+    # the folded corner's 2-simplex repeats a vertex too; its square's repeat is found first
+    repeated = {
+        h
+        for lk in oracles.vertex_links_all_at_once(doubled_5_simplex_folded_corner()).values()
+        for h, cells in enumerate(lk.cells_by_dim, start=1)
+        for cell in cells
+        if len(set(cell)) < len(cell)
+    }
+    assert repeated == {1, 2}
 
 
 def test_npc_check_holds_one_link_at_a_time():

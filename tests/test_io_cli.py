@@ -235,20 +235,22 @@ def test_cli_small_even_npc_pipeline_fails_honestly():
 
 
 def test_cli_report_refuses_the_suspension_of_rp2(tmp_path):
-    # the two apexes have projective-plane links; validation alone passes this partition
+    # the two apexes have projective-plane links; the profile and subset checks pass this partition
     code, sd, _ = run(["subdivide", "--barycentric", str(ROOT / "tests" / "fixtures" / "suspension_rp2.txt")])
     code, part, _ = run(["partition", "--scheme", "odd-bary"], stdin_text=sd)
     assert code == 0
-    code, out, _ = run(["verify"], stdin_text=part)
-    assert code == 0 and "supports_multisection true" in out
-    path = tmp_path / "report.json"
-    code, rep, _ = run(["report", "--expect-multisection", "--out", str(path)], stdin_text=part)
-    assert code == 1
-    assert "supports_multisection false" in rep and "genera 20,21" in rep
     diagnostics = [
         "euler characteristic 1, not 0 as on a closed odd-dimensional manifold",
         "central euler characteristic -40, not -38 as on the boundary of a genus-20 handlebody",
     ]
+    # verify refuses it with the same diagnostics; its exit code follows the profile
+    code, out, _ = run(["verify"], stdin_text=part)
+    assert code == 0 and "supports_multisection false" in out
+    assert out.endswith("".join("diagnostic %s\n" % d for d in diagnostics))
+    path = tmp_path / "report.json"
+    code, rep, _ = run(["report", "--expect-multisection", "--out", str(path)], stdin_text=part)
+    assert code == 1
+    assert "supports_multisection false" in rep and "genera 20,21" in rep
     assert rep.endswith("".join("diagnostic %s\n" % d for d in diagnostics))
     assert json.loads(path.read_text())["diagnostics"] == diagnostics
 

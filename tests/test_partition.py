@@ -1,6 +1,8 @@
 """Vertex partitions: schemes, validation, symmetry and covers."""
 
+import gc
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +213,41 @@ def test_even_bary_profile_one_singleton():
     assert rep.profile_ok
     for row in rep.profiles:
         assert sorted(row) == [1, 2, 2]
+
+
+def test_validation_profiles_share_one_row_per_profile():
+    # sd(∂ 5-crosspolytope) even-npc, 3,840 facets: one tuple per facet held ~240 KiB
+    T, carriers = barycentric(cross_sphere(4))
+    P = scheme_partition(T, "even-npc", carriers=carriers, sides=infer_sides(T, slot_carriers(T)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = validate(T, P)
+        rows = list(rep.profiles)
+        assert len(rows) == T.facet_count and len({id(row) for row in rows}) == len(set(rows))
+        del rows
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        rep.profiles = None
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed < 40 * 1024
+
+
+def test_validation_report_is_kept_for_its_labels_and_k():
+    T = double_simplex(5)
+    P = scheme_partition(T, "pairs", blocks=((0, 1), (2, 3), (4, 5)))
+    rep = validate(T, P)
+    assert validate(T, VertexPartition(k=P.k, labels=P.labels)) is rep
+    # the same labels under a larger k give a fresh report, with an empty class
+    wider = validate(T, VertexPartition(k=3, labels=P.labels))
+    assert wider is not rep and wider.k == 3 and "class 3 has no vertices" in wider.diagnostics
+    assert validate(T, P) is not wider
+    # other labels replace the record, and with it the kept report
+    other = validate(T, VertexPartition(k=2, labels=(0, 0, 1, 2, 1, 2)))
+    assert other is not rep and validate(T, P) is not rep
 
 
 @pytest.mark.parametrize(
