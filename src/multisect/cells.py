@@ -26,18 +26,19 @@ one pass gives the label multisets and the class ids of each label
 support, the central complex is kept once built, and so is `validate`'s
 report.  Complexes over proper subsets are rebuilt on each request.
 
-Vertex links are assembled from per-shape corner templates: for each
-corner of a cube shape, the corner's mask and, per direction, the mask
-of the edge leaving it and the end corner.  Every cube corner files one
-int code at its vertex, found as `cell_of[table[base + mask]]`; a link
-is then read off its vertex's codes alone.  A link vertex is the int
-edge cell * L + the edge's canonical end corner, the corner read through
-the face poset's corner map; a link simplex is a bitmask over the link's
-vertices, so the simplicial test compares masks and the flag test takes
-common neighbours as the AND of adjacency masks.  Vertex links are never
-kept: `npc_check` and `vertex_link` hold one at a time, `vertex_links`
-all, and only `vertex_links` and `vertex_link` build `LinkComplex`
-records.
+A cube's faces are reached one way, by corner mask through its shape's
+pairs and corner templates (`CellComplex._shapes`): the face with mask
+`mask` in facet f sits at `f * M + mask` of the face poset's tables,
+which give its class and its corner map.  Orientation signs, square
+boundaries, link vertices and link ridges are all read there.  Every
+cube corner files one int code at its vertex, and a link is read off
+its vertex's codes alone.  A link vertex is the int edge cell * L + the
+edge's canonical end corner; a link simplex is a bitmask over the
+link's vertices, so the simplicial test compares masks and the flag
+test takes common neighbours as the AND of adjacency masks.  Vertex
+links are never kept: `npc_check` and `vertex_link` hold one at a time,
+`vertex_links` all, and only `vertex_links` and `vertex_link` build
+`LinkComplex` records.
 """
 
 from __future__ import annotations
@@ -164,7 +165,8 @@ class CellComplex:
 
     @property
     def dimension(self) -> int:
-        return max(self.dims) if self.dims else -1
+        """The top cell dimension: cells run in ascending dimension, so it is the last cell's."""
+        return self.dims[-1] if self.dims else -1
 
     def counts(self) -> Tuple[int, ...]:
         return _counts(self.dims)
@@ -238,16 +240,16 @@ class CellComplex:
         for i, d in enumerate(self.dims):
             if d != D:
                 continue
-            f, corners, _, _, pairs = self.cube(i)
+            pairs = self.pairs(i)
             for t, (lo, hi) in enumerate(pairs):
                 for deleted, side in ((lo, 1), (hi, 0)):
-                    gcid, phi = fp.corner_map(f, (c for c in corners if c != deleted))
-                    flips = 1
-                    for t2, (a, b) in enumerate(pairs):
-                        if t2 != t and phi[a] > phi[b]:
-                            flips = -flips
-                    sign = flips * (1 if (t + side) % 2 == 0 else -1)
-                    incidences.setdefault(self._index(gcid), []).append((i, sign))
+                    # the face without `deleted`, and its corner map, at its own entry
+                    enc = fp.cls_canon[self.cells[i]] ^ 1 << deleted
+                    phi = fp._perms[fp._map_of[enc]]
+                    # one flip per other direction whose pair the map reverses
+                    flips = sum(1 for t2, (a, b) in enumerate(pairs) if t2 != t and phi[a] > phi[b])
+                    sign = -1 if (flips + t + side) % 2 else 1
+                    incidences.setdefault(self.cell_of[fp._table[enc]], []).append((i, sign))
         adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i, d in enumerate(self.dims) if d == D}
         for inc in incidences.values():
             if len(inc) != 2:
@@ -313,18 +315,10 @@ class CellComplex:
         """The cube record of every cell, index-aligned with `cells`; built on each read."""
         return tuple(self.cube(i) for i in range(len(self.cells)))
 
-    @cached_property
-    def edge_ends(self) -> Dict[int, Tuple[int, int, int, int]]:
-        """Per edge cell: (tail vertex, head vertex, tail corner, head corner) by canonical corner order."""
+    def pairs(self, i: int) -> Tuple[Tuple[int, int], ...]:
+        """Cell i's (lo, hi) corners of each doubled label, read off its shape; an edge has one pair."""
         shape_of, shapes = self._shapes
-        ends = {}
-        for i, d in enumerate(self.dims):
-            if d != 1:
-                continue
-            ((a, b),) = shapes[shape_of[i]][3]
-            vb, va = self.children_of(i)  # deleting the lower corner a leaves the end at b
-            ends[i] = (va, vb, a, b)
-        return ends
+        return shapes[shape_of[i]][3]
 
     @cached_property
     def spanning_forest(self) -> Tuple[Dict[int, Optional[Tuple[int, int]]], List[int]]:
@@ -333,10 +327,14 @@ class CellComplex:
         (parent, cotree): parent maps each vertex cell to the (edge,
         direction into it) it was reached by, or to None at a root, and
         lists each vertex after the one it was reached from; cotree is the
-        ascending list of edges outside the forest.
+        ascending list of edges outside the forest.  An edge runs from the
+        end at its pair's lower corner to the other; its children are
+        [head, tail], as deleting the lower corner leaves the upper end.
         """
+        edges = [e for e, d in enumerate(self.dims) if d == 1]
         adj: Dict[int, List[Tuple[int, int, int]]] = {}
-        for e, (va, vb, _, _) in sorted(self.edge_ends.items()):
+        for e in edges:
+            vb, va = self.children_of(e)
             adj.setdefault(va, []).append((e, vb, 1))
             adj.setdefault(vb, []).append((e, va, -1))
         parent: Dict[int, Optional[Tuple[int, int]]] = {}
@@ -352,28 +350,31 @@ class CellComplex:
                         parent[w] = (e, dr)
                         tree_edges.add(e)
                         order.append(w)
-        return parent, [e for e in sorted(self.edge_ends) if e not in tree_edges]
+        return parent, [e for e in edges if e not in tree_edges]
 
     @cached_property
     def square_boundaries(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Per square cell of an all-cube complex: its 4-cycle as (edge, direction) steps."""
+        """Per square cell of an all-cube complex: its 4-cycle as (edge, direction) steps.
+
+        The cycle leaves template corners 0, 2, 3, 1, that is (a1, a2), (b1, a2), (b1, b2),
+        (a1, b2), along directions 0, 1, 0, 1.  A step is forward when the corner map at
+        its edge's entry takes the step's start to the edge's lower corner.
+        """
         fp = self.face_poset
+        table, map_of, perms, canon, M = fp._table, fp._map_of, fp._perms, fp.cls_canon, fp.M
+        shape_of, shapes = self._shapes
         out = {}
         for i, d in enumerate(self.dims):
             if d != 2:
                 continue
-            f, _, fixed, _, pairs = self.cube(i)
-            (a1, b1), (a2, b2) = pairs
+            base = canon[self.cells[i]] // M * M
+            templates = shapes[shape_of[i]][4]
             path = []
-            corner_cycle = [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (a1, a2)]
-            for (u1, u2), (w1, w2) in zip(corner_cycle, corner_cycle[1:]):
-                veer = 0 if u1 != w1 else 1  # which coordinate moves
-                ecid, phi = fp.corner_map(f, fixed + pairs[veer] + (u2 if veer == 0 else u1,))
-                start = phi[u1 if veer == 0 else u2]
-                stop = phi[w1 if veer == 0 else w2]
-                e = self._index(ecid)
-                _, _, ca, cb = self.edge_ends[e]
-                path.append((e, 1 if (start, stop) == (ca, cb) else -1))
+            for corner, t in ((0, 0), (2, 1), (3, 0), (1, 1)):
+                edge, c = templates[corner][2][t]
+                e = self.cell_of[table[base + edge]]
+                ((lo, _),) = shapes[shape_of[e]][3]
+                path.append((e, 1 if perms[map_of[base + edge]][c] == lo else -1))
             out[i] = path
         return out
 
@@ -406,6 +407,9 @@ def extract(
     S = tuple(sorted(set(subset)))
     if not S:
         raise TriangulationError("subset of partition classes must be non-empty")
+    for l in S:
+        if not 0 <= l <= P.k:
+            raise TriangulationError("subset label %d out of range 0..%d" % (l, P.k))
     rec = labelling(T, P)
     if S != tuple(range(P.k + 1)):
         return _subset_complex(T, rec, S)
@@ -678,33 +682,32 @@ def _link_complex(X: CellComplex, D: int, v: int, codes: Sequence[int]) -> LinkC
     )
 
 
-def _link_triangulation(fp: FacePoset, tops) -> Optional[Triangulation]:
-    ridge_key_to = {}
+def _link_ridges(fp: FacePoset, tops) -> Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, int]]]:
+    """Per ridge of a link, keyed by its class and the corner's canonical corners, the (top, direction) pairs at it.
+
+    A top's ridge across direction `slot` is the cube's facet across it that holds the corner.
+    """
+    ridges: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[int, int]]] = {}
     for fi, (cube, corner_face) in enumerate(tops):
-        for slot in range(len(cube.pairs)):
-            others = tuple(c for t, pair in enumerate(cube.pairs) if t != slot for c in pair)
-            gcid, phi = fp.corner_map(cube.facet, corner_face + others)
-            corner_id = tuple(sorted(phi[c] for c in corner_face))
-            ridge_key_to.setdefault((gcid, corner_id), []).append((fi, slot))
-    m = len(tops)
+        enc = cube.facet * fp.M + sum(1 << c for c in cube.corners)
+        for slot, (a, b) in enumerate(cube.pairs):
+            ridge = enc ^ 1 << (b if a in corner_face else a)
+            phi = fp._perms[fp._map_of[ridge]]
+            ridges.setdefault((fp._table[ridge], tuple(sorted(phi[c] for c in corner_face))), []).append((fi, slot))
+    return ridges
+
+
+def _link_triangulation(fp: FacePoset, tops) -> Optional[Triangulation]:
+    """The link glued from its top cubes' corners, two at each ridge, or None."""
     L = len(tops[0][0].dirs)
-    glu: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in range(m)]
-    for key, hits in ridge_key_to.items():
+    glu: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in tops]
+    for hits in _link_ridges(fp, tops).values():
         if len(hits) != 2:
             return None
-        (f1, s1), (f2, s2) = hits
-        dirs1 = tops[f1][0].dirs
-        dirs2 = tops[f2][0].dirs
-        pos2 = {l: p for p, l in enumerate(dirs2)}
-        bij1 = [0] * L
-        for p, l in enumerate(dirs1):
-            bij1[p] = s2 if p == s1 else pos2[l]
-        glu[f1][s1] = (f2, tuple(bij1))
-        pos1 = {l: p for p, l in enumerate(dirs1)}
-        bij2 = [0] * L
-        for p, l in enumerate(dirs2):
-            bij2[p] = s1 if p == s2 else pos1[l]
-        glu[f2][s2] = (f1, tuple(bij2))
+        # a side's direction `s1` crosses to the other's `s2`; every other direction keeps its label
+        for (f1, s1), (f2, s2) in (hits, hits[::-1]):
+            pos2 = {l: p for p, l in enumerate(tops[f2][0].dirs)}
+            glu[f1][s1] = (f2, tuple(s2 if p == s1 else pos2[l] for p, l in enumerate(tops[f1][0].dirs)))
     if any(x is None for row in glu for x in row):
         return None
     try:

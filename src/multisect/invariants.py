@@ -202,9 +202,8 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
     if not central.all_cubes:
         raise TriangulationError("presentations are computed for cube complexes only")
 
-    c_ends = central.edge_ends
+    # an edge's children are [head, tail]; see `CellComplex.spanning_forest`
     c_parent, c_cotree = central.spanning_forest
-    g_ends = graph.edge_ends
     _, g_cotree = graph.spanning_forest
     g_gen = {e: j + 1 for j, e in enumerate(g_cotree)}
 
@@ -216,13 +215,14 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
         gi = graph._index(fp.class_of(f, (a, b)))
         # its ends lie on the graph vertices at corners a and b
         tail, head = graph._index(fp.facet_vertices[f * fp.L + a]), graph._index(fp.facet_vertices[f * fp.L + b])
-        gva, gvb, _, _ = g_ends[gi]
+        gvb, gva = graph.children_of(gi)
         if head not in (gva, gvb) or tail not in (gva, gvb):
             raise TriangulationError("inclusion image of an edge misses its endpoints")
         sign = 1 if tail == gva else -1
         return sign * g_gen[gi] if gi in g_gen else 0
 
-    letters = {e: letter(e) for e in c_ends}  # once per edge; paths cross edges many times
+    # once per edge; paths cross edges many times
+    letters = {e: letter(e) for e, d in enumerate(central.dims) if d == 1}
 
     def edge_image(e: int, dr: int) -> Tuple[int, ...]:
         return (dr * letters[e],) if letters[e] else ()
@@ -235,24 +235,19 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
             pot[v] = ()
         else:
             e, dr = step
-            va, vb, _, _ = c_ends[e]
+            vb, va = central.children_of(e)
             pot[v] = free_reduce(pot[va if dr == 1 else vb] + edge_image(e, dr))
 
     # generator words: tree path to tail, the edge, tree path back
     words = []
     for e in c_cotree:
-        va, vb, _, _ = c_ends[e]
+        vb, va = central.children_of(e)
         back = tuple(-x for x in reversed(pot[vb]))
         words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
 
-    relators_die = True
-    for path in central.square_boundaries.values():
-        word: List[int] = []
-        for ee, dd in path:
-            word.extend(edge_image(ee, dd))
-        if free_reduce(word):
-            relators_die = False
-            break
+    relators_die = not any(
+        free_reduce([x for e, dr in path for x in edge_image(e, dr)]) for path in central.square_boundaries.values()
+    )
 
     rank = gf2.rank(map(_parity, words))
     target = len(g_gen)
@@ -278,11 +273,11 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     fp = T.face_poset
     central = cells_mod.extract(T, P, tuple(range(P.k + 1)))
     e_start = fp.dim_start[1]  # bit j of an ambient edge chain is edge class e_start + j
-    ends = central.edge_ends
+    # an edge's children are [head, tail]; see `CellComplex.spanning_forest`
     parent, cotree = central.spanning_forest
 
     def image(e: int) -> int:
-        _, _, a, b = ends[e]  # the corners of the edge's doubled label
+        ((a, b),) = central.pairs(e)  # the corners of the edge's doubled label
         f = fp.canonical(central.cells[e])[0]
         return 1 << (fp.class_of(f, (a, b)) - e_start) if P.labels[fp.facet_vertices[f * fp.L + a]] == cls else 0
 
@@ -294,7 +289,7 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
             pot[v] = 0
         else:
             e, dr = step
-            va, vb, _, _ = ends[e]
+            vb, va = central.children_of(e)
             pot[v] = pot[va if dr == 1 else vb] ^ image(e)
 
     base = gf2.Basis()
@@ -303,7 +298,7 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - base.rank
     extra = 0
     for e in cotree:
-        va, vb, _, _ = ends[e]
+        vb, va = central.children_of(e)
         if base.add(pot[va] ^ image(e) ^ pot[vb]):
             extra += 1
     return extra == b1

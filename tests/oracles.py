@@ -512,17 +512,17 @@ def generator_words_by_tree_paths(T, P, label):
     generator's cycle (tree path to its tail, the edge, tree path back) is
     spelled out edge by edge, every edge is pushed into the region graph
     through the class-`label` vertex of its ends' canonical incarnations,
-    and the whole word is reduced once.  Uses the library's cell complexes,
-    edge ends and spanning forests.
+    and the whole word is reduced once.  Uses the library's cell complexes
+    and spanning forests, and edge ends found by class lookups.
     """
     from multisect import cells
 
     fp = T.face_poset
     central = cells.extract(T, P, tuple(range(P.k + 1)))
     graph = cells.extract(T, P, (label,))
-    c_ends = central.edge_ends
+    c_ends = edge_ends_by_lookup(central)
     c_parent, c_cotree = central.spanning_forest
-    g_ends = graph.edge_ends
+    g_ends = edge_ends_by_lookup(graph)
     _, g_cotree = graph.spanning_forest
     g_gen = {e: j for j, e in enumerate(g_cotree)}
     graph_vertex_of = {graph.cells[i]: i for i, d in enumerate(graph.dims) if d == 0}
@@ -656,7 +656,8 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
     eliminated column by column, each kernel vector's image is summed
     edge by edge, and the images are counted modulo the ambient
     boundaries against b_1 over GF(2).  Uses the library's cell
-    complexes, edge ends, face poset and GF(2) bases.
+    complexes, face poset and GF(2) bases, and edge ends found by class
+    lookups.
     """
     from multisect import cells, gf2
 
@@ -667,7 +668,7 @@ def h1_onto_by_kernel_basis(T, P, cls=0):
     cols = []
     images = []
     cubes = cubes_by_grouping(central)
-    for i, (va, vb, a, b) in central.edge_ends.items():
+    for i, (va, vb, a, b) in edge_ends_by_lookup(central).items():
         cols.append(1 << c_vpos[va] ^ 1 << c_vpos[vb])
         f, _, _, (doubled,), _ = cubes[i]
         images.append(1 << (fp.class_of(f, (a, b)) - e_start) if doubled == cls else 0)
@@ -775,10 +776,11 @@ def cubes_by_grouping(X):
 
 
 def edge_ends_by_lookup(X):
-    """`X.edge_ends`, each end found as the class of the edge with one corner deleted.
+    """Per edge cell its (tail, head, tail corner, head corner), each end found as the class of the edge with one corner deleted.
 
-    Two class lookups and two dict lookups per edge, where the library
-    reads the edge's two children.
+    The corners are the pair of the edge's doubled label, lower first.  Two
+    class lookups and two dict lookups per edge, where the library reads
+    the edge's two children and its shape's pair.
     """
     fp = X.face_poset
     index = cell_index(X)
@@ -791,6 +793,89 @@ def edge_ends_by_lookup(X):
         head = index[fp.class_of(cube.facet, [c for c in cube.corners if c != a])]
         ends[i] = (tail, head, a, b)
     return ends
+
+
+# --- cube faces through corner maps -----------------------------------------
+
+
+def square_boundaries_by_corner_map(X):
+    """`X.square_boundaries`, each step's edge and sign read through `FacePoset.corner_map`.
+
+    The slow path the template walk is checked against: a square's corners
+    (a1, a2), (b1, a2), (b1, b2), (a1, b2) are rebuilt as tuples, each
+    step's edge is the class of its corner tuple, and the step is forward
+    when the corner map takes its start and stop onto the edge's ends as
+    `edge_ends_by_lookup` orders them.
+    """
+    fp = X.face_poset
+    index, ends = cell_index(X), edge_ends_by_lookup(X)
+    out = {}
+    for i, cube in enumerate(cubes_by_grouping(X)):
+        if X.dims[i] != 2:
+            continue
+        (a1, b1), (a2, b2) = cube.pairs
+        cycle = [(a1, a2), (b1, a2), (b1, b2), (a1, b2), (a1, a2)]
+        path = []
+        for (u1, u2), (w1, w2) in zip(cycle, cycle[1:]):
+            veer = 0 if u1 != w1 else 1  # which coordinate moves
+            ecid, phi = fp.corner_map(cube.facet, cube.fixed + cube.pairs[veer] + (u2 if veer == 0 else u1,))
+            start, stop = (phi[u1], phi[w1]) if veer == 0 else (phi[u2], phi[w2])
+            e = index[ecid]
+            path.append((e, 1 if (start, stop) == ends[e][2:] else -1))
+        out[i] = path
+    return out
+
+
+def orientable_by_corner_map(X):
+    """`X.orientable()`, each top cube's codimension-1 faces read through `FacePoset.corner_map`.
+
+    Deleting corner lo (hi) of direction t gives the face on side 1 (0);
+    its transfer sign is (-1)^(t + side) times one flip per other direction
+    whose corner map reverses its pair.  Uses the library's signed
+    2-colouring.
+    """
+    from multisect.unionfind import signed_colouring
+
+    if not X.all_cubes:
+        return None
+    D = X.dimension
+    if D <= 0:
+        return True
+    fp = X.face_poset
+    index = cell_index(X)
+    incidences = {}
+    for i, cube in enumerate(cubes_by_grouping(X)):
+        if X.dims[i] != D:
+            continue
+        for t, (lo, hi) in enumerate(cube.pairs):
+            for deleted, side in ((lo, 1), (hi, 0)):
+                gcid, phi = fp.corner_map(cube.facet, [c for c in cube.corners if c != deleted])
+                flips = (-1) ** sum(1 for t2, (a, b) in enumerate(cube.pairs) if t2 != t and phi[a] > phi[b])
+                incidences.setdefault(index[gcid], []).append((i, flips * (-1) ** (t + side)))
+    adj = {i: [] for i, d in enumerate(X.dims) if d == D}
+    for inc in incidences.values():
+        if len(inc) != 2:
+            return False
+        (a, sa), (b, sb) = inc
+        adj[a].append((b, -sa * sb))
+        adj[b].append((a, -sa * sb))
+    return signed_colouring(adj.keys(), adj) is not None
+
+
+def link_ridges_by_corner_map(fp, tops):
+    """The library's ridge table of a link (`cells._link_ridges`), each ridge read through `FacePoset.corner_map`.
+
+    A top's ridge across direction `slot` is its corner face plus both
+    corners of every other direction; it is keyed by its class and the
+    sorted canonical corners of the corner face.
+    """
+    ridges = {}
+    for fi, (cube, corner_face) in enumerate(tops):
+        for slot in range(len(cube.pairs)):
+            others = tuple(c for t, pair in enumerate(cube.pairs) if t != slot for c in pair)
+            gcid, phi = fp.corner_map(cube.facet, corner_face + others)
+            ridges.setdefault((gcid, tuple(sorted(phi[c] for c in corner_face))), []).append((fi, slot))
+    return ridges
 
 
 # --- gluing rows of (target, corner map) pairs ------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 import oracles
 from multisect.cells import (
     LinkComplex,
+    _link_ridges,
     class_label_multisets,
     collapse,
     extract,
@@ -26,7 +27,7 @@ from multisect.partition import VertexPartition, scheme_partition
 from multisect.subdivide import barycentric, infer_sides, slot_carriers
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
-from test_triangulation import relabel
+from test_triangulation import relabel, relabelled_rows
 
 
 def pairs_partition(n, blocks):
@@ -114,6 +115,13 @@ def test_extract_rejects_empty_selection():
         extract(T, P, ())
 
 
+def test_extract_rejects_subset_labels_out_of_range():
+    T, P = pairs_partition(4, ((0, 1), (2, 3), (4,)))
+    for subset, label in (((7,), 7), ((0, 3), 3), ((-1, 2), -1)):
+        with pytest.raises(TriangulationError, match="subset label %d out of range 0..2" % label):
+            extract(T, P, subset)
+
+
 def test_class_label_multisets_match_support():
     T, P = pairs_partition(4, ((0, 1), (2, 3), (4,)))
     fp = T.face_poset
@@ -160,7 +168,9 @@ def check_cell_tables(T, P, S):
             got._index(cid)
     cubes = oracles.cubes_by_grouping(got)
     assert got.cubes == cubes == tuple(got.cube(i) for i in range(len(got.cells)))
-    assert got.edge_ends == oracles.edge_ends_by_lookup(got)
+    # an edge's ends are its children, [head, tail], and its corners its shape's one pair
+    ends = {e: (*reversed(got.children_of(e)), *got.pairs(e)[0]) for e, d in enumerate(got.dims) if d == 1}
+    assert ends == oracles.edge_ends_by_lookup(got)
     res = collapse(got)
     assert (res.pairs_removed, res.spine_cells) == oracles.collapse_by_parent_lists(got)
     return got
@@ -262,6 +272,26 @@ def test_npc_check_builds_no_link_triangulation(monkeypatch):
     # the link triangulation appears once it is read
     assert vertex_links(X)[0].triangulation.dimension == 1
     assert len(built) == 1
+
+
+def test_cube_faces_are_read_without_corner_map(monkeypatch):
+    # the complex reaches a cube's faces and their corner maps only by mask, at facet * M + mask
+    from multisect.invariants import h1_onto_check, inclusion_epimorphism, pi1_presentation
+    from multisect.triangulation import FacePoset
+
+    T, P = relabelled_sd_rp3(1)
+
+    def refuse(self, facet, corners):
+        raise AssertionError("corner_map called")
+
+    monkeypatch.setattr(FacePoset, "corner_map", refuse)
+    X = extract(T, P, (0, 1))
+    assert X.summary()["orientable"] is not None
+    assert pi1_presentation(X).relators
+    h1_onto_check(T, P)
+    for label in (0, 1):
+        inclusion_epimorphism(T, P, label)
+    assert vertex_link(X, 0).triangulation is not None
 
 
 def link_complex(vertex_count, *cells_by_dim, simplicial=True, reason=None):
@@ -483,6 +513,57 @@ def test_vertex_links_match_all_at_once_oracle(build):
     assert list(got) == list(want)
     for v in want:
         assert link_fields(got[v]) == link_fields(want[v])
+
+
+def relabelled_sd_rp3(seed):
+    """sd(RP^3), its facets renumbered and corners permuted, with random 2 + 2 labels on the carrier dimensions.
+
+    Every facet has one vertex of each carrier dimension, so each carries
+    both labels twice and the central complex is a surface of squares;
+    after the relabelling its corner maps are far from the identity.
+    """
+    T, carriers = barycentric(cross_projective(3))
+    m, L = T.facet_count, T.dimension + 1
+    U = Triangulation(T.dimension, relabelled_rows(T, random.Random(seed)))
+    # replay relabelled_rows's draws: the facet order, then each facet's corner order
+    rng = random.Random(seed)
+    facet = rng.sample(range(m), m)
+    corner = [rng.sample(range(L), L) for _ in range(m)]
+    label_of_dim = [p // 2 for p in random.Random(seed).sample(range(L), L)]
+    fp, fpu = T.face_poset, U.face_poset
+    labels = {}
+    for f in range(m):
+        for c in range(L):
+            label = label_of_dim[carriers.dims[fp.facet_vertices[f * L + c]]]
+            assert labels.setdefault(fpu.facet_vertices[facet[f] * L + corner[f][c]], label) == label
+    return U, VertexPartition(k=1, labels=tuple(labels[v] for v in range(len(labels))))
+
+
+CORNER_MAP_INPUTS = {
+    **{"relabelled sd(RP3), seed %d" % seed: (lambda seed=seed: extract(*relabelled_sd_rp3(seed), (0, 1))) for seed in (1, 2, 5)},
+    "twisted chain central": twisted_chain_central,
+    "twisted doubled 5-simplex central": twisted_doubled_5_simplex_central,
+    "16-cell joined with a balanced sphere": balanced_join_central,
+}
+
+
+@pytest.mark.parametrize("name", CORNER_MAP_INPUTS)
+def test_cube_faces_match_corner_map_oracles(name):
+    # orientation, square boundaries and link ridges read by mask agree with the corner-map walks
+    X = CORNER_MAP_INPUTS[name]()
+    assert X.all_cubes and X.closed()
+    assert X.orientable() == oracles.orientable_by_corner_map(X)
+    assert X.square_boundaries == oracles.square_boundaries_by_corner_map(X)
+    assert X.square_boundaries
+    fp = X.face_poset
+    for lk in vertex_links(X).values():
+        assert _link_ridges(fp, lk._tops) == oracles.link_ridges_by_corner_map(fp, lk._tops)
+
+
+def test_corner_map_inputs_cover_twisted_and_non_orientable_complexes():
+    complexes = [build() for build in CORNER_MAP_INPUTS.values()]
+    assert {X.orientable() for X in complexes} == {True, False}
+    assert all(len(X.face_poset._perms) > 1 for X in complexes[:3])
 
 
 def test_failing_links_of_dimension_3_and_up_cover_every_reason():

@@ -330,6 +330,17 @@ def test_cli_build_and_collapse():
     assert "pairs-removed 0" in out
 
 
+def test_cli_refuses_subset_labels_out_of_range(tmp_path):
+    code, doc, _ = run(["gen", "--cross-projective", "3"])
+    code, part, _ = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3"], stdin_text=doc)
+    out_path = tmp_path / "cells.json"
+    for command in (["build"], ["collapse"], ["npc-check"], ["export", "--json", str(out_path)]):
+        for subset, label in (("7", 7), ("0,2", 2), ("-1", -1)):
+            code, out, err = run(command + ["--subset", subset], stdin_text=part)
+            assert (code, out, err) == (2, "", "multisect: subset label %d out of range 0..1\n" % label)
+    assert not out_path.exists()
+
+
 def test_cli_report_out_json(tmp_path):
     code, doc, _ = run(["gen", "--cross-projective", "3"])
     code, part, _ = run(
