@@ -6,7 +6,7 @@ their vertices with partition schemes, extracts the dual cell structures
 conditions that make the decomposition a multisection.
 """
 
-from .triangulation import Triangulation, TriangulationError, FacePoset, TriSummary, DualGraph
+from .triangulation import Triangulation, TriangulationError, FacePoset, TriSummary
 from .zoo import double_simplex, cross_sphere, cross_projective
 from .subdivide import (
     barycentric,
@@ -65,7 +65,6 @@ __all__ = [
     "TriangulationError",
     "FacePoset",
     "TriSummary",
-    "DualGraph",
     "double_simplex",
     "cross_sphere",
     "cross_projective",

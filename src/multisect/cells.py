@@ -11,34 +11,32 @@ The complex over the full label set is the central object; the ones
 over proper subsets are what the surrounding regions collapse onto, so
 their collapsed dimension bounds spine dimensions.
 
-A complex reads its incidences off the face table: a cell's children are
-its class's `FacePoset.children` that lie in the complex, and an edge's
-ends are its two children.  It keeps them in flat arrays: the cells'
-class ids and dimensions, the children in CSR form (offsets plus one
-flat array), a class-to-cell array, and per cell a shape id into a short
-list of cube shapes shared by the cells.  A complex holds its face poset,
-not its triangulation, so no reference cycle keeps a dropped
-triangulation alive.  Homology goes through `gf2.betti`, whose
-elimination is `gf2.Basis`, as for the ambient triangulation.
-
-Each labelling's data is computed once and kept for the latest labels:
-one pass gives the label multisets and the class ids of each label
-support, the central complex is kept once built, and so is `validate`'s
-report.  Complexes over proper subsets are rebuilt on each request.
+One label pass per labelling is where a class's corners meet their
+labels.  It numbers the distinct (canonical corner mask, labels at those
+corners) keys as shapes, few and each built once, and gives every class
+its shape and its index `local` among its support's ascending class ids.
+Supports partition the classes, so that index is the class's cell index
+in the one complex it lies in.  A complex keeps its cells' class ids and
+dimensions and its children in CSR form, a cell's children read at
+`canon ^ bit` for each bit its shape may delete, and shares the pass's
+`local`, `shape_of` and `shapes`.  It holds its face poset, not its
+triangulation or the record, so no reference cycle keeps a dropped
+triangulation alive.  Homology goes through `gf2.betti`.  The record
+keeps the central complex once built, and `validate`'s report; complexes
+over proper subsets are rebuilt on each request.
 
 A cube's faces are reached one way, by corner mask through its shape's
-pairs and corner templates (`CellComplex._shapes`): the face with mask
-`mask` in facet f sits at `f * M + mask` of the face poset's tables,
-which give its class and its corner map.  Orientation signs, square
-boundaries, link vertices and link ridges are all read there.  Every
-cube corner files one int code at its vertex, and a link is read off
-its vertex's codes alone.  A link vertex is the int edge cell * L + the
-edge's canonical end corner; a link simplex is a bitmask over the
-link's vertices, so the simplicial test compares masks and the flag
-test takes common neighbours as the AND of adjacency masks.  Vertex
-links are never kept: `npc_check` and `vertex_link` hold one at a time,
-`vertex_links` all, and only `vertex_links` and `vertex_link` build
-`LinkComplex` records.
+pairs and corner templates: the face with mask `mask` in facet f sits at
+`f * M + mask` of the face poset's tables, which give its class and its
+corner map.  Orientation signs, square boundaries, link vertices and
+link ridges are all read there.  Every cube corner files one int code at
+its vertex, and a link is read off its vertex's codes alone.  A link
+vertex is the int edge cell * L + the edge's canonical end corner; a
+link simplex is a bitmask over the link's vertices, so the simplicial
+test compares masks and the flag test takes common neighbours as the AND
+of adjacency masks.  Vertex links are never kept: `npc_check` and
+`vertex_link` hold one at a time, `vertex_links` all, and only
+`vertex_links` and `vertex_link` build `LinkComplex` records.
 """
 
 from __future__ import annotations
@@ -58,13 +56,57 @@ if TYPE_CHECKING:
     from .partition import ValidationReport, VertexPartition
 
 
+class Shape(NamedTuple):
+    """A canonical corner set with the labels at its corners, shared by the classes that have both.
+
+    The labels of multiplicity two span the cube's directions; corners of
+    a label of higher multiplicity (a cell that is not a cube) appear in
+    neither `fixed` nor `pairs`.  The templates run in `product(*pairs)`
+    order, one per corner of the cube: (corner mask, corner face, edges),
+    where the corner face is `fixed` plus the chosen corner of each pair,
+    and edges holds per direction the mask of the edge leaving the corner
+    that way and the corner of the pair that sits at the corner.
+    """
+
+    corners: Tuple[int, ...]              # canonical corners, ascending
+    multiset: Tuple[int, ...]             # the corners' labels, sorted
+    support: Tuple[int, ...]              # the distinct labels, ascending
+    delete: Tuple[int, ...]               # 1 << c per corner c whose label occurs twice or more, ascending
+    cube: bool                            # no label occurs more than twice
+    fixed: Tuple[int, ...]                # corners whose label occurs once
+    dirs: Tuple[int, ...]                 # doubled labels, ascending
+    pairs: Tuple[Tuple[int, int], ...]    # (lo, hi) corners of each doubled label
+    templates: Tuple[Tuple[int, Tuple[int, ...], Tuple[Tuple[int, int], ...]], ...]
+
+
+def _shape(corners: Tuple[int, ...], at: Tuple[int, ...]) -> Shape:
+    """The shape of `corners` with labels `at`, corner by corner."""
+    groups: Dict[int, List[int]] = {}
+    for c, l in zip(corners, at):
+        groups.setdefault(l, []).append(c)
+    dirs = tuple(sorted(l for l, cs in groups.items() if len(cs) == 2))
+    fixed = tuple(cs[0] for cs in groups.values() if len(cs) == 1)
+    pairs = tuple(tuple(groups[l]) for l in dirs)
+    templates = []
+    for choice in product(*pairs):
+        corner = sum(1 << c for c in fixed + choice)
+        edges = tuple((corner | 1 << a | 1 << b, c) for c, (a, b) in zip(choice, pairs))
+        templates.append((corner, fixed + choice, edges))
+    delete = tuple(1 << c for c, l in zip(corners, at) if len(groups[l]) >= 2)
+    cube = all(len(cs) <= 2 for cs in groups.values())
+    multiset, support = tuple(sorted(at)), tuple(sorted(groups))
+    return Shape(corners, multiset, support, delete, cube, fixed, dirs, pairs, tuple(templates))  # type: ignore[arg-type]
+
+
 @dataclass(eq=False)
 class Labelling:
     """One labelling of a triangulation's vertex classes, read in one pass."""
 
     labels: Tuple[int, ...]
-    multisets: List[Tuple[int, ...]]              # sorted label multiset; index = class id
+    shape_of: array                               # shape id per class id
+    shapes: List[Shape]
     by_support: Dict[Tuple[int, ...], array]      # ascending class ids per sorted label set
+    local: array                                  # per class id, its index in its support's class ids
     central: Optional[CellComplex] = None         # kept once built
     report: Optional[ValidationReport] = None     # `validate`'s, kept for the k it was made under
 
@@ -84,34 +126,35 @@ def _label_pass(T: Triangulation, labels: Tuple[int, ...]) -> Labelling:
         raise TriangulationError(
             "expected %d vertex labels, got %d" % (fp.dim_start[1], len(labels))
         )
-    multisets: List[Tuple[int, ...]] = []
+    canon, M, L, corners_of = fp.cls_canon, fp.M, fp.L, fp._corners_of
+    corner_labels = [labels[v] for v in fp.facet_vertices]
+    ids: Dict[Tuple[int, Tuple[int, ...]], int] = {}
+    shapes: List[Shape] = []
+    members: List[array] = []  # per shape, its support's class ids
     by_support: Dict[Tuple[int, ...], array] = {}
-    # the record keeps one tuple per distinct multiset, seen with its support's class ids
-    seen: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], array]] = {}
-    L, corner_labels = fp.L, [labels[v] for v in fp.facet_vertices]
-    for cid in range(fp.n_classes):
-        f, corners = fp.canonical(cid)
-        ms = tuple(sorted([corner_labels[f * L + c] for c in corners]))
-        hit = seen.get(ms)
-        if hit is None:
-            hit = seen[ms] = (ms, by_support.setdefault(tuple(sorted(set(ms))), array("i")))
-        multisets.append(hit[0])
-        hit[1].append(cid)
-    return Labelling(labels, multisets, by_support)
+    shape_of, local = array("i"), array("i")
+    for cid, enc in enumerate(canon):
+        f, mask = divmod(enc, M)
+        key = (mask, tuple([corner_labels[f * L + c] for c in corners_of[mask]]))
+        s = ids.get(key)
+        if s is None:
+            s = ids[key] = len(shapes)
+            shapes.append(_shape(corners_of[mask], key[1]))
+            members.append(by_support.setdefault(shapes[s].support, array("i")))
+        shape_of.append(s)
+        local.append(len(members[s]))
+        members[s].append(cid)
+    return Labelling(labels, shape_of, shapes, by_support, local)
 
 
 def class_label_multisets(T: Triangulation, P: VertexPartition) -> List[Tuple[int, ...]]:
-    """Sorted label multiset of every face class; index = class id; the record's own list."""
-    return labelling(T, P).multisets
+    """Sorted label multiset of every face class; index = class id; read off the shapes on each call."""
+    rec = labelling(T, P)
+    return [rec.shapes[s].multiset for s in rec.shape_of]
 
 
 class Cube(NamedTuple):
-    """One cell read off its canonical incarnation.
-
-    The labels of multiplicity two span the cube's directions; corners
-    of a label of higher multiplicity (a cell that is not a cube) appear
-    in neither `fixed` nor `pairs`.
-    """
+    """One cell read off its canonical incarnation: its facet and its shape's cube data."""
 
     facet: int
     corners: Tuple[int, ...]              # canonical corners, ascending
@@ -146,22 +189,14 @@ class CellComplex:
     dims: array                                # cell dimension (product of simplices)
     child_start: array                         # offsets into child_flat, one past each cell
     child_flat: array                          # codim-1 face indexes, with repetition
-    cell_of: array                             # cell index per ambient class, -1 off the complex
+    local: array                               # the labelling's: per class, its cell index in its support's complex
+    shape_of: array                            # the labelling's: shape id per class
+    shapes: List[Shape]                        # the labelling's shapes
     all_cubes: bool                            # no label occurs more than twice in a cell
-
-    @property
-    def triangulation(self) -> Optional[Triangulation]:
-        """The ambient triangulation, while something else keeps it alive."""
-        return self.face_poset.tri
 
     def children_of(self, i: int) -> array:
         """Cell i's codim-1 face indexes, with repetition."""
         return self.child_flat[self.child_start[i] : self.child_start[i + 1]]
-
-    @property
-    def children(self) -> Tuple[Tuple[int, ...], ...]:
-        """`children_of` every cell, as tuples; built on each read."""
-        return tuple(tuple(self.children_of(i)) for i in range(len(self.cells)))
 
     @property
     def dimension(self) -> int:
@@ -249,7 +284,7 @@ class CellComplex:
                     # one flip per other direction whose pair the map reverses
                     flips = sum(1 for t2, (a, b) in enumerate(pairs) if t2 != t and phi[a] > phi[b])
                     sign = -1 if (flips + t + side) % 2 else 1
-                    incidences.setdefault(self.cell_of[fp._table[enc]], []).append((i, sign))
+                    incidences.setdefault(self.local[fp._table[enc]], []).append((i, sign))
         adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i, d in enumerate(self.dims) if d == D}
         for inc in incidences.values():
             if len(inc) != 2:
@@ -261,64 +296,20 @@ class CellComplex:
         return signed_colouring(adj.keys(), adj) is not None
 
     def _index(self, cid: int) -> int:
-        i = self.cell_of[cid] if 0 <= cid < len(self.cell_of) else -1
-        if i < 0:
+        """Cell index of class cid; supports partition the classes, so the class must have this complex's."""
+        if not 0 <= cid < len(self.shape_of) or self.shapes[self.shape_of[cid]].support != self.subset:
             raise TriangulationError("face class %d is not a cell of this complex" % cid)
-        return i
-
-    @cached_property
-    def _shapes(self) -> Tuple[array, List[Tuple]]:
-        """Each cell's shape id, and the shapes, one per distinct corners and corner labels.
-
-        A shape is (corners, fixed, dirs, pairs, corner templates).  Its
-        templates run in `product(*pairs)` order, one per corner of the
-        cube: (corner mask, corner face, edges), where the corner face is
-        `fixed` plus the chosen corner of each pair, and edges holds per
-        direction the mask of the edge leaving the corner that way and
-        the corner of the pair that sits at the corner.
-        """
-        fp = self.face_poset
-        canon, M, L, corners_of = fp.cls_canon, fp.M, fp.L, fp._corners_of
-        labels, fv = self.labels, fp.facet_vertices
-        ids: Dict[Tuple, int] = {}
-        shapes: List[Tuple] = []
-        shape_of = array("i")
-        for cid in self.cells:
-            f, mask = divmod(canon[cid], M)
-            corners = corners_of[mask]
-            key = (mask, tuple([labels[fv[f * L + c]] for c in corners]))
-            s = ids.get(key)
-            if s is None:
-                groups: Dict[int, List[int]] = {}
-                for c, l in zip(corners, key[1]):
-                    groups.setdefault(l, []).append(c)
-                dirs = tuple(sorted(l for l, cs in groups.items() if len(cs) == 2))
-                fixed = tuple(cs[0] for cs in groups.values() if len(cs) == 1)
-                pairs = tuple(tuple(groups[l]) for l in dirs)
-                templates = []
-                for choice in product(*pairs):
-                    corner = sum(1 << c for c in fixed + choice)
-                    edges = tuple((corner | 1 << a | 1 << b, c) for c, (a, b) in zip(choice, pairs))
-                    templates.append((corner, fixed + choice, edges))
-                s = ids[key] = len(shapes)
-                shapes.append((corners, fixed, dirs, pairs, tuple(templates)))
-            shape_of.append(s)
-        return shape_of, shapes
+        return self.local[cid]
 
     def cube(self, i: int) -> Cube:
         """The cube record of cell i."""
-        shape_of, shapes = self._shapes
-        return Cube(self.face_poset.cls_canon[self.cells[i]] // self.face_poset.M, *shapes[shape_of[i]][:4])
-
-    @property
-    def cubes(self) -> Tuple[Cube, ...]:
-        """The cube record of every cell, index-aligned with `cells`; built on each read."""
-        return tuple(self.cube(i) for i in range(len(self.cells)))
+        cid = self.cells[i]
+        shape = self.shapes[self.shape_of[cid]]
+        return Cube(self.face_poset.cls_canon[cid] // self.face_poset.M, shape.corners, shape.fixed, shape.dirs, shape.pairs)
 
     def pairs(self, i: int) -> Tuple[Tuple[int, int], ...]:
         """Cell i's (lo, hi) corners of each doubled label, read off its shape; an edge has one pair."""
-        shape_of, shapes = self._shapes
-        return shapes[shape_of[i]][3]
+        return self.shapes[self.shape_of[self.cells[i]]].pairs
 
     @cached_property
     def spanning_forest(self) -> Tuple[Dict[int, Optional[Tuple[int, int]]], List[int]]:
@@ -362,18 +353,20 @@ class CellComplex:
         """
         fp = self.face_poset
         table, map_of, perms, canon, M = fp._table, fp._map_of, fp._perms, fp.cls_canon, fp.M
-        shape_of, shapes = self._shapes
+        local, shape_of, shapes = self.local, self.shape_of, self.shapes
         out = {}
         for i, d in enumerate(self.dims):
             if d != 2:
                 continue
-            base = canon[self.cells[i]] // M * M
-            templates = shapes[shape_of[i]][4]
+            cid = self.cells[i]
+            base = canon[cid] // M * M
+            templates = shapes[shape_of[cid]].templates
             path = []
             for corner, t in ((0, 0), (2, 1), (3, 0), (1, 1)):
                 edge, c = templates[corner][2][t]
-                e = self.cell_of[table[base + edge]]
-                ((lo, _),) = shapes[shape_of[e]][3]
+                ecid = table[base + edge]
+                e = local[ecid]
+                ((lo, _),) = shapes[shape_of[ecid]].pairs
                 path.append((e, 1 if perms[map_of[base + edge]][c] == lo else -1))
             out[i] = path
         return out
@@ -401,8 +394,7 @@ def extract(
     """The cell complex over the faces whose labels touch exactly `subset`.
 
     The labelling record keeps the central complex, over labels 0..P.k.
-    `multisets` is this labelling's `class_label_multisets` list, which
-    the record already holds.
+    `multisets` is ignored: the record's shapes hold the label multisets.
     """
     S = tuple(sorted(set(subset)))
     if not S:
@@ -412,30 +404,30 @@ def extract(
             raise TriangulationError("subset label %d out of range 0..%d" % (l, P.k))
     rec = labelling(T, P)
     if S != tuple(range(P.k + 1)):
-        return _subset_complex(T, rec, S)
+        return _subset_complex(T.face_poset, rec, S)
     if rec.central is None or rec.central.subset != S:
-        rec.central = _subset_complex(T, rec, S)
+        rec.central = _subset_complex(T.face_poset, rec, S)
     return rec.central
 
 
-def _subset_complex(T: Triangulation, rec: Labelling, S: Tuple[int, ...]) -> CellComplex:
+def _subset_complex(fp: FacePoset, rec: Labelling, S: Tuple[int, ...]) -> CellComplex:
     """The complex over S, from the classes whose label support is S.
 
-    A cell's children are its face-table children inside the complex: deleting
-    a corner keeps the support S exactly when that corner's label is doubled.
+    A cell's children are the faces at its canonical entry with one corner
+    bit cleared, for each corner whose label its shape doubles: deleting
+    such a corner keeps the support S, so the face's `local` index is its
+    cell index here.
     """
-    fp = T.face_poset
     cells = rec.by_support.get(S, array("i"))
-    cell_of = array("i", [-1]) * fp.n_classes
-    for i, cid in enumerate(cells):
-        cell_of[cid] = i
+    table, canon, local, shape_of, shapes = fp._table, fp.cls_canon, rec.local, rec.shape_of, rec.shapes
     start, flat = array("i", [0]), array("i")
     for cid in cells:
-        flat.extend([i for i in map(cell_of.__getitem__, fp.children(cid)) if i >= 0])
+        enc = canon[cid]
+        flat.extend([local[table[enc ^ bit]] for bit in shapes[shape_of[cid]].delete])
         start.append(len(flat))
     dims = array("b", [fp.cls_dim[cid] + 1 - len(S) for cid in cells])
-    all_cubes = all(rec.multisets[cid].count(l) <= 2 for cid in cells for l in S)
-    return CellComplex(fp, rec.labels, S, cells, dims, start, flat, cell_of, all_cubes)
+    all_cubes = all(shape.cube for shape in shapes if shape.support == S)
+    return CellComplex(fp, rec.labels, S, cells, dims, start, flat, local, shape_of, shapes, all_cubes)
 
 
 @dataclass(frozen=True)
@@ -553,15 +545,15 @@ def _codes(X: CellComplex) -> Dict[int, array]:
     if not X.all_cubes:
         raise TriangulationError("vertex links need a cube complex (some label has multiplicity > 2)")
     fp = X.face_poset
-    table, canon, M, cells, cell_of = fp._table, fp.cls_canon, fp.M, X.cells, X.cell_of
+    table, canon, M, cells, local, shape_of, shapes = fp._table, fp.cls_canon, fp.M, X.cells, X.local, X.shape_of, X.shapes
     D = X.dimension
-    shape_of, shapes = X._shapes
     at = {i: array("i") for i, d in enumerate(X.dims) if d == 0}
     for i, d in enumerate(X.dims):
         if d >= 1:
-            base = canon[cells[i]] // M * M
-            for choice, (mask, _, _) in enumerate(shapes[shape_of[i]][4]):
-                at[cell_of[table[base + mask]]].append(i << D | choice)
+            cid = cells[i]
+            base = canon[cid] // M * M
+            for choice, (mask, _, _) in enumerate(shapes[shape_of[cid]].templates):
+                at[local[table[base + mask]]].append(i << D | choice)
     return at
 
 
@@ -576,17 +568,16 @@ def _link_cells(X: CellComplex, D: int, codes: Sequence[int], number: Dict[int, 
     """
     fp = X.face_poset
     table, map_of, perms, canon, M, L = fp._table, fp._map_of, fp._perms, fp.cls_canon, fp.M, fp.L
-    cells, cell_of = X.cells, X.cell_of
-    shape_of, shapes = X._shapes
+    cells, local, shape_of, shapes = X.cells, X.local, X.shape_of, X.shapes
     low = (1 << D) - 1
     out, masks = [], []
     for code in codes:
-        i = code >> D
-        base = canon[cells[i]] // M * M
+        cid = cells[code >> D]
+        base = canon[cid] // M * M
         simplex, mask = [], 0
-        for edge, c in shapes[shape_of[i]][4][code & low][2]:
+        for edge, c in shapes[shape_of[cid]].templates[code & low][2]:
             enc = base + edge
-            b = number.setdefault(cell_of[table[enc]] * L + perms[map_of[enc]][c], len(number))
+            b = number.setdefault(local[table[enc]] * L + perms[map_of[enc]][c], len(number))
             simplex.append(b)
             mask |= 1 << b
         out.append(simplex)
@@ -666,11 +657,10 @@ def _link_complex(X: CellComplex, D: int, v: int, codes: Sequence[int]) -> LinkC
     tops = []
     if D >= 2:
         # dimension-1 links are vertex pairs with no gluing structure
-        shape_of, shapes = X._shapes
         for code in codes:
             i = code >> D
             if X.dims[i] == D:
-                tops.append((X.cube(i), shapes[shape_of[i]][4][code & (1 << D) - 1][1]))
+                tops.append((X.cube(i), X.shapes[X.shape_of[X.cells[i]]].templates[code & (1 << D) - 1][1]))
     return LinkComplex(
         vertex_cell=v,
         vertex_ids=tuple(divmod(e, X.face_poset.L) for e in vertex_ids),

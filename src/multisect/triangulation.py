@@ -79,16 +79,6 @@ class TriSummary:
     betti: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Facet adjacency graph; one edge per gluing pair, loops kept."""
-
-    n_nodes: int
-    edges: Tuple[Tuple[int, int], ...]
-    connected: bool
-    bipartition: Optional[Tuple[int, ...]]
-
-
 class FacePoset:
     """Face classes of a triangulation, grouped and ordered canonically.
 
@@ -201,9 +191,6 @@ class FacePoset:
     def class_ids_of_dim(self, d: int) -> range:
         return range(self.dim_start[d], self.dim_start[d + 1])
 
-    def class_of_enc(self, enc: int) -> int:
-        return self._table[enc]
-
     def _encode(self, facet: int, corners: Iterable[int]) -> int:
         """The (facet, corner mask) pair as one int; corners may repeat."""
         mask = 0
@@ -265,18 +252,6 @@ class FacePoset:
                         seen.add(enc2)
                         walk.append(enc2)
         return walk
-
-    def corner_map(self, facet: int, corners: Iterable[int]) -> Tuple[int, Tuple[int, ...]]:
-        """Class of a face and its identification with the canonical incarnation.
-
-        Returns (class id, phi), where phi[c] is the canonical corner of
-        corner c of this incarnation.  phi is the whole corner bijection
-        between the two facets, one tuple shared by every incarnation
-        with that map; only its entries at the face's corners are
-        determined by the face.  Corners may repeat.  Two table reads.
-        """
-        enc = self._encode(facet, corners)
-        return self._table[enc], self._perms[self._map_of[enc]]
 
 
 class Triangulation:
@@ -499,24 +474,6 @@ class Triangulation:
             even=even,
             betti=gf2.betti(counts, self.boundary_columns),
         )
-
-    def dual_graph(self) -> DualGraph:
-        """Facet adjacency with parallel edges and loops, plus a 2-coloring if one exists."""
-        m, L = self.facet_count, self.dimension + 1
-        edges = []
-        for k, (t, p) in enumerate(zip(self.targets, self.map_ids)):
-            f, i = divmod(k, L)
-            if (f, i) > (t, self.maps[p][i]):
-                continue
-            edges.append((f, t) if f <= t else (t, f))
-        edges.sort()
-        adj: List[List[Tuple[int, int]]] = [[] for _ in range(m)]
-        for u, v in edges:
-            adj[u].append((v, -1))
-            adj[v].append((u, -1))
-        color = signed_colouring(range(m), adj)
-        bipartition = None if color is None else tuple(0 if color[f] == 1 else 1 for f in range(m))
-        return DualGraph(n_nodes=m, edges=tuple(edges), connected=self.connected(), bipartition=bipartition)
 
     # -- links ----------------------------------------------------------
 

@@ -754,6 +754,16 @@ def cell_index(X):
     return {cid: i for i, cid in enumerate(X.cells)}
 
 
+def cell_children(X):
+    """Every cell's `children_of`, as tuples."""
+    return tuple(tuple(X.children_of(i)) for i in range(len(X.cells)))
+
+
+def cell_cubes(X):
+    """Every cell's `cube` record, index-aligned with `X.cells`."""
+    return tuple(X.cube(i) for i in range(len(X.cells)))
+
+
 def cubes_by_grouping(X):
     """One `Cube` per cell of X, each grouped afresh from its canonical corners' labels.
 
@@ -798,8 +808,19 @@ def edge_ends_by_lookup(X):
 # --- cube faces through corner maps -----------------------------------------
 
 
+def corner_map(fp, facet, corners):
+    """Class of a face and its identification with the canonical incarnation, read off the face tables.
+
+    Returns (class id, phi), where phi[c] is the canonical corner of
+    corner c of this incarnation: the whole corner bijection, one tuple
+    shared by every incarnation with that map.  Corners may repeat.
+    """
+    enc = facet * fp.M + sum(1 << c for c in set(corners))
+    return fp._table[enc], fp._perms[fp._map_of[enc]]
+
+
 def square_boundaries_by_corner_map(X):
-    """`X.square_boundaries`, each step's edge and sign read through `FacePoset.corner_map`.
+    """`X.square_boundaries`, each step's edge and sign read through `corner_map`.
 
     The slow path the template walk is checked against: a square's corners
     (a1, a2), (b1, a2), (b1, b2), (a1, b2) are rebuilt as tuples, each
@@ -818,7 +839,7 @@ def square_boundaries_by_corner_map(X):
         path = []
         for (u1, u2), (w1, w2) in zip(cycle, cycle[1:]):
             veer = 0 if u1 != w1 else 1  # which coordinate moves
-            ecid, phi = fp.corner_map(cube.facet, cube.fixed + cube.pairs[veer] + (u2 if veer == 0 else u1,))
+            ecid, phi = corner_map(fp, cube.facet, cube.fixed + cube.pairs[veer] + (u2 if veer == 0 else u1,))
             start, stop = (phi[u1], phi[w1]) if veer == 0 else (phi[u2], phi[w2])
             e = index[ecid]
             path.append((e, 1 if (start, stop) == ends[e][2:] else -1))
@@ -827,7 +848,7 @@ def square_boundaries_by_corner_map(X):
 
 
 def orientable_by_corner_map(X):
-    """`X.orientable()`, each top cube's codimension-1 faces read through `FacePoset.corner_map`.
+    """`X.orientable()`, each top cube's codimension-1 faces read through `corner_map`.
 
     Deleting corner lo (hi) of direction t gives the face on side 1 (0);
     its transfer sign is (-1)^(t + side) times one flip per other direction
@@ -849,7 +870,7 @@ def orientable_by_corner_map(X):
             continue
         for t, (lo, hi) in enumerate(cube.pairs):
             for deleted, side in ((lo, 1), (hi, 0)):
-                gcid, phi = fp.corner_map(cube.facet, [c for c in cube.corners if c != deleted])
+                gcid, phi = corner_map(fp, cube.facet, [c for c in cube.corners if c != deleted])
                 flips = (-1) ** sum(1 for t2, (a, b) in enumerate(cube.pairs) if t2 != t and phi[a] > phi[b])
                 incidences.setdefault(index[gcid], []).append((i, flips * (-1) ** (t + side)))
     adj = {i: [] for i, d in enumerate(X.dims) if d == D}
@@ -863,7 +884,7 @@ def orientable_by_corner_map(X):
 
 
 def link_ridges_by_corner_map(fp, tops):
-    """The library's ridge table of a link (`cells._link_ridges`), each ridge read through `FacePoset.corner_map`.
+    """The library's ridge table of a link (`cells._link_ridges`), each ridge read through `corner_map`.
 
     A top's ridge across direction `slot` is its corner face plus both
     corners of every other direction; it is keyed by its class and the
@@ -873,7 +894,7 @@ def link_ridges_by_corner_map(fp, tops):
     for fi, (cube, corner_face) in enumerate(tops):
         for slot in range(len(cube.pairs)):
             others = tuple(c for t, pair in enumerate(cube.pairs) if t != slot for c in pair)
-            gcid, phi = fp.corner_map(cube.facet, corner_face + others)
+            gcid, phi = corner_map(fp, cube.facet, corner_face + others)
             ridges.setdefault((gcid, tuple(sorted(phi[c] for c in corner_face))), []).append((fi, slot))
     return ridges
 
@@ -949,7 +970,7 @@ def vertex_links_all_at_once(X):
             v = index[fp.class_of(f, corner_face)]
             ends = []
             for c, pair in zip(choice, pairs):
-                ecid, phi = fp.corner_map(f, corner_face + pair)
+                ecid, phi = corner_map(fp, f, corner_face + pair)
                 ends.append((index[ecid], phi[c]))
             ends_at[v].append((d, tuple(ends)))
             if d == D >= 2:
@@ -1055,7 +1076,7 @@ def collapse_by_parent_lists(X):
     import heapq
 
     n = len(X.cells)
-    children = X.children
+    children = cell_children(X)
     parents = [[] for _ in range(n)]
     for i, ch in enumerate(children):
         for c in ch:

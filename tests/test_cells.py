@@ -16,6 +16,7 @@ from multisect.cells import (
     _link_ridges,
     class_label_multisets,
     collapse,
+    labelling,
     extract,
     graph_genus,
     npc_check,
@@ -24,7 +25,7 @@ from multisect.cells import (
 )
 from multisect.io import load_stream
 from multisect.partition import VertexPartition, scheme_partition
-from multisect.subdivide import barycentric, infer_sides, slot_carriers
+from multisect.subdivide import barycentric
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
 from test_triangulation import relabel, relabelled_rows
@@ -123,13 +124,20 @@ def test_extract_rejects_subset_labels_out_of_range():
 
 
 def test_class_label_multisets_match_support():
-    T, P = pairs_partition(4, ((0, 1), (2, 3), (4,)))
-    fp = T.face_poset
-    ms = class_label_multisets(T, P)
-    for cid in range(fp.n_classes):
-        f, corners = fp.canonical(cid)
-        direct = tuple(sorted(P.labels[fp.class_of(f, (c,))] for c in corners))
-        assert ms[cid] == direct
+    # relabelled copies, with drawn labels, move every class's canonical corners, so the shapes differ
+    T0, P0 = pairs_partition(4, ((0, 1), (2, 3), (4,)))
+    copies = [(T0, P0)]
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        T = relabel(T0, rng)
+        copies.append((T, VertexPartition(k=2, labels=tuple(rng.randrange(3) for _ in P0.labels))))
+    for T, P in copies:
+        fp = T.face_poset
+        ms = class_label_multisets(T, P)
+        for cid in range(fp.n_classes):
+            f, corners = fp.canonical(cid)
+            direct = tuple(sorted(P.labels[fp.class_of(f, (c,))] for c in corners))
+            assert ms[cid] == direct
 
 
 def test_extract_matches_full_scan_oracle():
@@ -153,21 +161,20 @@ def check_cell_tables(T, P, S):
     """Every read of the flat cell tables against the per-element oracles: tuple children, a dict
     from class to cell, one cube record per cell and edge ends found by class lookups."""
     got, want = extract(T, P, S), oracles.extract_by_scan(T, P, S)
-    assert (tuple(got.cells), tuple(got.dims), got.children, got.all_cubes) == (
+    assert (tuple(got.cells), tuple(got.dims), oracles.cell_children(got), got.all_cubes) == (
         want.cells,
         want.dims,
         want.children,
         want.all_cubes,
     )
-    assert [tuple(got.children_of(i)) for i in range(len(got.cells))] == list(want.children)
     assert {cid: got._index(cid) for cid in want.cell_index} == want.cell_index
+    # the shared `local` array is each class's cell index in its own support's complex
+    assert [got.cells[got.local[cid]] for cid in got.cells] == list(got.cells)
     outside = [cid for cid in range(T.face_poset.n_classes) if cid not in want.cell_index]
-    assert all(got.cell_of[cid] == -1 for cid in outside)
-    for cid in outside[:1] + [-1, T.face_poset.n_classes]:
+    for cid in outside + [-1, T.face_poset.n_classes]:
         with pytest.raises(TriangulationError, match="not a cell"):
             got._index(cid)
-    cubes = oracles.cubes_by_grouping(got)
-    assert got.cubes == cubes == tuple(got.cube(i) for i in range(len(got.cells)))
+    assert oracles.cell_cubes(got) == oracles.cubes_by_grouping(got)
     # an edge's ends are its children, [head, tail], and its corners its shape's one pair
     ends = {e: (*reversed(got.children_of(e)), *got.pairs(e)[0]) for e, d in enumerate(got.dims) if d == 1}
     assert ends == oracles.edge_ends_by_lookup(got)
@@ -274,17 +281,14 @@ def test_npc_check_builds_no_link_triangulation(monkeypatch):
     assert len(built) == 1
 
 
-def test_cube_faces_are_read_without_corner_map(monkeypatch):
-    # the complex reaches a cube's faces and their corner maps only by mask, at facet * M + mask
+def test_cube_faces_are_read_without_corner_map():
+    # the complex reaches a cube's faces and their corner maps only by mask, at facet * M + mask;
+    # FacePoset has no reader that takes a corner tuple to a corner map
     from multisect.invariants import h1_onto_check, inclusion_epimorphism, pi1_presentation
     from multisect.triangulation import FacePoset
 
     T, P = relabelled_sd_rp3(1)
-
-    def refuse(self, facet, corners):
-        raise AssertionError("corner_map called")
-
-    monkeypatch.setattr(FacePoset, "corner_map", refuse)
+    assert not hasattr(FacePoset, "corner_map")
     X = extract(T, P, (0, 1))
     assert X.summary()["orientable"] is not None
     assert pi1_presentation(X).relators
@@ -421,6 +425,30 @@ def test_cell_tables_match_per_element_oracles(name):
     for r in range(1, P.k + 2):
         for S in combinations(range(P.k + 1), r):
             check_cell_tables(T, P, S)
+    # supports partition the classes, and `local` numbers each support's ascending class ids
+    rec = labelling(T, P)
+    assert sorted(cid for ids in rec.by_support.values() for cid in ids) == list(range(T.face_poset.n_classes))
+    for ids in rec.by_support.values():
+        assert list(ids) == sorted(ids) and [ids[rec.local[cid]] for cid in ids] == list(ids)
+
+
+@pytest.mark.parametrize("name", CELL_TABLE_INPUTS)
+def test_subset_complexes_read_no_face_poset_children(name, monkeypatch):
+    # every subset complex takes its children from the label pass's shapes, not from `FacePoset.children`
+    from multisect.partition import validate
+    from multisect.triangulation import FacePoset
+
+    T, P = CELL_TABLE_INPUTS[name]()
+    want = {S: oracles.extract_by_scan(T, P, S) for r in range(1, P.k + 2) for S in combinations(range(P.k + 1), r)}
+
+    def refuse(self, cid):
+        raise AssertionError("FacePoset.children called")
+
+    monkeypatch.setattr(FacePoset, "children", refuse)
+    validate(T, P)
+    for S, w in want.items():
+        X = extract(T, P, S)
+        assert (tuple(X.cells), oracles.cell_children(X)) == (w.cells, w.children)
 
 
 def test_vertex_link_lookup_forms():
@@ -457,7 +485,7 @@ def doubled_5_simplex_folded_corner():
     fp = X.face_poset
     i = list(X.dims).index(3)
     base = fp.cls_canon[X.cells[i]] // fp.M * fp.M
-    _, _, ((e1, c1), (e2, c2), _) = X._shapes[1][X._shapes[0][i]][4][0]
+    _, _, ((e1, c1), (e2, c2), _) = X.shapes[X.shape_of[X.cells[i]]].templates[0]
     assert fp._map_of[base + e1] == 0  # the identity
     swap = list(range(fp.L))
     swap[c1], swap[c2] = c2, c1
@@ -596,7 +624,6 @@ def test_npc_check_holds_one_link_at_a_time():
     # link's data before checking any grew tracemalloc by ~13 MiB here
     T, carriers = barycentric(barycentric(cross_projective(3))[0])
     X = extract(T, scheme_partition(T, "odd-bary", carriers=carriers), (0, 1))
-    X.cubes  # the complex's own cube records are not part of the transient
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -609,21 +636,22 @@ def test_npc_check_holds_one_link_at_a_time():
 
 
 def test_flat_tables_keep_the_subdivided_crosspolytope_small():
-    # sd(∂ 5-crosspolytope) even-npc, 3,840 facets and 14,720 central cells:
-    # with per-element tuples, cube records and dicts this retained 8.4 MiB
+    # sd(∂ 4-crosspolytope) odd-bary, 384 facets and 1,504 central cells: the
+    # label pass and the central complex retain 0.05 MiB beside the face poset;
+    # with per-element tuples, cube records and dicts they retained 0.2 MiB
+    T, carriers = barycentric(cross_sphere(3))
+    P = scheme_partition(T, "odd-bary", carriers=carriers)
+    assert T.face_poset.n_classes == 1696
     gc.collect()
     tracemalloc.start()
     try:
-        T, carriers = barycentric(cross_sphere(4))
-        P = scheme_partition(T, "even-npc", carriers=carriers, sides=infer_sides(T, slot_carriers(T)))
         X = extract(T, P, tuple(range(P.k + 1)))
-        X.cubes
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert T.face_poset.n_classes == 24482 and len(X.cells) == 14720 and X.all_cubes
-    assert retained < 3 * 2**20
+    assert len(X.cells) == 1504 and X.all_cubes
+    assert retained < 0.1 * 2**20
 
 
 def test_collapse_preserves_euler_and_betti():
@@ -634,9 +662,10 @@ def test_collapse_preserves_euler_and_betti():
         assert res.spine_euler == X.euler()
         spine = set(res.spine_cells)
         by_dim = collections.defaultdict(list)
+        children = oracles.cell_children(X)
         for i in spine:
-            kids = [k for k in X.children[i] if X.children[i].count(k) % 2 == 1]
-            assert all(k in spine for k in X.children[i])
+            kids = [k for k in children[i] if children[i].count(k) % 2 == 1]
+            assert all(k in spine for k in children[i])
             by_dim[X.dims[i]].append(frozenset(kids))
         top = res.spine_dim
         counts = [0] * (top + 1)

@@ -341,6 +341,22 @@ def test_cli_refuses_subset_labels_out_of_range(tmp_path):
     assert not out_path.exists()
 
 
+def test_cli_pairs_refuses_streams_without_coordinate_slots():
+    # the 5-sphere as the boundary of the 6-simplex, each facet's vertices ascending:
+    # vertex 5 sits at slot 5 of facet 0 and at slot 4 of facet 2, so slots are not coordinates
+    facets = [[v for v in range(7) if v != gap] for gap in (6, 5, 4, 3, 2, 1, 0)]
+    stream = "dim 5\nvertexfacets 7\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
+    code, out, err = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3/4,5"], stdin_text=stream)
+    assert (code, out) == (2, "")
+    assert err == (
+        "multisect: --scheme pairs needs coordinate corner slots or a corner_labels section;"
+        " vertex class 0:5 sits at two slots\n"
+    )
+    # the carrier-reading schemes keep their own refusal
+    code, _, err = run(["partition", "--scheme", "odd-bary"], stdin_text=stream)
+    assert (code, err) == (2, "multisect: corner slots do not determine carriers (vertex class 0:5)\n")
+
+
 def test_cli_report_out_json(tmp_path):
     code, doc, _ = run(["gen", "--cross-projective", "3"])
     code, part, _ = run(
