@@ -154,7 +154,7 @@ def class_label_multisets(T: Triangulation, P: VertexPartition) -> List[Tuple[in
 
 
 class Cube(NamedTuple):
-    """One cell read off its canonical incarnation: its facet and its shape's cube data."""
+    """The public view of one cell, made on each `cube(i)` from its facet and its `Shape`'s cube fields."""
 
     facet: int
     corners: Tuple[int, ...]              # canonical corners, ascending

@@ -215,9 +215,10 @@ def cmd_partition(args) -> int:
             raise UsageError("--scheme pairs needs --blocks")
         labels = None
         if T.extras.get("corner_labels") is None:
-            # the corner slots stand in for coordinates, so every vertex class must keep one slot
-            refusal = "--scheme pairs needs coordinate corner slots or a corner_labels section; vertex class %s sits at two slots"
-            labels = slot_carriers(T, refusal).dims
+            try:  # the corner slots stand in for coordinates, so every vertex class must keep one slot
+                labels = slot_carriers(T).dims
+            except TriangulationError as e:
+                raise TriangulationError("--scheme pairs needs coordinate corner slots or a corner_labels section: %s" % e) from None
         P = scheme_partition(T, "pairs", blocks=_parse_blocks(args.blocks), labels=labels)
     elif scheme == "explicit":
         if args.labels:

@@ -359,14 +359,12 @@ def join(A: Triangulation, B: Triangulation, limits: Limits = Limits()) -> Trian
     return Triangulation.from_vertex_facets(n, facets, extras=extras)
 
 
-def slot_carriers(
-    T: Triangulation, refusal: str = "corner slots do not determine carriers (vertex class %s)"
-) -> CarrierLabels:
+def slot_carriers(T: Triangulation) -> CarrierLabels:
     """Carrier dimensions read off corner slots.
 
     Flag subdivisions place every barycentre at the slot equal to its
-    carrier dimension, in each incarnation; raises `refusal`, naming the
-    first vertex class at two slots, when the input does not have that shape.
+    carrier dimension, in each incarnation; raises when the input does
+    not have that shape.
     """
     fp = T.face_poset
     nv = fp.dim_start[1]
@@ -376,7 +374,7 @@ def slot_carriers(
         if dims[v] is None:
             dims[v] = c
         elif dims[v] != c:
-            raise TriangulationError(refusal % fp.key(v))
+            raise TriangulationError("corner slots do not determine carriers (vertex class %s)" % fp.key(v))
     return CarrierLabels(dims=tuple(dims))  # type: ignore[arg-type]
 
 

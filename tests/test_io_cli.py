@@ -349,8 +349,8 @@ def test_cli_pairs_refuses_streams_without_coordinate_slots():
     code, out, err = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3/4,5"], stdin_text=stream)
     assert (code, out) == (2, "")
     assert err == (
-        "multisect: --scheme pairs needs coordinate corner slots or a corner_labels section;"
-        " vertex class 0:5 sits at two slots\n"
+        "multisect: --scheme pairs needs coordinate corner slots or a corner_labels section:"
+        " corner slots do not determine carriers (vertex class 0:5)\n"
     )
     # the carrier-reading schemes keep their own refusal
     code, _, err = run(["partition", "--scheme", "odd-bary"], stdin_text=stream)
