@@ -222,10 +222,10 @@ def cmd_partition(args) -> int:
         P = scheme_partition(T, "pairs", blocks=_parse_blocks(args.blocks), labels=labels)
     elif scheme == "explicit":
         if args.labels:
-            toks = io_mod._tokens(_read(args.labels))
+            toks = io_mod._Tokens(_read(args.labels))
             P = io_mod._load_partition(toks, T)
-            if toks:
-                raise TriangulationError("trailing input in labels file at %r" % toks[0])
+            if toks.peek() is not None:
+                raise TriangulationError("trailing input in labels file at %r" % toks.peek())
         elif P_in is not None:
             P = P_in
         else:

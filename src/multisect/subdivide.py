@@ -374,7 +374,7 @@ def slot_carriers(T: Triangulation) -> CarrierLabels:
         if dims[v] is None:
             dims[v] = c
         elif dims[v] != c:
-            raise TriangulationError("corner slots do not determine carriers (vertex class %s)" % fp.key(v))
+            raise TriangulationError("corner slots do not determine carriers (vertex class %s)" % T.vertex_key(v))
     return CarrierLabels(dims=tuple(dims))  # type: ignore[arg-type]
 
 

@@ -34,12 +34,13 @@ import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import chain, compress, islice, permutations
 from math import factorial
+from operator import eq, itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
-from .perms import compose, identity, invert, is_perm, sign
+from .perms import compose, identity, invert, sign
 from .unionfind import UnionFind, signed_colouring
 
 Gluing = Tuple[int, Tuple[int, ...]]
@@ -61,6 +62,51 @@ def parse_face_key(text: str) -> Tuple[int, Tuple[int, ...]]:
         return int(f_part), corners
     except Exception:
         raise TriangulationError("malformed face key %r, expected f:c1.c2..." % (text,)) from None
+
+
+class MapIds(dict):
+    """Corner maps numbered in order of first lookup; `maps[p]` is the map numbered p."""
+
+    def __init__(self):
+        super().__init__()
+        self.maps: List[Tuple[int, ...]] = []
+
+    def __missing__(self, pi: Tuple[int, ...]) -> int:
+        p = self[pi] = len(self.maps)
+        self.maps.append(pi)
+        return p
+
+
+def slot_error(
+    L: int, m: int, k0: int, targets: Sequence[int], ids: Sequence[int], maps: Sequence[Tuple[int, ...]], new: int = 0
+) -> Optional[str]:
+    """The error of the first bad slot among slots k0, k0 + 1, ..., or None.
+
+    `targets[j]` and `maps[ids[j]]` are slot k0 + j's gluing, for whole
+    facets from the one whose first slot is k0; m is the facet count.  A
+    slot is bad when its target is out of range, its corner map is not a
+    bijection, or it glues a face to itself; at one slot the checks rank
+    in that order.  Each map is checked once: those numbered below `new`
+    were checked before, so the first slot of a map numbered `new` or
+    more lies in this run.
+    """
+    end, error = len(targets), None
+    if end and (min(targets) < 0 or max(targets) >= m):
+        end = next(j for j, t in enumerate(targets) if not 0 <= t < m)
+        error = "facet %d slot %d: target %d out of range" % ((k0 + end) // L, (k0 + end) % L, targets[end])
+    ident = list(range(L))
+    p = next((p for p in range(new, len(maps)) if sorted(maps[p]) != ident), None)
+    if p is not None:
+        j = ids.index(p)
+        if j < end:
+            end, error = j, "facet %d slot %d: corner map %r is not a bijection" % ((k0 + j) // L, j % L, maps[p])
+    # before `end` every map is a bijection; a self-gluing needs the slot's own facet as target
+    own = range(k0 // L, k0 // L + len(targets) // L)
+    glued = (j for i in range(L) for j in compress(range(i, end, L), map(eq, targets[i::L], own)) if maps[ids[j]][i] == i)
+    j = min(glued, default=None)
+    if j is not None:
+        return "facet %d slot %d glued to itself" % ((k0 + j) // L, j % L)
+    return error
 
 
 @dataclass(frozen=True)
@@ -286,28 +332,24 @@ class Triangulation:
         m = len(gluings)
         if m == 0:
             raise TriangulationError("a triangulation needs at least one facet")
-        targets, ids = array("i"), array("i")
-        maps: List[Tuple[int, ...]] = []
-        # every distinct corner map is checked once and numbered
-        map_id: Dict[Tuple[int, ...], int] = {}
-        for f, row in enumerate(gluings):
-            if len(row) != L:
-                raise TriangulationError("facet %d has %d slots, expected %d" % (f, len(row), L))
-            for i, (t, pi) in enumerate(row):
-                pi = tuple(pi)
-                if not 0 <= t < m:
-                    raise TriangulationError("facet %d slot %d: target %d out of range" % (f, i, t))
-                p = map_id.get(pi)
-                if p is None:
-                    if len(pi) != L or not is_perm(pi):
-                        raise TriangulationError("facet %d slot %d: corner map %r is not a bijection" % (f, i, pi))
-                    p = map_id[pi] = len(maps)
-                    maps.append(pi)
-                if t == f and pi[i] == i:
-                    raise TriangulationError("facet %d slot %d glued to itself" % (f, i))
-                targets.append(t)
-                ids.append(p)
-        self._adopt(dimension, targets, ids, maps, vertex_ids, extras)
+        # the rows before the first of the wrong length go to the tables and are checked first
+        short = next((f for f, row in enumerate(gluings) if len(row) != L), m)
+
+        def slots() -> Iterator[Gluing]:
+            return chain.from_iterable(islice(gluings, short))
+
+        try:
+            targets = array("i", map(itemgetter(0), slots()))
+        except OverflowError:  # a target past 32 bits, which `slot_error` reports
+            targets = list(map(itemgetter(0), slots()))
+        map_id = MapIds()
+        ids = array("i", map(map_id.__getitem__, map(tuple, map(itemgetter(1), slots()))))
+        error = slot_error(L, m, 0, targets, ids, map_id.maps)
+        if error is None and short < m:
+            error = "facet %d has %d slots, expected %d" % (short, len(gluings[short]), L)
+        if error is not None:
+            raise TriangulationError(error)
+        self._adopt(dimension, targets, ids, map_id.maps, vertex_ids, extras)
 
     @classmethod
     def _from_tables(cls, dimension: int, targets: array, map_ids: array, maps: List[Tuple[int, ...]], extras=None):
@@ -395,6 +437,14 @@ class Triangulation:
         L, targets, ids, maps = self.dimension + 1, self.targets, self.map_ids, self.maps
         return tuple(tuple((targets[k], maps[ids[k]]) for k in range(b, b + L)) for b in range(0, len(targets), L))
 
+    def vertex_key(self, v: int) -> str:
+        """Vertex class v as a stream names it: by its identifier when there are vertex ids, else by face key."""
+        fp = self.face_poset
+        if self.vertex_ids is not None:
+            f, corners = fp.canonical(v)
+            return str(self.vertex_ids[f][corners[0]])
+        return fp.key(v)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Triangulation)
@@ -440,17 +490,19 @@ class Triangulation:
         Bit j of a column stands for face class dim_start[d-1] + j.
         There are no columns above the top dimension.
         """
+        return list(self._boundary_columns(d))
+
+    def _boundary_columns(self, d: int) -> Iterator[int]:
+        """`boundary_columns(d)` one column at a time."""
         if d > self.dimension:
-            return []
+            return
         fp = self.face_poset
         start = fp.dim_start[d - 1]
-        cols = []
         for cid in fp.class_ids_of_dim(d):
             col = 0
             for child in fp.children(cid):
                 col ^= 1 << (child - start)
-            cols.append(col)
-        return cols
+            yield col
 
     def summary(self) -> TriSummary:
         """Face census plus connectivity, orientability, parity and homology."""

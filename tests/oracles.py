@@ -1109,3 +1109,119 @@ def collapse_by_parent_lists(X):
                 if count[c] == 1:
                     push(c)
     return removed, tuple(i for i in range(n) if alive[i])
+
+
+# --- streams read one token at a time ----------------------------------------
+
+
+def load_stream_by_tokens(text):
+    """`io.load_stream(text)`, reading one token at a time.
+
+    The slow path the chunked reader is checked against: every token of
+    the comment-stripped text is queued up front and popped with the
+    error its position names, each gluing line is placed by its face
+    index into a row of (target, map) pairs, and the rows are checked
+    slot by slot in (f, i) order before the row constructor sees them.
+    """
+    from collections import deque
+
+    from multisect.partition import VertexPartition
+    from multisect.perms import is_perm
+    from multisect.triangulation import Triangulation, TriangulationError
+
+    toks = deque()
+    for line in text.splitlines():
+        toks.extend(line.split("#", 1)[0].split())
+
+    def take(what):
+        if not toks:
+            raise TriangulationError("unexpected end of input, wanted %s" % what)
+        return toks.popleft()
+
+    def take_int(what):
+        t = take(what)
+        try:
+            return int(t)
+        except ValueError:
+            raise TriangulationError("expected %s, got %r" % (what, t)) from None
+
+    def expect(word):
+        t = take("keyword %r" % word)
+        if t != word:
+            raise TriangulationError("expected %r, got %r" % (word, t))
+
+    def vid(tok):
+        body = tok[1:] if tok.startswith("-") else tok
+        return int(tok) if body.isascii() and body.isdigit() else tok
+
+    expect("dim")
+    n = take_int("dimension")
+    if n < 1:
+        raise TriangulationError("dimension %d out of range" % n)
+    kind = take("'facets' or 'vertexfacets'")
+    m = take_int("facet count")
+    if m < 1:
+        raise TriangulationError("facet count %d out of range" % m)
+    L = n + 1
+    if kind == "facets":
+        rows = []
+        for f in range(m):
+            row = [None] * L
+            for _ in range(L):
+                i = take_int("face index (facet %d)" % f)
+                if not 0 <= i <= n:
+                    raise TriangulationError("facet %d: face index %d out of range" % (f, i))
+                if row[i] is not None:
+                    raise TriangulationError("facet %d: face %d listed twice" % (f, i))
+                t = take_int("target facet")
+                row[i] = (t, tuple(take_int("bijection entry") for _ in range(L)))
+            rows.append(row)
+        checked = set()
+        for f, row in enumerate(rows):
+            for i, (t, pi) in enumerate(row):
+                if not 0 <= t < m:
+                    raise TriangulationError("facet %d slot %d: target %d out of range" % (f, i, t))
+                if pi not in checked:
+                    if not is_perm(pi):
+                        raise TriangulationError("facet %d slot %d: corner map %r is not a bijection" % (f, i, pi))
+                    checked.add(pi)
+                if t == f and pi[i] == i:
+                    raise TriangulationError("facet %d slot %d glued to itself" % (f, i))
+        T = Triangulation(n, rows)
+    elif kind == "vertexfacets":
+        T = Triangulation.from_vertex_facets(n, [tuple(vid(take("vertex identifier")) for _ in range(L)) for _ in range(m)])
+    else:
+        raise TriangulationError("expected 'facets' or 'vertexfacets', got %r" % kind)
+
+    P = None
+    if toks and toks[0] == "k":
+        toks.popleft()
+        k = take_int("class count")
+        fp = T.face_poset
+        by_id = {}
+        if T.vertex_ids is not None:
+            for v, ids in zip(fp.facet_vertices, (x for row in T.vertex_ids for x in row)):
+                by_id[str(ids)] = v
+        labels = [None] * fp.dim_start[1]
+        while toks and toks[0] == "v":
+            toks.popleft()
+            key = take("vertex key")
+            lab = take_int("class label")
+            if key in by_id:
+                cid = by_id[key]
+            elif ":" in key:
+                cid = fp.class_of_key(key)
+                if fp.cls_dim[cid] != 0:
+                    raise TriangulationError("key %r names a face, not a vertex" % key)
+            else:
+                raise TriangulationError("unknown vertex %r" % key)
+            if labels[cid] is not None and labels[cid] != lab:
+                raise TriangulationError("vertex %r assigned two labels" % key)
+            labels[cid] = lab
+        missing = sum(1 for x in labels if x is None)
+        if missing:
+            raise TriangulationError("partition misses %d vertex classes" % missing)
+        P = VertexPartition(k=k, labels=tuple(labels), scheme="explicit")
+    if toks:
+        raise TriangulationError("trailing input starting at %r" % toks[0])
+    return T, P

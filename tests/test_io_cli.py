@@ -1,24 +1,33 @@
 """Text formats, JSON export, and the command line front end."""
 
 import contextlib
+import gc
 import inspect
 import io
 import json
 import pathlib
+import random
 import re
 import shlex
 import sys
+import tracemalloc
+from functools import lru_cache
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import multisect
+import oracles
+from multisect import io as io_mod
 from multisect.cli import HEADER, main
 from multisect.io import load_stream, save_partition, save_stream, save_triangulation
 from multisect.partition import scheme_partition
 from multisect.subdivide import barycentric
 from multisect.triangulation import TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
+from test_triangulation import relabel
 
 ROOT = pathlib.Path(__file__).parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "cellcomplex.schema.json").read_text())
@@ -133,6 +142,150 @@ def test_partition_label_errors_rejected():
 def test_save_is_deterministic():
     T, _ = barycentric(double_simplex(3))
     assert save_triangulation(T) == save_triangulation(T)
+
+
+# --- the chunked reader against the per-token oracle -------------------------
+
+# every `str.splitlines` boundary ends a comment
+BOUNDARIES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# replacement tokens; the header's (dimension, facet count) stay small, as the oracle allocates a row per facet
+SMALL_TOKENS = ["x", "1.5", "0x1", "+3", "\u0663", "\u00b2", "3_0", "-1", "0", "4", "7", "99", "#", "k", "v", "dim", "facets", "0:0"]
+TOKENS = SMALL_TOKENS + ["2147483648", "9" * 30]
+
+
+@lru_cache(maxsize=None)
+def reader_subjects():
+    rng = random.Random(17)
+    rp3, s3 = cross_projective(3), cross_sphere(3)
+    subjects = {
+        "double_simplex(3)": save_triangulation(double_simplex(3)),
+        "cross_sphere(2)": save_triangulation(cross_sphere(2)),
+        "cross_projective(2)": save_triangulation(cross_projective(2)),
+        "relabelled cross_projective(3)": save_triangulation(relabel(rp3, rng)),
+        "relabelled sd(double_simplex(2))": save_triangulation(relabel(barycentric(double_simplex(2))[0], rng)),
+        "sd(double_simplex(3))": save_triangulation(barycentric(double_simplex(3))[0]),
+        "cross_projective(3) with pairs": save_stream(rp3, scheme_partition(rp3, "pairs", blocks=((0, 1), (2, 3)))),
+        "cross_sphere(3) with pairs": save_stream(s3, scheme_partition(s3, "pairs", blocks=((0, 1), (2, 3)))),
+    }
+    for path in sorted((ROOT / "tests" / "fixtures").glob("*.txt")):
+        subjects[path.name] = path.read_text()
+    return subjects
+
+
+def read_outcome(reader, text):
+    """What a reader makes of a stream: its tables and partition, or its error."""
+    try:
+        T, P = reader(text)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return T.dimension, list(T.targets), list(T.map_ids), T.maps, T.vertex_ids, P and (P.k, P.labels)
+
+
+def mutate(data, text):
+    kind = data.draw(st.sampled_from(["truncate", "drop", "duplicate", "swap", "token", "comments", "crlf"]))
+    if kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text)))]
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    if kind == "token" and spans:
+        j = data.draw(st.integers(0, len(spans) - 1))
+        a, b = spans[j]
+        return text[:a] + data.draw(st.sampled_from(TOKENS if j >= 4 else SMALL_TOKENS)) + text[b:]
+    if kind == "comments":
+        return text.replace("\n", " #note" + data.draw(st.sampled_from(BOUNDARIES)))
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    lines = text.split("\n")
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    else:  # a nearby line, often of the same facet
+        j = min(len(lines) - 1, i + data.draw(st.integers(1, 4)))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def test_boundaries_are_the_splitlines_boundaries():
+    singles = {b for b in BOUNDARIES if len(b) == 1}
+    assert singles == {chr(c) for c in range(0x3000) if len(("a" + chr(c) + "b").splitlines()) == 2}
+    assert "a\r\nb".splitlines() == ["a", "b"]
+
+
+DOUBLED_TRIANGLE = "dim 2\nfacets 2\n0 1 0 1 2\n1 1 0 1 2\n2 1 0 1 2\n0 0 0 1 2\n1 0 0 1 2\n2 0 0 1 2\n"
+SLOT_ERRORS = {
+    # at one slot: target range, then the corner map, then self-gluing
+    "target before map": ("0 1 0 1 2", "0 5 0 0 2", "facet 0 slot 0: target 5 out of range"),
+    "map before self-gluing": ("0 1 0 1 2", "0 0 0 0 2", "facet 0 slot 0: corner map (0, 0, 2) is not a bijection"),
+    "self-gluing": ("0 1 0 1 2", "0 0 0 1 2", "facet 0 slot 0 glued to itself"),
+    # across slots, the first bad one in (f, i) order
+    "map at an earlier slot": ("1 1 0 1 2\n2 1 0 1 2", "2 9 0 1 2\n1 1 0 1 1", "facet 0 slot 1: corner map (0, 1, 1) is not a bijection"),
+    "wide target at an earlier slot": ("2 1 0 1 2\n0 0", "2 %d 0 1 2\n0 0" % 2**40, "facet 0 slot 2: target %d out of range" % 2**40),
+    # a bad token anywhere wins over every slot check
+    "token after a bad slot": ("0 1 0 1 2", "0 5 0 1 2", "expected bijection entry, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("old, new, message", SLOT_ERRORS.values(), ids=SLOT_ERRORS)
+def test_chunked_reader_ranks_slot_errors_as_the_oracle(old, new, message):
+    text = DOUBLED_TRIANGLE.replace(old, new, 1)
+    if message.startswith("expected"):
+        text = text[: text.rfind("2")] + "x\n"
+    for chunk in (1, io_mod._CHUNK):
+        with mock.patch.object(io_mod, "_CHUNK", chunk):
+            assert read_outcome(load_stream, text) == ("TriangulationError", message)
+    assert read_outcome(oracles.load_stream_by_tokens, text) == ("TriangulationError", message)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, io_mod._CHUNK])
+def test_chunked_reader_matches_token_oracle_on_subjects(chunk):
+    with mock.patch.object(io_mod, "_CHUNK", chunk):
+        for name, text in reader_subjects().items():
+            want = read_outcome(oracles.load_stream_by_tokens, text)
+            assert isinstance(want[0], int), name  # every subject reads
+            assert read_outcome(load_stream, text) == want, name
+
+
+@settings(max_examples=400)
+@given(name=st.sampled_from(sorted(reader_subjects())), chunk=st.sampled_from([1, 7, 100, io_mod._CHUNK]), data=st.data())
+def test_chunked_reader_matches_token_oracle_on_mutated_streams(name, chunk, data):
+    text = reader_subjects()[name]
+    for _ in range(data.draw(st.integers(1, 3))):
+        text = mutate(data, text)
+    want = read_outcome(oracles.load_stream_by_tokens, text)
+    with mock.patch.object(io_mod, "_CHUNK", chunk):
+        assert read_outcome(load_stream, text) == want
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r", "\u2028"])
+def test_load_stream_holds_one_chunk_beside_its_tables(line_end):
+    # sd(∂ 5-crosspolytope), 3,840 facets in a 321 KB stream: the per-token
+    # reader peaked at 3.5 MiB, 8.5 times what the read keeps (0.42 MiB); the
+    # chunked reader peaks at 0.46 MiB.  Chunks end at any line boundary, so
+    # a stream without a "\n" is not read as one chunk.
+    text = save_triangulation(barycentric(cross_sphere(4))[0]).replace("\n", line_end)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        T, _ = load_stream(text)
+        kept, peak = (x - start for x in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert T.facet_count == 3840
+    assert peak < 5 * kept
+
+
+def test_a_huge_dimension_allocates_nothing_before_its_tokens_arrive():
+    # the per-token reader allocated a row of n + 1 slots first: 76 MiB here
+    tracemalloc.start()
+    try:
+        with pytest.raises(TriangulationError, match="unexpected end of input, wanted bijection entry"):
+            load_stream("dim 9999999\nfacets 1\n0 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- command line -----------------------------------------------------------
@@ -348,13 +501,29 @@ def test_cli_pairs_refuses_streams_without_coordinate_slots():
     stream = "dim 5\nvertexfacets 7\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
     code, out, err = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3/4,5"], stdin_text=stream)
     assert (code, out) == (2, "")
+    # the vertex is named as the stream names it, as a partition section would
     assert err == (
         "multisect: --scheme pairs needs coordinate corner slots or a corner_labels section:"
-        " corner slots do not determine carriers (vertex class 0:5)\n"
+        " corner slots do not determine carriers (vertex class 5)\n"
     )
     # the carrier-reading schemes keep their own refusal
     code, _, err = run(["partition", "--scheme", "odd-bary"], stdin_text=stream)
+    assert (code, err) == (2, "multisect: corner slots do not determine carriers (vertex class 5)\n")
+    # in the gluing layout the stream names vertices by face key
+    glued = save_triangulation(load_stream(stream)[0], layout="gluing")
+    code, _, err = run(["partition", "--scheme", "odd-bary"], stdin_text=glued)
     assert (code, err) == (2, "multisect: corner slots do not determine carriers (vertex class 0:5)\n")
+
+
+def test_cli_partition_reads_a_labels_file(tmp_path):
+    T = cross_projective(3)
+    P = scheme_partition(T, "pairs", blocks=((0, 1), (2, 3)))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("# the pairs partition\r\n" + save_partition(T, P).replace("\n", " # v\r\n"))
+    argv = ["partition", "--scheme", "explicit", "--labels", str(labels)]
+    assert run(argv, stdin_text=save_triangulation(T)) == (0, HEADER + save_stream(T, P), "")
+    labels.write_text(save_partition(T, P) + "v 0:0 0 extra\n")
+    assert run(argv, stdin_text=save_triangulation(T)) == (2, "", "multisect: trailing input in labels file at 'extra'\n")
 
 
 def test_cli_report_out_json(tmp_path):
