@@ -371,10 +371,13 @@ def cmd_cover(args) -> int:
     if args.orientation == args.labeling:
         raise UsageError("pick exactly one of --orientation, --labeling")
     if args.orientation:
+        m2, ceiling = 2 * T.facet_count, args.limits.ceiling()
+        if m2 > ceiling:
+            raise TriangulationError("orientation double cover would produce %d facets, over the ceiling %d" % (m2, ceiling))
         C = T.orientation_double_cover()
         note = "# orientation double cover, %d facets\n" % C.facet_count
     else:
-        C = labeling_cover(T)
+        C = labeling_cover(T, args.limits)
         note = "# labeling cover, degree %d\n" % C.extras.get("cover_degree", 0)
     _emit(HEADER + note + io_mod.save_gluing(C))
     return 0

@@ -295,9 +295,9 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     # one column at a time: a list of them all, each as wide as the edge
     # count, would outweigh the basis
     base = gf2.Basis()
-    for v in T._boundary_columns(2):
+    for v in T.boundary_columns(2):
         base.add(v)
-    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T._boundary_columns(1)) - base.rank
+    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - base.rank
     extra = 0
     for e in cotree:
         vb, va = central.children_of(e)

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import cells as cells_mod
 from .perms import compose, identity, invert
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import Limits, Triangulation, TriangulationError
 from .unionfind import UnionFind
 
 SCHEMES = ("odd-bary", "even-bary", "even-npc", "pairs", "explicit")
@@ -442,14 +442,16 @@ def symmetric_representation(T: Triangulation) -> SymRep:
     )
 
 
-def labeling_cover(T: Triangulation) -> Triangulation:
+def labeling_cover(T: Triangulation, limits: Limits = Limits()) -> Triangulation:
     """Smallest cover on which the reflection labeling is global.
 
     Facets are the (facet, labeling) pairs reachable from the base; the
     covering degree is the number of labelings over the base facet.
+    Raises as soon as the walk finds more facets than the ceiling.
     """
     _check_even_connected(T)
     L = T.dimension + 1
+    ceiling = limits.ceiling()
     start = (0, identity(L))
     index: Dict[Tuple[int, Tuple[int, ...]], int] = {start: 0}
     order = [start]
@@ -463,6 +465,8 @@ def labeling_cover(T: Triangulation) -> Triangulation:
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
+                if len(order) > ceiling:
+                    raise TriangulationError("labeling cover would produce more than the ceiling of %d facets" % ceiling)
     glu = []
     for f, labf in order:
         row = []

@@ -1,67 +1,56 @@
 """Subdivision and composition operators on triangulations.
 
-Barycentric subdivision works on flags: a facet of the output is a pair
-(facet, permutation) encoding a maximal chain of faces, and corner j of
-that flag is the barycentre of the chain's dimension-j face.  With this
-indexing every gluing of the subdivision has the identity corner map,
-internal neighbours differ by one adjacent transposition, and the
-external neighbour across the top barycentre composes the ambient corner
-map onto the flag.
+Each operator states once which old corner every new corner comes from,
+and that one rule drives its gluings, labels and rows:
+
+- Barycentric subdivision works on flags: a facet of the output is a
+  pair (facet, permutation rho) encoding a maximal chain of faces, and
+  corner j of that flag is the barycentre of the face on rho[:j+1], a
+  j-face.  Every gluing then has the identity corner map, internal
+  neighbours differ by one adjacent transposition, the external
+  neighbour across the top barycentre composes the ambient corner map
+  onto the flag, and the carriers are read off the corner slots.
+- The 2-n move keeps, for each new facet, the old corner at each new
+  corner, and one cover table says which new facet and slot cover each
+  old codimension-1 face.  External slots follow the old gluing to the
+  cover on the other side, internal slots go to the fan facet without
+  that corner, and labels follow the same rows.
+- A stellar cone puts the new vertex at corner i of cone piece i and
+  keeps the facet's other corners, in gluings, vertex ids and corner
+  labels alike.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partition import VertexPartition
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import Limits, Triangulation, TriangulationError
 from .perms import compose, invert
 from .unionfind import signed_colouring
 
 
-def default_ceiling() -> int:
-    """Facet budget for size-exploding operators; MULTISECT_CEILING overrides."""
-    raw = os.environ.get("MULTISECT_CEILING")
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise TriangulationError("MULTISECT_CEILING must be an integer, got %r" % raw) from None
-    return 10**8
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Resource bounds threaded through the size-exploding operators."""
-
-    facet_ceiling: Optional[int] = None
-
-    def ceiling(self) -> int:
-        return self.facet_ceiling if self.facet_ceiling is not None else default_ceiling()
-
-
 @dataclass(frozen=True)
 class CarrierLabels:
-    """Carrier of each vertex class of a subdivision, in input coordinates.
+    """Carrier dimension of each vertex class of a flag subdivision.
 
     dims[v] is the dimension of the input face whose barycentre became
-    vertex class v; faces[v] is that face's canonical (facet, corners)
-    pair in the input triangulation.
+    vertex class v, which is also the corner slot v takes in every
+    incarnation.
     """
 
     dims: Tuple[int, ...]
-    faces: Optional[Tuple[Tuple[int, Tuple[int, ...]], ...]] = None
 
 
 def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulation, CarrierLabels]:
     """First barycentric subdivision with carrier labels.
 
-    Returns (n+1)! flags per input facet.  Raises if the output would
-    exceed the facet ceiling.
+    Returns (n+1)! flags per input facet, and the carriers `slot_carriers`
+    reads off their corner slots.  Raises if the output would exceed the
+    facet ceiling.
     """
     n = T.dimension
     L = n + 1
@@ -84,26 +73,7 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
             targets.append(t * P + pindex[compose(sigma, rho)])
     # every gluing of a flag subdivision has the identity corner map
     out = Triangulation._from_tables(n, targets, array("B", bytes(len(targets))), [tuple(range(L))])
-
-    fp_in = T.face_poset
-    fp_out = out.face_poset
-    n_vertices = fp_out.dim_start[1]
-    faces: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None] * n_vertices
-    for f in range(T.facet_count):
-        base = f * P
-        for p_idx, rho in enumerate(perms):
-            F = base + p_idx
-            for j in range(L):
-                v = fp_out.facet_vertices[F * L + j]
-                carrier = fp_in.canonical(fp_in.class_of(f, rho[: j + 1]))
-                if faces[v] is None:
-                    faces[v] = carrier
-                elif faces[v] != carrier:
-                    raise TriangulationError(
-                        "carrier of subdivision vertex %s is not single-valued" % fp_out.key(v)
-                    )
-    dims = tuple(len(c[1]) - 1 for c in faces)  # type: ignore[index]
-    return out, CarrierLabels(dims=dims, faces=tuple(faces))  # type: ignore[arg-type]
+    return out, slot_carriers(out)
 
 
 def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulation, VertexPartition]:
@@ -114,6 +84,8 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
     class, and these faces pair the facets perfectly.  Each pair is
     replaced by n facets sharing the edge spanned by the two last-class
     vertices, so in the output every facet has two last-class vertices.
+    Pairs are numbered by their first facet, and the fan facets of a pair
+    by the ridge corner they omit.
     """
     n = T.dimension
     if n < 4 or n % 2 != 0:
@@ -142,113 +114,53 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
         if partner[partner[f]] != f:
             raise TriangulationError("distinguished faces do not match the facets into pairs")
 
-    pairs: List[Tuple[int, int]] = []
-    pair_of: List[Optional[Tuple[int, int]]] = [None] * m
-    for f in range(m):
-        if pair_of[f] is None:
-            t = partner[f]
-            pair_of[f] = (len(pairs), 0)
-            pair_of[t] = (len(pairs), 1)
-            pairs.append((f, t))
+    # Fan facet u of the pair (g0, g1) has g0's last-class corner a at corner 0, g1's at
+    # corner 1, and g0's other ridge corners but u at 2..n.  origins[F][s] is (member s,
+    # its corner at each new corner, the ridge corner it lacks); member s has no corner at
+    # 1 - s, where its row repeats its apex.  cover[g, c] is the new facet and slot covering
+    # old face (g, opposite c), with the new corner of each old corner on it.
+    origins: List[Tuple[Tuple[int, List[int], int], ...]] = []
+    cover: Dict[Tuple[int, int], Tuple[int, int, Dict[int, int]]] = {}
+    for g0, g1 in enumerate(partner):
+        if g1 < g0:
+            continue
+        a = special[g0]
+        pi = T.gluing(g0, a)[1]
+        ridge = [c for c in range(L) if c != a]
+        for u in ridge:
+            old = [a, a] + [c for c in ridge if c != u]
+            members = ((g0, old, u), (g1, [pi[c] for c in old], pi[u]))
+            for s, (g, corners, lacks) in enumerate(members):
+                cover[g, lacks] = (len(origins), 1 - s, {c: x for x, c in enumerate(corners) if x != 1 - s})
+            origins.append(members)
 
-    ridge: List[Tuple[int, ...]] = []  # per pair: corners of the shared face, in first-member labels
-    ridx: List[dict] = []
-    pair_pi: List[Tuple[int, ...]] = []  # corner map first member -> second member
-    for sigma, sigma2 in pairs:
-        a = special[sigma]
-        u = tuple(c for c in range(L) if c != a)
-        ridge.append(u)
-        ridx.append({c: r for r, c in enumerate(u)})
-        pair_pi.append(T.gluing(sigma, a)[1])
-
-    def pos_in(p: int, j: int, u: int) -> int:
-        r = ridx[p][u]
-        return 2 + (r if r < j else r - 1)
-
-    def covering(t: int, s: int):
-        """New (facet, covered slot) for the old ridge (t, s) plus a corner translator."""
-        q, side = pair_of[t]  # type: ignore[misc]
-        if side == 0:
-            j2 = ridx[q][s]
-            a_q = special[t]
-
-            def trans(c: int) -> int:
-                return 0 if c == a_q else pos_in(q, j2, c)
-
-            return q * n + j2, 1, trans
-        piq_inv = invert(pair_pi[q])
-        j2 = ridx[q][piq_inv[s]]
-        b_q = special[t]
-
-        def trans2(c: int) -> int:
-            return 1 if c == b_q else pos_in(q, j2, piq_inv[c])
-
-        return q * n + j2, 0, trans2
-
-    glu: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in range(len(pairs) * n)]
-    for p, (sigma, sigma2) in enumerate(pairs):
-        a = special[sigma]
-        pi = pair_pi[p]
-        u_all = ridge[p]
-        for j in range(n):
-            F = p * n + j
-            row = glu[F]
-            # internal: all other facets of the same pair
-            for j2 in range(n):
-                if j2 == j:
-                    continue
-                bij = [0] * L
-                bij[0] = 0
-                bij[1] = 1
-                for u in u_all:
-                    if u == u_all[j]:
-                        continue
-                    bij[pos_in(p, j, u)] = pos_in(p, j2, u) if u != u_all[j2] else pos_in(p, j2, u_all[j])
-                row[pos_in(p, j, u_all[j2])] = (p * n + j2, tuple(bij))
-            # external across the first member's old ridge (slot 1 omits corner 1)
-            t2, nu = T.gluing(sigma, u_all[j])
-            target, cov_slot, trans = covering(t2, nu[u_all[j]])
-            bij = [0] * L
-            bij[0] = trans(nu[a])
-            bij[1] = cov_slot
-            for u in u_all:
-                if u == u_all[j]:
-                    continue
-                bij[pos_in(p, j, u)] = trans(nu[u])
-            row[1] = (target, tuple(bij))
-            # external across the second member's old ridge (slot 0 omits corner 0)
-            t3, mu = T.gluing(sigma2, pi[u_all[j]])
-            target, cov_slot, trans = covering(t3, mu[pi[u_all[j]]])
-            bij = [0] * L
-            bij[1] = trans(mu[pi[a]])
-            bij[0] = cov_slot
-            for u in u_all:
-                if u == u_all[j]:
-                    continue
-                bij[pos_in(p, j, u)] = trans(mu[pi[u]])
-            row[0] = (target, tuple(bij))
+    glu: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = []
+    for members in origins:
+        g0, old, u = members[0]
+        row: List[Optional[Tuple[int, Tuple[int, ...]]]] = [None] * L
+        # internal: the slot at ridge corner old[x] is shared with the fan facet without it, which has u there
+        for x in range(2, L):
+            F2, _, into = cover[g0, old[x]]
+            row[x] = (F2, (0, 1) + tuple(into[u if y == x else old[y]] for y in range(2, L)))
+        # external: member s's old face without its lacking corner follows the old gluing to the cover there
+        for s, (g, corners, lacks) in enumerate(members):
+            t, nu = T.gluing(g, lacks)
+            F2, slot, into = cover[t, nu[lacks]]
+            row[1 - s] = (F2, tuple(slot if x == 1 - s else into[nu[c]] for x, c in enumerate(corners)))
+        glu.append(row)
     out = Triangulation(n, glu)  # type: ignore[arg-type]
 
-    # carry the partition over through corner provenance
-    fp_out = out.face_poset
-    new_labels: List[Optional[int]] = [None] * fp_out.dim_start[1]
-    for p, (sigma, sigma2) in enumerate(pairs):
-        a = special[sigma]
-        pi = pair_pi[p]
-        u_all = ridge[p]
-        for j in range(n):
-            F = p * n + j
-            origins = {0: (sigma, a), 1: (sigma2, pi[a])}
-            for u in u_all:
-                if u != u_all[j]:
-                    origins[pos_in(p, j, u)] = (sigma, u)
-            for c, (of, oc) in origins.items():
-                v = fp_out.facet_vertices[F * L + c]
-                lab = labels[fp.facet_vertices[of * L + oc]]
-                if new_labels[v] is None:
-                    new_labels[v] = lab
-                elif new_labels[v] != lab:
-                    raise TriangulationError("partition labels conflict on the rebuilt vertex classes")
+    fv_out = out.face_poset.facet_vertices
+    new_labels: List[Optional[int]] = [None] * out.face_poset.dim_start[1]
+    for F, members in enumerate(origins):
+        for x in range(L):
+            g, corners, _ = members[1 if x == 1 else 0]
+            v = fv_out[F * L + x]
+            lab = labels[fp.facet_vertices[g * L + corners[x]]]
+            if new_labels[v] is None:
+                new_labels[v] = lab
+            elif new_labels[v] != lab:
+                raise TriangulationError("partition labels conflict on the rebuilt vertex classes")
     out_part = VertexPartition(k=part.k, labels=tuple(new_labels), scheme=part.scheme)  # type: ignore[arg-type]
     return out, out_part
 
@@ -269,50 +181,39 @@ def stellar_facet(T: Triangulation, facet: int) -> Triangulation:
         return facet if i == 0 else m + i - 1
 
     glu_out: List[List[Tuple[int, Tuple[int, ...]]]] = [list(row) for row in T.gluings]
-    rows: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in range(L)]
+    cone = []
     for i in range(L):
+        # piece i meets piece j across the face without corner j; the new vertex moves from corner i to j
+        row = [(sid(j), tuple(j if c == i else i if c == j else c for c in range(L))) for j in range(L)]
+        # and the old neighbour across the face without corner i
         t, pi = T.gluing(facet, i)
-        if t == facet:
-            rows[i][i] = (sid(pi[i]), pi)
-        else:
-            rows[i][i] = (t, pi)
+        row[i] = (sid(pi[i]) if t == facet else t, pi)
+        if t != facet:
             glu_out[t][pi[i]] = (sid(i), invert(pi))
-        for j in range(L):
-            if j == i:
-                continue
-            tau = list(range(L))
-            tau[i], tau[j] = j, i
-            rows[i][j] = (sid(j), tuple(tau))
-    glu_out[facet] = rows[0]  # type: ignore[assignment]
-    for i in range(1, L):
-        glu_out.append(rows[i])  # type: ignore[arg-type]
+        cone.append(row)
+    glu_out[facet] = cone[0]
+    glu_out.extend(cone[1:])
 
     vertex_ids = None
     if T.vertex_ids is not None:
-        fresh = _fresh_id(T.vertex_ids)
-        vertex_ids = [list(v) for v in T.vertex_ids]
-        base = list(T.vertex_ids[facet])
-        new_rows = []
-        for i in range(L):
-            ids = list(base)
-            ids[i] = fresh
-            new_rows.append(ids)
-        vertex_ids[facet] = new_rows[0]
-        vertex_ids.extend(new_rows[1:])
+        vertex_ids = _cone_rows(T.vertex_ids, facet, _fresh_id(T.vertex_ids))
     extras = {}
     old_labels = T.extras.get("corner_labels")
     if old_labels is not None:
-        labels = [tuple(r) for r in old_labels]
-        base_l = list(old_labels[facet])
-        new_lrows = []
-        for i in range(L):
-            lr = list(base_l)
-            lr[i] = None
-            new_lrows.append(tuple(lr))
-        labels[facet] = new_lrows[0]
-        labels.extend(new_lrows[1:])
-        extras["corner_labels"] = tuple(labels)
+        extras["corner_labels"] = tuple(_cone_rows(old_labels, facet, None))
     return Triangulation(n, glu_out, vertex_ids=vertex_ids, extras=extras or None)
+
+
+def _cone_rows(rows: Sequence[Sequence], facet: int, value) -> List[tuple]:
+    """Per-facet rows after coning `facet`: cone piece i has `value` at corner i.
+
+    Piece 0 keeps the facet's place; pieces 1..n are appended.
+    """
+    out = [tuple(r) for r in rows]
+    base = out[facet]
+    cone = [base[:i] + (value,) + base[i + 1 :] for i in range(len(base))]
+    out[facet] = cone[0]
+    return out + cone[1:]
 
 
 def _fresh_id(vertex_ids: Sequence[Sequence]) -> int:

@@ -30,6 +30,7 @@ triangulation weakly, so dropping a triangulation frees both.
 
 from __future__ import annotations
 
+import os
 import weakref
 from array import array
 from dataclasses import dataclass
@@ -48,6 +49,27 @@ Gluing = Tuple[int, Tuple[int, ...]]
 
 class TriangulationError(ValueError):
     """Malformed gluing data or an unmet structural precondition."""
+
+
+def default_ceiling() -> int:
+    """Facet budget for size-exploding operators; MULTISECT_CEILING overrides."""
+    raw = os.environ.get("MULTISECT_CEILING")
+    if raw is not None:
+        try:
+            return int(raw)
+        except ValueError:
+            raise TriangulationError("MULTISECT_CEILING must be an integer, got %r" % raw) from None
+    return 10**8
+
+
+@dataclass(frozen=True)
+class Limits:
+    """Resource bounds threaded through the size-exploding operators."""
+
+    facet_ceiling: Optional[int] = None
+
+    def ceiling(self) -> int:
+        return self.facet_ceiling if self.facet_ceiling is not None else default_ceiling()
 
 
 def face_key(facet: int, corners: Sequence[int]) -> str:
@@ -484,16 +506,13 @@ class Triangulation:
         eps = signed_colouring(range(m), adj)
         return None if eps is None else tuple(eps[f] for f in range(m))
 
-    def boundary_columns(self, d: int) -> List[int]:
+    def boundary_columns(self, d: int) -> Iterator[int]:
         """The GF(2) boundary map C_d -> C_{d-1}: per d-face class, the bits of its (d-1)-faces.
 
+        Yields one column at a time, so an elimination holds only its basis.
         Bit j of a column stands for face class dim_start[d-1] + j.
         There are no columns above the top dimension.
         """
-        return list(self._boundary_columns(d))
-
-    def _boundary_columns(self, d: int) -> Iterator[int]:
-        """`boundary_columns(d)` one column at a time."""
         if d > self.dimension:
             return
         fp = self.face_poset

@@ -3,7 +3,7 @@
 Every generator attaches `corner_labels` metadata giving the coordinate
 label of each facet corner; block partition schemes key off these.
 The crosspolytope generators refuse to exceed a facet ceiling, by
-default `subdivide.default_ceiling()`.
+default `triangulation.default_ceiling()`.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Optional
 
-from .subdivide import Limits
-from .triangulation import Triangulation, TriangulationError
+from .triangulation import Limits, Triangulation, TriangulationError
 
 
 def _constant_corner_labels(m: int, n: int):

@@ -9,7 +9,7 @@ which the library itself does not need.
 
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 
 # --- crosspolytope enumeration ---------------------------------------------
@@ -475,17 +475,201 @@ def incarnation_maps_by_bfs(T, start):
     return maps
 
 
+# --- carriers of a flag subdivision by class lookups ------------------------
+
+
+def carrier_faces_by_class_lookup(T, S):
+    """Carrier face of every vertex class of `S`, the flag subdivision `barycentric(T)` returned.
+
+    The slow path `slot_carriers` is checked against: corner j of flag
+    (f, rho) is the barycentre of the face of f on corners rho[:j+1], so
+    each corner of `S` looks its carrier up among `T`'s face classes.
+    Returns each class's canonical (facet, corners) pair in `T`, and
+    asserts that every incarnation of a class names the same face.
+    """
+    L = T.dimension + 1
+    fp_in, fp_out = T.face_poset, S.face_poset
+    faces = [None] * fp_out.dim_start[1]
+    flags = [(f, rho) for f in range(T.facet_count) for rho in permutations(range(L))]
+    for F, (f, rho) in enumerate(flags):
+        for j in range(L):
+            v = fp_out.facet_vertices[F * L + j]
+            carrier = fp_in.canonical(fp_in.class_of(f, rho[: j + 1]))
+            assert faces[v] in (None, carrier), "carrier of %s is not single-valued" % fp_out.key(v)
+            faces[v] = carrier
+    return tuple(faces)
+
+
+# --- the 2-n move through per-pair ridge tables ----------------------------
+
+
+def pachner_2n_pass_by_pair_tables(T, part):
+    """`pachner_2n_pass(T, part)` through per-pair ridge tables and corner translators.
+
+    The slow path the cover-table move is checked against: each new slot
+    is placed through `pos_in` and a translator closure per covered old
+    ridge, the two external slots are written by two copies of one block,
+    and labels are carried through a third table of corner origins.
+
+    Precondition (even dimension n >= 4, last class singleton): every
+    facet has exactly one codimension-1 face avoiding the last partition
+    class, and these faces pair the facets perfectly.  Each pair is
+    replaced by n facets sharing the edge spanned by the two last-class
+    vertices, so in the output every facet has two last-class vertices.
+    """
+    from multisect.partition import VertexPartition
+    from multisect.perms import invert
+    from multisect.triangulation import Triangulation, TriangulationError
+
+    n = T.dimension
+    if n < 4 or n % 2 != 0:
+        raise TriangulationError("the 2-n pass needs an even dimension of at least 4, got %d" % n)
+    k = n // 2
+    fp = T.face_poset
+    if len(part.labels) != fp.dim_start[1]:
+        raise TriangulationError("partition does not fit this triangulation's vertex classes")
+    labels = part.labels
+    m = T.facet_count
+    L = n + 1
+
+    special = []
+    for f in range(m):
+        ks = [c for c in range(L) if labels[fp.facet_vertices[f * L + c]] == k]
+        if len(ks) != 1:
+            raise TriangulationError(
+                "facet %d has %d corners in the last class, so it has no unique face avoiding it"
+                % (f, len(ks))
+            )
+        special.append(ks[0])
+    partner = [T.gluing(f, special[f])[0] for f in range(m)]
+    for f in range(m):
+        if partner[f] == f:
+            raise TriangulationError("facet %d is its own partner across its distinguished face" % f)
+        if partner[partner[f]] != f:
+            raise TriangulationError("distinguished faces do not match the facets into pairs")
+
+    pairs: List[Tuple[int, int]] = []
+    pair_of: List[Optional[Tuple[int, int]]] = [None] * m
+    for f in range(m):
+        if pair_of[f] is None:
+            t = partner[f]
+            pair_of[f] = (len(pairs), 0)
+            pair_of[t] = (len(pairs), 1)
+            pairs.append((f, t))
+
+    ridge: List[Tuple[int, ...]] = []  # per pair: corners of the shared face, in first-member labels
+    ridx: List[dict] = []
+    pair_pi: List[Tuple[int, ...]] = []  # corner map first member -> second member
+    for sigma, sigma2 in pairs:
+        a = special[sigma]
+        u = tuple(c for c in range(L) if c != a)
+        ridge.append(u)
+        ridx.append({c: r for r, c in enumerate(u)})
+        pair_pi.append(T.gluing(sigma, a)[1])
+
+    def pos_in(p: int, j: int, u: int) -> int:
+        r = ridx[p][u]
+        return 2 + (r if r < j else r - 1)
+
+    def covering(t: int, s: int):
+        """New (facet, covered slot) for the old ridge (t, s) plus a corner translator."""
+        q, side = pair_of[t]  # type: ignore[misc]
+        if side == 0:
+            j2 = ridx[q][s]
+            a_q = special[t]
+
+            def trans(c: int) -> int:
+                return 0 if c == a_q else pos_in(q, j2, c)
+
+            return q * n + j2, 1, trans
+        piq_inv = invert(pair_pi[q])
+        j2 = ridx[q][piq_inv[s]]
+        b_q = special[t]
+
+        def trans2(c: int) -> int:
+            return 1 if c == b_q else pos_in(q, j2, piq_inv[c])
+
+        return q * n + j2, 0, trans2
+
+    glu: List[List[Optional[Tuple[int, Tuple[int, ...]]]]] = [[None] * L for _ in range(len(pairs) * n)]
+    for p, (sigma, sigma2) in enumerate(pairs):
+        a = special[sigma]
+        pi = pair_pi[p]
+        u_all = ridge[p]
+        for j in range(n):
+            F = p * n + j
+            row = glu[F]
+            # internal: all other facets of the same pair
+            for j2 in range(n):
+                if j2 == j:
+                    continue
+                bij = [0] * L
+                bij[0] = 0
+                bij[1] = 1
+                for u in u_all:
+                    if u == u_all[j]:
+                        continue
+                    bij[pos_in(p, j, u)] = pos_in(p, j2, u) if u != u_all[j2] else pos_in(p, j2, u_all[j])
+                row[pos_in(p, j, u_all[j2])] = (p * n + j2, tuple(bij))
+            # external across the first member's old ridge (slot 1 omits corner 1)
+            t2, nu = T.gluing(sigma, u_all[j])
+            target, cov_slot, trans = covering(t2, nu[u_all[j]])
+            bij = [0] * L
+            bij[0] = trans(nu[a])
+            bij[1] = cov_slot
+            for u in u_all:
+                if u == u_all[j]:
+                    continue
+                bij[pos_in(p, j, u)] = trans(nu[u])
+            row[1] = (target, tuple(bij))
+            # external across the second member's old ridge (slot 0 omits corner 0)
+            t3, mu = T.gluing(sigma2, pi[u_all[j]])
+            target, cov_slot, trans = covering(t3, mu[pi[u_all[j]]])
+            bij = [0] * L
+            bij[1] = trans(mu[pi[a]])
+            bij[0] = cov_slot
+            for u in u_all:
+                if u == u_all[j]:
+                    continue
+                bij[pos_in(p, j, u)] = trans(mu[pi[u]])
+            row[0] = (target, tuple(bij))
+    out = Triangulation(n, glu)  # type: ignore[arg-type]
+
+    # carry the partition over through corner provenance
+    fp_out = out.face_poset
+    new_labels: List[Optional[int]] = [None] * fp_out.dim_start[1]
+    for p, (sigma, sigma2) in enumerate(pairs):
+        a = special[sigma]
+        pi = pair_pi[p]
+        u_all = ridge[p]
+        for j in range(n):
+            F = p * n + j
+            origins = {0: (sigma, a), 1: (sigma2, pi[a])}
+            for u in u_all:
+                if u != u_all[j]:
+                    origins[pos_in(p, j, u)] = (sigma, u)
+            for c, (of, oc) in origins.items():
+                v = fp_out.facet_vertices[F * L + c]
+                lab = labels[fp.facet_vertices[of * L + oc]]
+                if new_labels[v] is None:
+                    new_labels[v] = lab
+                elif new_labels[v] != lab:
+                    raise TriangulationError("partition labels conflict on the rebuilt vertex classes")
+    out_part = VertexPartition(k=part.k, labels=tuple(new_labels), scheme=part.scheme)  # type: ignore[arg-type]
+    return out, out_part
+
+
 # --- sides of a second subdivision from a facet 2-colouring -----------------
 
 
-def sides_by_dual_bipartition(intermediate, carriers):
-    """Side of every top-carrier vertex class of sd(`intermediate`).
+def sides_by_dual_bipartition(intermediate, S):
+    """Side of every top-carrier vertex class of `S` = sd(`intermediate`).
 
     The slow path `infer_sides` is checked against: the facets of
     `intermediate` are 2-coloured breadth-first across its gluings from
-    facet 0, and the barycentre of facet f takes f's colour.  `carriers`
-    are the carrier labels `barycentric(intermediate)` returned, so there
-    is one top-carrier class per facet.  Reads only the gluing table.
+    facet 0, and the barycentre of facet f takes f's colour.  Carrier
+    faces come from `carrier_faces_by_class_lookup`, so there is one
+    top-carrier class per facet.
     """
     colour = {0: 0}
     queue = [0]
@@ -496,8 +680,9 @@ def sides_by_dual_bipartition(intermediate, carriers):
                 colour[t] = 1 - colour[f]
                 queue.append(t)
             assert colour[t] != colour[f], "the dual graph is not bipartite"
-    top = max(carriers.dims)
-    sides = {v: colour[face[0]] for v, (d, face) in enumerate(zip(carriers.dims, carriers.faces)) if d == top}
+    top = intermediate.dimension
+    faces = carrier_faces_by_class_lookup(intermediate, S)
+    sides = {v: colour[f] for v, (f, corners) in enumerate(faces) if len(corners) - 1 == top}
     assert len(colour) == intermediate.facet_count == len(sides)
     return sides
 

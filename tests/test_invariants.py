@@ -257,7 +257,7 @@ def test_h1_onto_refuses_label_out_of_range(cls):
 
 def test_h1_onto_in_dimension_one():
     # two points do not reach H_1 of the circle; the circle itself does
-    assert double_simplex(1).boundary_columns(2) == []
+    assert list(double_simplex(1).boundary_columns(2)) == []
     assert not h1_onto_check(double_simplex(1), VertexPartition(k=1, labels=(0, 1)))
     assert h1_onto_check(cross_sphere(1), VertexPartition(k=0, labels=(0,) * 4))
 

@@ -571,6 +571,30 @@ def test_cli_cover_modes():
     assert code == 2
 
 
+TWISTED_CHAIN = str(ROOT / "tests" / "fixtures" / "twisted_chain.txt")
+
+
+@pytest.mark.parametrize(
+    "kind, err",
+    [
+        ("--labeling", "multisect: labeling cover would produce more than the ceiling of 3 facets\n"),
+        ("--orientation", "multisect: orientation double cover would produce 4 facets, over the ceiling 3\n"),
+    ],
+)
+def test_cli_cover_refuses_past_the_ceiling(kind, err, monkeypatch):
+    # both covers of the 2-facet twisted chain have 4 facets
+    assert run(["cover", kind, "--ceiling", "3", TWISTED_CHAIN]) == (2, "", err)
+    monkeypatch.setenv("MULTISECT_CEILING", "3")
+    assert run(["cover", kind, TWISTED_CHAIN]) == (2, "", err)
+
+
+@pytest.mark.parametrize("kind", ["--labeling", "--orientation"])
+def test_cli_cover_at_the_ceiling_is_unchanged(kind):
+    code, out, err = run(["cover", kind, TWISTED_CHAIN])
+    assert (code, err) == (0, "") and "dim 3" in out
+    assert run(["cover", kind, "--ceiling", "4", TWISTED_CHAIN]) == (code, out, err)
+
+
 def test_cli_symrep():
     fixture = (pathlib.Path(__file__).parent / "fixtures" / "twisted_chain.txt").read_text()
     code, out, _ = run(["symrep"], stdin_text=fixture)

@@ -1,12 +1,14 @@
 """Subdivision operators: flags, matched-pair moves, cones, joins."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from multisect.partition import scheme_partition, validate
+from multisect.io import save_stream
+from multisect.partition import VertexPartition, scheme_partition, validate
 from multisect.subdivide import (
     Limits,
     barycentric,
@@ -18,6 +20,7 @@ from multisect.subdivide import (
 )
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
+from test_triangulation import FACE_TABLE_INPUTS, relabel, relabelling, renamed_rows
 
 
 def triangle_boundary():
@@ -51,8 +54,7 @@ def test_barycentric_carrier_census():
         hist[d] += 1
     # one barycentre per input face class
     assert hist == [4, 6, 4, 2]
-    assert carriers.faces is not None
-    assert len(carriers.faces) == len(carriers.dims)
+    assert len(carriers.dims) == len(T.face_poset.class_ids_of_dim(0))
 
 
 def test_barycentric_facets_are_rainbow():
@@ -68,6 +70,16 @@ def test_slot_carriers_recovers_dims():
     assert slot_carriers(T).dims == carriers.dims
     T2, carriers2 = barycentric(T)
     assert slot_carriers(T2).dims == carriers2.dims
+
+
+@pytest.mark.parametrize("name", FACE_TABLE_INPUTS)
+def test_carriers_match_class_lookup(name):
+    # a relabelled input moves every face's canonical corners, and its flags glue through other maps
+    T0 = FACE_TABLE_INPUTS[name]()
+    for T in (T0, relabel(T0, random.Random(0))):
+        S, carriers = barycentric(T)
+        faces = oracles.carrier_faces_by_class_lookup(T, S)
+        assert carriers.dims == tuple(len(corners) - 1 for _, corners in faces)
 
 
 @pytest.mark.parametrize(
@@ -181,6 +193,117 @@ def test_pachner_pass_requires_matched_singletons():
         pachner_2n_pass(T, bad)
 
 
+def relabelled_with_partition(T, P, seed):
+    """T under a drawn relabelling, with P carried over to its vertex classes."""
+    facet, corner = relabelling(T, random.Random(seed))
+    T2 = Triangulation(T.dimension, renamed_rows(T, facet, corner))
+    fp, fp2 = T.face_poset, T2.face_poset
+    labels = [0] * len(P.labels)
+    for f, names in enumerate(corner):
+        for c, c2 in enumerate(names):
+            labels[fp2.class_of(facet[f], (c2,))] = P.labels[fp.class_of(f, (c,))]
+    return T2, VertexPartition(k=P.k, labels=tuple(labels), scheme=P.scheme)
+
+
+def pachner_outcome(move, T, P):
+    """The stream a 2-n pass writes, or the text of its refusal."""
+    try:
+        return save_stream(*move(T, P), layout="gluing")
+    except TriangulationError as e:
+        return "refused: %s" % e
+
+
+SD_EVEN = {"double_simplex(4)": double_simplex, "cross_projective(4)": cross_projective, "cross_sphere(4)": cross_sphere}
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [(name, seed) for name in ("double_simplex(4)", "cross_projective(4)") for seed in (None, 1, 2, 3)]
+    + [("cross_sphere(4)", None)],
+)
+def test_pachner_pass_matches_pair_table_oracle(name, seed):
+    T, carriers = barycentric(SD_EVEN[name](4))
+    P = scheme_partition(T, "even-bary", carriers=carriers)
+    if seed is not None:
+        T, P = relabelled_with_partition(T, P, seed)
+    want = pachner_outcome(oracles.pachner_2n_pass_by_pair_tables, T, P)
+    assert not want.startswith("refused")
+    assert pachner_outcome(pachner_2n_pass, T, P) == want
+
+
+def odd_bary_three():
+    T, carriers = barycentric(double_simplex(3))
+    return T, scheme_partition(T, "odd-bary", carriers=carriers)
+
+
+def short_labels():
+    T, P = sd_even(4)
+    return T, VertexPartition(k=P.k, labels=P.labels[:-1], scheme=P.scheme)
+
+
+def no_last_class_corner():
+    T, _ = sd_even(4)
+    return T, scheme_partition(T, "explicit", labels=[0] * len(T.face_poset.class_ids_of_dim(0)), k=1)
+
+
+PACHNER_REFUSALS = {
+    "odd dimension": odd_bary_three,
+    "dimension two": lambda: sd_even(2),
+    "label count": short_labels,
+    "no last-class corner": no_last_class_corner,
+    "two last-class corners": lambda: pachner_2n_pass(*sd_even(4)),
+}
+
+
+@pytest.mark.parametrize("name", PACHNER_REFUSALS)
+def test_pachner_refusals_match_the_oracle(name):
+    T, P = PACHNER_REFUSALS[name]()
+    got = pachner_outcome(pachner_2n_pass, T, P)
+    assert got.startswith("refused") and got == pachner_outcome(oracles.pachner_2n_pass_by_pair_tables, T, P)
+
+
+def test_pachner_pass_matches_the_oracle_on_drawn_last_classes():
+    # Most drawn last classes are refused for a facet's count of last-class corners.  The
+    # partner and label-conflict refusals are never reached: across its one last-class
+    # corner a facet meets a facet whose one corner off the shared face must be its own
+    # last-class corner, so the partners pair up, and each new vertex class lies in one old one.
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        T = double_simplex(4) if seed % 2 else relabel(cross_projective(4), rng)
+        nv = len(T.face_poset.class_ids_of_dim(0))
+        labels = [2 if rng.random() < 0.3 else rng.randrange(2) for _ in range(nv)]
+        P = VertexPartition(k=2, labels=tuple(labels), scheme="explicit")
+        got = pachner_outcome(pachner_2n_pass, T, P)
+        assert got == pachner_outcome(oracles.pachner_2n_pass_by_pair_tables, T, P)
+        outcomes.add(got.startswith("refused"))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("facet, ids, labels", [
+    (0, [(6, 2, 4), (0, 6, 4), (0, 2, 6)], [(None, 1, 2), (0, None, 2), (0, 1, None)]),
+    (7, [(6, 3, 5), (1, 6, 5), (1, 3, 6)], [(None, 1, 2), (0, None, 2), (0, 1, None)]),
+])
+def test_stellar_rows_cone_the_facet(facet, ids, labels):
+    # cone piece i has the fresh vertex at corner i; piece 0 keeps the facet's place, the rest are appended
+    T = cross_sphere(2)
+    S = stellar_facet(T, facet)
+    want_ids = list(T.vertex_ids)
+    want_ids[facet] = ids[0]
+    assert list(S.vertex_ids) == want_ids + ids[1:]
+    want_labels = [(0, 1, 2)] * 8
+    want_labels[facet] = labels[0]
+    assert list(S.extras["corner_labels"]) == want_labels + labels[1:]
+
+
+def test_stellar_rows_on_named_ids():
+    # no id is a number, so the fresh vertex is 0
+    T = Triangulation.from_vertex_facets(1, [("x", "y"), ("y", "z"), ("z", "x")])
+    S = stellar_facet(T, 0)
+    assert S.vertex_ids == ((0, "y"), ("y", "z"), ("z", "x"), ("x", 0))
+    assert "corner_labels" not in S.extras
+
+
 def test_stellar_on_octahedron():
     T = cross_sphere(2)
     S = stellar_facet(T, 0)
@@ -251,7 +374,7 @@ def test_infer_sides_matches_two_coloring():
 def test_npc_sides_from_dual_bipartition():
     T1, _ = barycentric(double_simplex(2))
     T, carriers = barycentric(T1)
-    sides = oracles.sides_by_dual_bipartition(T1, carriers)
+    sides = oracles.sides_by_dual_bipartition(T1, T)
     assert sides == infer_sides(T, carriers) or sides == {
         v: 1 - s for v, s in infer_sides(T, carriers).items()
     }

@@ -37,12 +37,20 @@ def relabel(T, rng):
 
 
 def relabelled_rows(T, rng):
+    return renamed_rows(T, *relabelling(T, rng))
+
+
+def relabelling(T, rng):
+    """A drawn new number for every facet, and for every corner of each facet."""
     m, L = T.facet_count, T.dimension + 1
-    facet = rng.sample(range(m), m)
-    corner = [rng.sample(range(L), L) for _ in range(m)]
+    return rng.sample(range(m), m), [rng.sample(range(L), L) for _ in range(m)]
+
+
+def renamed_rows(T, facet, corner):
+    L = T.dimension + 1
     # old (f, i) -> (t, pi) becomes new (facet[f], corner[f][i]) -> (facet[t], pi'),
     # where pi' sends corner[f][c] to corner[t][pi[c]]
-    rows = [[None] * L for _ in range(m)]
+    rows = [[None] * L for _ in facet]
     for f, row in enumerate(T.gluings):
         for i, (t, pi) in enumerate(row):
             new_pi = [0] * L
@@ -472,10 +480,10 @@ def test_boundary_columns_compose_to_zero(build):
     X = build()
     counts = X.face_poset.counts() if isinstance(X, Triangulation) else X.counts()
     top = len(counts) - 1
-    assert X.boundary_columns(top + 1) == []
+    assert list(X.boundary_columns(top + 1)) == []
     for d in range(1, top + 1):
-        lower = X.boundary_columns(d - 1)
-        upper = X.boundary_columns(d)
+        lower = list(X.boundary_columns(d - 1))
+        upper = list(X.boundary_columns(d))
         assert (len(lower), len(upper)) == (counts[d - 1], counts[d])
         for col in upper:
             assert col >> len(lower) == 0
