@@ -213,12 +213,10 @@ def cmd_partition(args) -> int:
     elif scheme == "pairs":
         if not args.blocks:
             raise UsageError("--scheme pairs needs --blocks")
-        labels = None
-        if T.extras.get("corner_labels") is None:
-            try:  # the corner slots stand in for coordinates, so every vertex class must keep one slot
-                labels = slot_carriers(T).dims
-            except TriangulationError as e:
-                raise TriangulationError("--scheme pairs needs coordinate corner slots or a corner_labels section: %s" % e) from None
+        try:  # the corner slots stand in for coordinates, so every vertex class must keep one slot
+            labels = slot_carriers(T).dims
+        except TriangulationError as e:
+            raise TriangulationError("--scheme pairs needs coordinate corner slots: %s" % e) from None
         P = scheme_partition(T, "pairs", blocks=_parse_blocks(args.blocks), labels=labels)
     elif scheme == "explicit":
         if args.labels:

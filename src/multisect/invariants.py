@@ -35,10 +35,11 @@ class MultisectionReport:
     validation: ValidationReport = field(repr=False)
 
 
-def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = True) -> MultisectionReport:
+def multisection_report(T: Triangulation, P: VertexPartition) -> MultisectionReport:
     """Validate the partition and summarise the induced decomposition.
 
     The verdicts and diagnostics are `validate`'s, whose kept report is read.
+    `npc_ok` checks every nonempty central cube complex, else it is None.
     """
     rep = validate(T, P)
     n, k = rep.n, rep.k
@@ -52,7 +53,7 @@ def multisection_report(T: Triangulation, P: VertexPartition, with_npc: bool = T
         else:
             genus = 2 - summ["euler"]
     npc_ok = None
-    if with_npc and central.all_cubes and central.cells:
+    if central.all_cubes and central.cells:
         npc_ok = cells_mod.npc_check(central).ok
     ambient_euler = T.euler()
     genera = rep.genera()
@@ -138,12 +139,12 @@ def free_reduce(word) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def pi1_presentation(C: cells_mod.CellComplex, provenance: str = "") -> GroupPresentation:
+def pi1_presentation(C: cells_mod.CellComplex) -> GroupPresentation:
     """Edge-path presentation from the 2-skeleton of a cube complex.
 
     Generators are the edges outside a breadth-first spanning tree;
     every square contributes the boundary word of its 4-cycle, freely
-    reduced.
+    reduced.  The provenance names the subset and the tree's root.
     """
     if not C.all_cubes:
         raise TriangulationError("presentations are computed for cube complexes only")
@@ -163,7 +164,7 @@ def pi1_presentation(C: cells_mod.CellComplex, provenance: str = "") -> GroupPre
     return GroupPresentation(
         generators=len(cotree),
         relators=tuple(relators),
-        provenance=provenance or "subset=%s root=%d" % (",".join(map(str, C.subset)), roots[0]),
+        provenance="subset=%s root=%d" % (",".join(map(str, C.subset)), roots[0]),
     )
 
 

@@ -308,17 +308,11 @@ def cell_complex_json(X: CellComplex) -> dict:
     """The cell complex's summary and Betti numbers as a format-1 JSON object."""
     s = X.summary()
     return {
+        **s,
+        "counts": list(s["counts"]),
         "format": 1,
         "ambient_dimension": X.face_poset.L - 1,
         "subset": list(X.subset),
-        "dimension": s["dimension"],
-        "counts": list(s["counts"]),
-        "euler": s["euler"],
-        "connected": s["connected"],
-        "closed": s["closed"],
-        "all_cubes": s["all_cubes"],
-        "top_cells": s["top_cells"],
-        "orientable": s["orientable"],
         "betti": list(X.betti()),
     }
 

@@ -90,27 +90,20 @@ def scheme_partition(
     if scheme not in SCHEMES:
         raise TriangulationError("unknown partition scheme %r (have %s)" % (scheme, ", ".join(SCHEMES)))
 
-    if scheme in ("odd-bary", "even-bary"):
-        if carriers is None:
-            raise TriangulationError("%s needs carrier labels of the subdivision" % scheme)
-        if scheme == "odd-bary" and n % 2 == 0:
-            raise TriangulationError("odd-bary needs odd dimension, got %d" % n)
-        if scheme == "even-bary" and n % 2 == 1:
-            raise TriangulationError("even-bary needs even dimension, got %d" % n)
+    if scheme in ("odd-bary", "even-bary", "even-npc"):
+        npc = scheme == "even-npc"
+        if carriers is None or (npc and sides is None):
+            raise TriangulationError(
+                "%s needs carrier labels %s" % (scheme, "and top-carrier sides" if npc else "of the subdivision")
+            )
+        odd = scheme == "odd-bary"
+        if n % 2 != odd:
+            raise TriangulationError("%s needs %s dimension, got %d" % (scheme, "odd" if odd else "even", n))
         dims = tuple(carriers.dims)
         if len(dims) != nv:
             raise TriangulationError("carrier labels cover %d vertex classes, expected %d" % (len(dims), nv))
-        return VertexPartition(k=n // 2, labels=tuple(d // 2 for d in dims), scheme=scheme)
-
-    if scheme == "even-npc":
-        if carriers is None or sides is None:
-            raise TriangulationError("even-npc needs carrier labels and top-carrier sides")
-        if n % 2 == 1:
-            raise TriangulationError("even-npc needs even dimension, got %d" % n)
-        dims = tuple(carriers.dims)
-        if len(dims) != nv:
-            raise TriangulationError("carrier labels cover %d vertex classes, expected %d" % (len(dims), nv))
-        kk = n // 2
+        if not npc:
+            return VertexPartition(k=n // 2, labels=tuple(d // 2 for d in dims), scheme=scheme)
         out = []
         for v, d in enumerate(dims):
             if d == n:
@@ -122,7 +115,7 @@ def scheme_partition(
                 out.append(d)
             else:
                 out.append(d // 2 + 1)
-        return VertexPartition(k=kk, labels=tuple(out), scheme=scheme)
+        return VertexPartition(k=n // 2, labels=tuple(out), scheme=scheme)
 
     if scheme == "pairs":
         if blocks is None:
@@ -243,75 +236,64 @@ def validate(T: Triangulation, P: VertexPartition) -> ValidationReport:
             row[labels[v]] += 1
         key = tuple(row)
         profiles.append(distinct.setdefault(key, key))
-    if n % 2 == 1:
-        profile_ok = all(all(x == 2 for x in row) for row in distinct)
-        if not profile_ok:
-            diagnostics.append("some facet lacks the two-vertices-per-class profile")
-    else:
-        profile_ok = all(sorted(row) == [1] + [2] * k for row in distinct)
-        if not profile_ok:
-            diagnostics.append("some facet lacks the one-singleton profile")
+    # odd n: two vertices of every label; even n: one label once, the others twice
+    want = [2] * (k + 1) if n % 2 else [1] + [2] * k
+    profile_ok = all(sorted(row) == want for row in distinct)
+    if not profile_ok:
+        diagnostics.append(
+            "some facet lacks the %s profile" % ("two-vertices-per-class" if n % 2 else "one-singleton")
+        )
+
+    def subset_report(S: Tuple[int, ...], req: Optional[int] = None, gen: Optional[int] = None) -> SubsetReport:
+        X = cells_mod.extract(T, P, S)
+        res = cells_mod.collapse(X)
+        return SubsetReport(
+            subset=S,
+            nonempty=bool(X.cells),
+            connected=X.connected(),
+            closed=X.closed(),
+            euler=X.euler(),
+            cell_counts=X.counts(),
+            raw_dim=X.dimension,
+            spine_dim=res.spine_dim,
+            required_dim=req,
+            generalized_dim=gen,
+            all_cubes=X.all_cubes,
+        )
 
     subset_reports: List[SubsetReport] = []
     subset_diagnostics: List[str] = []
-    central_report: Optional[SubsetReport] = None
     ok_mult = profile_ok
     ok_gen = True
     full = tuple(range(k + 1))
-    for r in range(1, k + 2):
+    for r in range(1, k + 1):
+        req = r - 1 if (n == 2 * k and r == k) else r
+        gen = n - r - 1
         for S in combinations(full, r):
-            X = cells_mod.extract(T, P, S)
-            res = cells_mod.collapse(X)
-            proper = r <= k
-            req = None
-            gen = None
-            if proper:
-                req = r - 1 if (n == 2 * k and r == k) else r
-                gen = n - r - 1
-            rep_s = SubsetReport(
-                subset=S,
-                nonempty=bool(X.cells),
-                connected=X.connected(),
-                closed=X.closed(),
-                euler=X.euler(),
-                cell_counts=X.counts(),
-                raw_dim=X.dimension,
-                spine_dim=res.spine_dim,
-                required_dim=req,
-                generalized_dim=gen,
-                all_cubes=X.all_cubes,
-            )
-            if proper:
-                subset_reports.append(rep_s)
-                if not rep_s.nonempty or not rep_s.connected:
-                    ok_mult = False
-                    subset_diagnostics.append("subset %s complex is empty or disconnected" % (S,))
-                if rep_s.spine_dim > req:
-                    ok_mult = False
-                    subset_diagnostics.append(
-                        "subset %s collapses to dimension %d, above the bound %d" % (S, rep_s.spine_dim, req)
-                    )
-                if not rep_s.nonempty or rep_s.spine_dim > gen:
-                    ok_gen = False
-                    subset_diagnostics.append(
-                        "subset %s misses the codimension-2 spine bound %d" % (S, gen)
-                    )
-            else:
-                central_report = rep_s
-                if not rep_s.nonempty:
-                    ok_mult = False
-                    ok_gen = False
-                    subset_diagnostics.append("central complex is empty")
-                else:
-                    if not rep_s.connected or not rep_s.closed:
-                        ok_mult = False
-                        subset_diagnostics.append("central complex is not a closed connected complex")
-                    if rep_s.raw_dim != n - k:
-                        ok_mult = False
-                        subset_diagnostics.append(
-                            "central complex has dimension %d, expected %d" % (rep_s.raw_dim, n - k)
-                        )
-    assert central_report is not None
+            rep_s = subset_report(S, req, gen)
+            subset_reports.append(rep_s)
+            if not rep_s.nonempty or not rep_s.connected:
+                ok_mult = False
+                subset_diagnostics.append("subset %s complex is empty or disconnected" % (S,))
+            if rep_s.spine_dim > req:
+                ok_mult = False
+                subset_diagnostics.append(
+                    "subset %s collapses to dimension %d, above the bound %d" % (S, rep_s.spine_dim, req)
+                )
+            if not rep_s.nonempty or rep_s.spine_dim > gen:
+                ok_gen = False
+                subset_diagnostics.append(
+                    "subset %s misses the codimension-2 spine bound %d" % (S, gen)
+                )
+    # a face carrying every label lies in a facet that does, so a nonempty central complex has dimension n - k
+    central_report = subset_report(full)
+    if not central_report.nonempty:
+        ok_mult = False
+        ok_gen = False
+        subset_diagnostics.append("central complex is empty")
+    elif not central_report.connected or not central_report.closed:
+        ok_mult = False
+        subset_diagnostics.append("central complex is not a closed connected complex")
 
     # class graph l is the (l,) complex; the loop makes singletons first, and for k = 0 (0,) is central
     class_graphs = []
@@ -381,25 +363,26 @@ def _check_even_connected(T: Triangulation) -> None:
 
 
 def _propagate_tree(T: Triangulation):
-    """Breadth-first labelings: corner -> symbol, plus the non-tree edges."""
+    """Breadth-first corner labelings, and each closing slot as (target facet, labeling propagated there)."""
     m = T.facet_count
     L = T.dimension + 1
     lab: List[Optional[Tuple[int, ...]]] = [None] * m
     lab[0] = identity(L)
     order = [0]
-    tree_cross: List[Tuple[int, int]] = []
+    closing: List[Tuple[int, Tuple[int, ...]]] = []
     head = 0
     while head < len(order):
         f = order[head]
         head += 1
         for i in range(L):
             t, pi = T.gluing(f, i)
+            prop = compose(lab[f], invert(pi))
             if lab[t] is None:
-                lab[t] = compose(lab[f], invert(pi))
+                lab[t] = prop
                 order.append(t)
             else:
-                tree_cross.append((f, i))
-    return lab, tree_cross
+                closing.append((t, prop))
+    return lab, closing
 
 
 def symmetric_representation(T: Triangulation) -> SymRep:
@@ -412,13 +395,11 @@ def symmetric_representation(T: Triangulation) -> SymRep:
     """
     _check_even_connected(T)
     L = T.dimension + 1
-    lab, cross = _propagate_tree(T)
+    lab, closing = _propagate_tree(T)
     gens: List[Tuple[int, ...]] = []
     seen = set()
     ident = identity(L)
-    for f, i in cross:
-        t, pi = T.gluing(f, i)
-        prop = compose(lab[f], invert(pi))
+    for t, prop in closing:
         # permutation of the label alphabet sending the stored labeling to the propagated one
         g = compose(prop, invert(lab[t]))
         if g != ident and g not in seen:
@@ -455,10 +436,12 @@ def labeling_cover(T: Triangulation, limits: Limits = Limits()) -> Triangulation
     start = (0, identity(L))
     index: Dict[Tuple[int, Tuple[int, ...]], int] = {start: 0}
     order = [start]
+    glu = []
     head = 0
     while head < len(order):
         f, labf = order[head]
         head += 1
+        row = []
         for i in range(L):
             t, pi = T.gluing(f, i)
             nxt = (t, compose(labf, invert(pi)))
@@ -467,12 +450,7 @@ def labeling_cover(T: Triangulation, limits: Limits = Limits()) -> Triangulation
                 order.append(nxt)
                 if len(order) > ceiling:
                     raise TriangulationError("labeling cover would produce more than the ceiling of %d facets" % ceiling)
-    glu = []
-    for f, labf in order:
-        row = []
-        for i in range(L):
-            t, pi = T.gluing(f, i)
-            row.append((index[(t, compose(labf, invert(pi)))], pi))
+            row.append((index[nxt], pi))
         glu.append(row)
     extras = {"cover_sheets": tuple(order), "cover_degree": len(order) // T.facet_count}
     return Triangulation(T.dimension, glu, extras=extras)

@@ -107,12 +107,8 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
                 % (f, len(ks))
             )
         special.append(ks[0])
+    # the facet across special[f] meets f in a face without last-class vertices, so its own special slot glues back
     partner = [T.gluing(f, special[f])[0] for f in range(m)]
-    for f in range(m):
-        if partner[f] == f:
-            raise TriangulationError("facet %d is its own partner across its distinguished face" % f)
-        if partner[partner[f]] != f:
-            raise TriangulationError("distinguished faces do not match the facets into pairs")
 
     # Fan facet u of the pair (g0, g1) has g0's last-class corner a at corner 0, g1's at
     # corner 1, and g0's other ridge corners but u at 2..n.  origins[F][s] is (member s,
@@ -150,18 +146,14 @@ def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulat
         glu.append(row)
     out = Triangulation(n, glu)  # type: ignore[arg-type]
 
+    # each output gluing keeps a corner's old vertex class, so new classes refine old ones and labels agree
     fv_out = out.face_poset.facet_vertices
-    new_labels: List[Optional[int]] = [None] * out.face_poset.dim_start[1]
+    new_labels = [0] * out.face_poset.dim_start[1]
     for F, members in enumerate(origins):
         for x in range(L):
             g, corners, _ = members[1 if x == 1 else 0]
-            v = fv_out[F * L + x]
-            lab = labels[fp.facet_vertices[g * L + corners[x]]]
-            if new_labels[v] is None:
-                new_labels[v] = lab
-            elif new_labels[v] != lab:
-                raise TriangulationError("partition labels conflict on the rebuilt vertex classes")
-    out_part = VertexPartition(k=part.k, labels=tuple(new_labels), scheme=part.scheme)  # type: ignore[arg-type]
+            new_labels[fv_out[F * L + x]] = labels[fp.facet_vertices[g * L + corners[x]]]
+    out_part = VertexPartition(k=part.k, labels=tuple(new_labels), scheme=part.scheme)
     return out, out_part
 
 
@@ -292,10 +284,7 @@ def infer_sides(T: Triangulation, carriers: CarrierLabels) -> Dict[int, int]:
     tops = sorted(v for v in range(len(dims)) if dims[v] == n)
     hinge: Dict[int, set] = {}
     for eid in fp.class_ids_of_dim(1):
-        cs = fp.children(eid)
-        if len(cs) != 2:
-            continue
-        a, b = cs
+        a, b = fp.children(eid)
         if dims[a] > dims[b]:
             a, b = b, a
         if (dims[a], dims[b]) == (n - 1, n):

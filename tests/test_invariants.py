@@ -58,11 +58,12 @@ def test_pi1_of_central_circle():
     P = scheme_partition(T, "explicit", labels=(0, 0, 1))
     X = cells.extract(T, P, (0, 1))
     assert X.counts() == (2, 2)
-    pres = pi1_presentation(X, provenance="central circle")
+    pres = pi1_presentation(X)
     assert pres.generators == 1
     assert pres.relators == ()
     assert pres.abelian_rank_gf2() == 1
-    assert pres.provenance == "central circle"
+    # the spanning tree grows from central vertex 0
+    assert pres.provenance == "subset=0,1 root=0"
 
 
 def test_pi1_of_central_torus():
@@ -135,7 +136,7 @@ def test_trisection_euler_identity_subdivided():
     T, carriers = barycentric(double_simplex(4))
     P0 = scheme_partition(T, "even-bary", carriers=carriers)
     T2, P2 = pachner_2n_pass(T, P0)
-    R = multisection_report(T2, P2, with_npc=False)
+    R = multisection_report(T2, P2)
     assert R.genera == (6, 6, 119)
     assert R.central_genus == 131
     assert R.euler_identity is True
@@ -407,11 +408,5 @@ def test_dropped_triangulation_is_freed_without_the_collector():
 
 def test_report_central_dimension():
     for T, P in (rp3(), d5()):
-        R = multisection_report(T, P, with_npc=False)
+        R = multisection_report(T, P)
         assert R.central_summary["dimension"] == R.n - R.k
-
-
-def test_report_without_npc_skips_links():
-    T, P = d5()
-    R = multisection_report(T, P, with_npc=False)
-    assert R.npc_ok is None

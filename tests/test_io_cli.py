@@ -503,7 +503,7 @@ def test_cli_pairs_refuses_streams_without_coordinate_slots():
     assert (code, out) == (2, "")
     # the vertex is named as the stream names it, as a partition section would
     assert err == (
-        "multisect: --scheme pairs needs coordinate corner slots or a corner_labels section:"
+        "multisect: --scheme pairs needs coordinate corner slots:"
         " corner slots do not determine carriers (vertex class 5)\n"
     )
     # the carrier-reading schemes keep their own refusal

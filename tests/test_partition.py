@@ -18,7 +18,7 @@ from multisect.partition import (
     twisted_admissible,
     validate,
 )
-from multisect.subdivide import barycentric, infer_sides, pachner_2n_pass, slot_carriers
+from multisect.subdivide import CarrierLabels, barycentric, infer_sides, pachner_2n_pass, slot_carriers
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
@@ -70,6 +70,63 @@ def test_scheme_parity_guards():
         scheme_partition(T4, "odd-bary", carriers=c4)
     with pytest.raises(TriangulationError):
         scheme_partition(T3, "no-such-scheme")
+
+
+def _top_without_side(T, carriers):
+    v = carriers.dims.index(T.dimension)
+    return "vertex class %s has a top carrier but no 0/1 side" % T.face_poset.key(v)
+
+
+# (input dimension, scheme, arguments from (T, carriers), the exact message from (T, carriers))
+SCHEME_REFUSALS = {
+    "odd-bary without carriers": (
+        3, "odd-bary", lambda T, c: {}, lambda T, c: "odd-bary needs carrier labels of the subdivision"),
+    "even-bary without carriers": (
+        4, "even-bary", lambda T, c: {}, lambda T, c: "even-bary needs carrier labels of the subdivision"),
+    "even-npc without carriers": (
+        4, "even-npc", lambda T, c: {"sides": {}},
+        lambda T, c: "even-npc needs carrier labels and top-carrier sides"),
+    "even-npc without sides": (
+        4, "even-npc", lambda T, c: {"carriers": c},
+        lambda T, c: "even-npc needs carrier labels and top-carrier sides"),
+    "odd-bary in even dimension": (
+        4, "odd-bary", lambda T, c: {"carriers": c}, lambda T, c: "odd-bary needs odd dimension, got 4"),
+    "even-bary in odd dimension": (
+        3, "even-bary", lambda T, c: {"carriers": c}, lambda T, c: "even-bary needs even dimension, got 3"),
+    "even-npc in odd dimension": (
+        3, "even-npc", lambda T, c: {"carriers": c, "sides": {}},
+        lambda T, c: "even-npc needs even dimension, got 3"),
+    "short carrier list": (
+        3, "odd-bary", lambda T, c: {"carriers": CarrierLabels(dims=c.dims[:2])},
+        lambda T, c: "carrier labels cover 2 vertex classes, expected %d" % len(c.dims)),
+    "short carrier list for even-npc": (
+        4, "even-npc", lambda T, c: {"carriers": CarrierLabels(dims=c.dims[:2]), "sides": {}},
+        lambda T, c: "carrier labels cover 2 vertex classes, expected %d" % len(c.dims)),
+    "top carrier without a side": (
+        4, "even-npc", lambda T, c: {"carriers": c, "sides": {}}, _top_without_side),
+    "top carrier with side 2": (
+        4, "even-npc", lambda T, c: {"carriers": c, "sides": dict.fromkeys(range(len(c.dims)), 2)},
+        _top_without_side),
+    "pairs without blocks": (
+        3, "pairs", lambda T, c: {}, lambda T, c: "pairs needs blocks over the coordinate labels"),
+    "short coordinate list": (
+        3, "pairs", lambda T, c: {"blocks": ((0, 1), (2, 3)), "labels": (0, 1)},
+        lambda T, c: "coordinate labels cover 2 vertex classes, expected %d" % len(c.dims)),
+    "explicit without labels": (
+        3, "explicit", lambda T, c: {}, lambda T, c: "explicit scheme needs labels"),
+    "short explicit list": (
+        3, "explicit", lambda T, c: {"labels": (0, 1)},
+        lambda T, c: "labels cover 2 vertex classes, expected %d" % len(c.dims)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEME_REFUSALS))
+def test_scheme_refusals_name_their_cause(case):
+    n, scheme, kwargs, message = SCHEME_REFUSALS[case]
+    T, carriers = barycentric(double_simplex(n))
+    with pytest.raises(TriangulationError) as err:
+        scheme_partition(T, scheme, **kwargs(T, carriers))
+    assert str(err.value) == message(T, carriers)
 
 
 def test_pairs_scheme_on_projective():
