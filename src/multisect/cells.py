@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
@@ -214,13 +215,19 @@ class CellComplex:
 
     @cached_property
     def _connected(self) -> bool:
+        """Decided by the 0-cells and the edge cells' two ends.
+
+        Every cell reaches a 0-cell through its faces, and a product of
+        simplices has a connected 1-skeleton.
+        """
         if not self.cells:
             return False
-        uf = UnionFind(len(self.cells))
-        s, flat = self.child_start, self.child_flat
-        for i in range(len(self.cells)):
-            for c in flat[s[i] : s[i + 1]]:
-                uf.union(i, c)
+        dims, s, flat = self.dims, self.child_start, self.child_flat
+        n0, n1 = bisect_left(dims, 1), bisect_left(dims, 2)
+        uf = UnionFind(n0)
+        ends = flat[s[n0] : s[n1]]
+        for a, b in zip(ends[::2], ends[1::2]):
+            uf.union(a, b)
         return uf.n_sets == 1
 
     def parent_counts(self) -> Tuple[int, ...]:
@@ -718,21 +725,34 @@ class NpcReport:
         return self.ok
 
 
+_VERDICTS_KEPT = 64  # link encodings whose verdicts npc_check keeps
+
+
 def npc_check(X: CellComplex) -> NpcReport:
     """Non-positive curvature test: every vertex link simplicial and flag; holds one link at a time.
 
     Each link's vertices are numbered as they are met, and its simplices
-    are bitmasks over that numbering.
+    are bitmasks over that numbering.  Both checks read only this
+    encoding, the simplex sizes and masks in filing order, and few
+    encodings occur, so the verdicts of the first `_VERDICTS_KEPT`
+    distinct encodings are kept and reused.
     """
     if not X.all_cubes:
         return NpcReport(False, False, 0, ((-1, "cells are not all cubes"),), ())
     failures, degrees = [], []
     D = X.dimension
+    verdicts: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Optional[str]] = {}
     for v, codes in _codes(X).items():
         number: Dict[int, int] = {}
         link, masks = _link_cells(X, D, codes, number)
         degrees.append(len(number))
-        why = _simplicial_reason(link, masks) or _flag_reason(masks)
+        key = (tuple(map(len, link)), tuple(masks))
+        if key in verdicts:
+            why = verdicts[key]
+        else:
+            why = _simplicial_reason(link, masks) or _flag_reason(masks)
+            if len(verdicts) < _VERDICTS_KEPT:
+                verdicts[key] = why
         if why:
             failures.append((v, why))
     return NpcReport(

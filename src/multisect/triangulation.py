@@ -26,6 +26,14 @@ facet's vertex classes, are flat arrays too.  All derived orderings use
 the canonical incarnation of a face class: the lexicographically least
 (facet, sorted corner tuple) pair.  A face poset refers to its
 triangulation weakly, so dropping a triangulation frees both.
+
+When the identity is the only gluing map, as in every barycentric
+subdivision (a balanced triangulation: slot i always meets slot i), no
+step moves a corner.  Every incarnation of a class then has one corner
+mask, and a class is a component of facets under the slots the mask
+leaves free.  The walk runs one corner-mask column at a time, a step
+reading one target and one column entry with no image and no map, and
+the involution check reads one slot column at a time.
 """
 
 from __future__ import annotations
@@ -56,9 +64,12 @@ def default_ceiling() -> int:
     raw = os.environ.get("MULTISECT_CEILING")
     if raw is not None:
         try:
-            return int(raw)
+            ceiling = int(raw)
         except ValueError:
             raise TriangulationError("MULTISECT_CEILING must be an integer, got %r" % raw) from None
+        if ceiling <= 0:
+            raise TriangulationError("MULTISECT_CEILING must be positive")
+        return ceiling
     return 10**8
 
 
@@ -159,9 +170,16 @@ class FacePoset:
     Two flat tables, indexed by facet * 2^(n+1) + corner mask, hold every
     incarnation's class id and the id of its corner map into `_perms`,
     the list of distinct corner bijections the walks met, each kept once.
-    The build holds nothing per gluing slot beyond the triangulation's own
-    tables: besides the two, it keeps one tuple of free slots per corner
-    mask and one image table per distinct gluing map.
+
+    The build takes one of two walks, which meet the classes in the same
+    order.  When some gluing map moves corners, `_walk_maps` crosses
+    slots from (facet, mask) pairs, carrying each incarnation's mask
+    image and corner map; it holds nothing per gluing slot beyond the
+    triangulation's own tables, one tuple of free slots per corner mask
+    and one image table per distinct gluing map.  When the identity is
+    the only map, a step keeps its mask and map, so `_walk_columns`
+    needs neither: it walks facets in one column of class ids per
+    corner mask, holding the columns of one mask size at a time.
     """
 
     def __init__(self, tri: "Triangulation"):
@@ -173,45 +191,55 @@ class FacePoset:
         self.L = L
         self.M = M
         self.facet_count = m
-        self._targets, self._map_ids = targets, ids = tri.targets, tri.map_ids  # `incarnations` walks them
+        self._targets, self._map_ids = tri.targets, tri.map_ids  # `incarnations` walks them
 
         corners_of = [tuple(c for c in range(L) if mask >> c & 1) for mask in range(M)]
         self._corners_of = corners_of
         # the image of every corner mask across a corner map, one table per map id
-        self._images = images = [tuple(sum(1 << pi[c] for c in cs) for cs in corners_of) for pi in tri.maps]
-        # The walk also carries each incarnation's corner map: the bijection
-        # from its facet's corners to the canonical incarnation's, kept once
-        # in `_perms` and referred to by id.  Crossing gluing pi from a node
-        # with map p reaches a node with map p∘pi⁻¹; each distinct gluing map
-        # keeps the ids it has sent, p -> id of p∘pi⁻¹.  When every gluing
-        # map is the identity (as in any barycentric subdivision), so is
-        # every corner map, and the walk leaves the zeroed map table as it is.
-        perms: List[Tuple[int, ...]] = [identity(L)]
-        perm_id = {perms[0]: 0}
-        moves = any(pi != perms[0] for pi in tri.maps)
-        steps = [({}, invert(pi)) for pi in tri.maps] if moves else None
-        # the slots left free by each corner mask: the walk crosses only those
+        self._images = [tuple(sum(1 << pi[c] for c in cs) for cs in corners_of) for pi in tri.maps]
+        # the slots left free by each corner mask: a walk crosses only those
         free = [tuple(i for i in range(L) if not mask >> i & 1) for mask in range(M)]
-
         # Visiting masks by (size, facet, corner tuple) meets each class first
         # at its canonical incarnation, so ids come out in canonical order.
-        # A class's breadth-first walk across the gluings, slots ascending,
-        # writes its id and the corner maps into every incarnation.
-        table = array("i", [-1]) * (m * M)
-        n_maps = min(factorial(L), m * M) if moves else 1
-        map_of = array("B" if n_maps <= 1 << 8 else "H" if n_maps <= 1 << 16 else "i", [0]) * (m * M)
+        by_corners = sorted(range(1, M), key=corners_of.__getitem__)
+        by_size = [[mask for mask in by_corners if len(corners_of[mask]) == size] for size in range(1, L + 1)]
+        self._table = table = array("i", [-1]) * (m * M)
         self.cls_canon = array("i")
         self.cls_count = array("i")
         self.cls_dim = array("b")
         self.dim_start = [0]
-        by_corners = sorted(range(1, M), key=corners_of.__getitem__)
-        for size in range(1, L + 1):
-            masks = [mask for mask in by_corners if len(corners_of[mask]) == size]
+        if any(pi != identity(L) for pi in tri.maps):
+            self._walk_maps(tri, by_size, free)
+        else:
+            self._walk_columns(tri, by_size, free)
+        self.facet_vertices = array("i", [0]) * (m * L)
+        for c in range(L):
+            self.facet_vertices[c::L] = table[1 << c :: M]
+
+    def _walk_maps(self, tri: "Triangulation", by_size: List[List[int]], free: List[Tuple[int, ...]]) -> None:
+        """Every class by one breadth-first walk across the gluings, slots ascending, from its canonical incarnation.
+
+        The walk writes the class id into every incarnation, and carries
+        each incarnation's corner map: the bijection from its facet's
+        corners to the canonical incarnation's, kept once in `_perms` and
+        referred to by id.  Crossing gluing pi from a node with map p
+        reaches a node with map p∘pi⁻¹; each distinct gluing map keeps the
+        ids it has sent, p -> id of p∘pi⁻¹.
+        """
+        L, M, m, table, images = self.L, self.M, self.facet_count, self._table, self._images
+        targets, ids = tri.targets, tri.map_ids
+        perms: List[Tuple[int, ...]] = [identity(L)]
+        perm_id = {perms[0]: 0}
+        steps = [({}, invert(pi)) for pi in tri.maps]
+        n_maps = min(factorial(L), m * M)
+        map_of = array("B" if n_maps <= 1 << 8 else "H" if n_maps <= 1 << 16 else "i", [0]) * (m * M)
+        canon, count, dim = self.cls_canon, self.cls_count, self.cls_dim
+        for size, masks in enumerate(by_size, 1):
             for base in range(0, m * M, M):
                 for mask in masks:
                     if table[base + mask] >= 0:
                         continue
-                    cid = len(self.cls_canon)
+                    cid = len(canon)
                     table[base + mask] = cid
                     walk = [base + mask]  # its map is the identity, id 0, as the table starts
                     for enc in walk:
@@ -219,29 +247,68 @@ class FacePoset:
                         k0 = f * L
                         for i in free[sub]:
                             k = k0 + i
-                            # with every map the identity, a mask is its own image
-                            enc2 = targets[k] * M + (images[ids[k]][sub] if moves else sub)
+                            enc2 = targets[k] * M + images[ids[k]][sub]
                             if table[enc2] < 0:
                                 table[enc2] = cid
                                 walk.append(enc2)
-                                if moves:
-                                    sent, pi_inv = steps[ids[k]]
-                                    q = map_of[enc]
-                                    r = sent.get(q)
-                                    if r is None:
-                                        phi = compose(perms[q], pi_inv)
-                                        r = sent[q] = perm_id.setdefault(phi, len(perms))
-                                        if r == len(perms):
-                                            perms.append(phi)
-                                    map_of[enc2] = r
-                    self.cls_canon.append(base + mask)
-                    self.cls_count.append(len(walk))
-                    self.cls_dim.append(size - 1)
-            self.dim_start.append(len(self.cls_canon))
-        self._table = table
+                                sent, pi_inv = steps[ids[k]]
+                                q = map_of[enc]
+                                r = sent.get(q)
+                                if r is None:
+                                    phi = compose(perms[q], pi_inv)
+                                    r = sent[q] = perm_id.setdefault(phi, len(perms))
+                                    if r == len(perms):
+                                        perms.append(phi)
+                                map_of[enc2] = r
+                    canon.append(base + mask)
+                    count.append(len(walk))
+                    dim.append(size - 1)
+            self.dim_start.append(len(canon))
         self._map_of = map_of
         self._perms = perms
-        self.facet_vertices = array("i", [table[base + (1 << c)] for base in range(0, m * M, M) for c in range(L)])
+
+    def _walk_columns(self, tri: "Triangulation", by_size: List[List[int]], free: List[Tuple[int, ...]]) -> None:
+        """Every class of an identity-glued triangulation, one corner-mask column at a time.
+
+        Slot i of a facet is glued to slot i of its target, so every
+        incarnation of a class has the canonical incarnation's corner mask,
+        and a class is a component of facets under the slots its mask leaves
+        free.  Each mask of one size gets a column of class ids, one per
+        facet, and the tuple of its free slots' target columns; a class's
+        walk reads a target and a column entry per step, with no mask
+        arithmetic and no map.  Facets ascending, then masks in canonical
+        order, is the general walk's visit order, so the ids are the same.
+        A size's columns go into the table when the size is done.  Every
+        corner map is the identity: the map table stays zero.
+        """
+        L, M, m, table = self.L, self.M, self.facet_count, self._table
+        tg = [tri.targets[i::L] for i in range(L)]
+        canon, count = self.cls_canon, self.cls_count
+        for size, masks in enumerate(by_size, 1):
+            cols = [[-1] * m for _ in masks]
+            work = [(mask, col, tuple(tg[i] for i in free[mask])) for mask, col in zip(masks, cols)]
+            cid = len(canon)
+            for f in range(m):
+                for mask, col, frees in work:
+                    if col[f] < 0:
+                        col[f] = cid
+                        walk = [f]
+                        for g in walk:
+                            for t_col in frees:
+                                t = t_col[g]
+                                if col[t] < 0:
+                                    col[t] = cid
+                                    walk.append(t)
+                        canon.append(f * M + mask)
+                        count.append(len(walk))
+                        cid += 1
+            self.cls_dim.extend([size - 1] * (cid - self.dim_start[-1]))
+            self.dim_start.append(cid)
+            for mask, col in zip(masks, cols):
+                table[mask::M] = array("i", col)
+            del cols, work  # before the next size's columns are made
+        self._map_of = array("B", [0]) * (m * M)
+        self._perms = [identity(L)]
 
     @property
     def tri(self) -> Optional["Triangulation"]:
@@ -384,16 +451,24 @@ class Triangulation:
         L = dimension + 1
         self.dimension, self.facet_count = dimension, len(targets) // L
         self.targets, self.map_ids, self.maps = targets, map_ids, maps
-        # the id of each map's inverse, or -1 when no slot carries it
-        map_id = {pi: p for p, pi in enumerate(maps)}
-        inverse = [map_id.get(invert(pi), -1) for pi in maps]
-        for k, (t, p) in enumerate(zip(targets, map_ids)):
-            j = maps[p][k % L]
-            if targets[t * L + j] != k // L or map_ids[t * L + j] != inverse[p]:
-                raise TriangulationError(
-                    "gluing involution broken between facet %d slot %d and facet %d slot %d"
-                    % (k // L, k % L, t, j)
-                )
+        # With the identity the only map, slot i glues to slot i: each slot
+        # column of targets must be an involution of the facets.  Otherwise,
+        # or to name the first bad slot, check slot by slot.
+        columns_hold = False
+        if maps == [identity(L)]:
+            facets = list(range(self.facet_count))
+            columns_hold = all([col[t] for t in col] == facets for col in (targets[i::L] for i in range(L)))
+        if not columns_hold:
+            # the id of each map's inverse, or -1 when no slot carries it
+            map_id = {pi: p for p, pi in enumerate(maps)}
+            inverse = [map_id.get(invert(pi), -1) for pi in maps]
+            for k, (t, p) in enumerate(zip(targets, map_ids)):
+                j = maps[p][k % L]
+                if targets[t * L + j] != k // L or map_ids[t * L + j] != inverse[p]:
+                    raise TriangulationError(
+                        "gluing involution broken between facet %d slot %d and facet %d slot %d"
+                        % (k // L, k % L, t, j)
+                    )
         if vertex_ids is not None:
             vertex_ids = tuple(tuple(v) for v in vertex_ids)
             if len(vertex_ids) != self.facet_count or any(len(v) != L for v in vertex_ids):

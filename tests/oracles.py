@@ -233,6 +233,24 @@ def connected_cells(cells, dims, parents) -> bool:
     return len(reach) == len(cells)
 
 
+def connected_by_all_incidences(X) -> bool:
+    """Connectivity of a cell complex by a union-find over every cell and each of its children."""
+    if not len(X.cells):
+        return False
+    parent = list(range(len(X.cells)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(X.cells)):
+        for c in X.children_of(i):
+            parent[find(i)] = find(c)
+    return len({find(i) for i in range(len(X.cells))}) == 1
+
+
 # --- reflection labelings over orthants ------------------------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import multisect.cells as cells_module
 from multisect.cells import (
     LinkComplex,
     _link_ridges,
@@ -432,6 +433,36 @@ def test_cell_tables_match_per_element_oracles(name):
         assert list(ids) == sorted(ids) and [ids[rec.local[cid]] for cid in ids] == list(ids)
 
 
+def every_subset_complex(T, P):
+    return [extract(T, P, S) for r in range(1, P.k + 2) for S in combinations(range(P.k + 1), r)]
+
+
+@pytest.mark.parametrize("name", CELL_TABLE_INPUTS)
+def test_connectivity_from_the_1_skeleton_matches_all_incidences(name):
+    # relabelled copies with drawn labels give other complexes, disconnected ones among them
+    T0, P0 = CELL_TABLE_INPUTS[name]()
+    copies = [(T0, P0)]
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        T = relabel(T0, rng)
+        copies.append((T, VertexPartition(k=P0.k, labels=tuple(rng.randrange(P0.k + 1) for _ in P0.labels))))
+    for T, P in copies:
+        for X in every_subset_complex(T, P):
+            assert X.connected() == oracles.connected_by_all_incidences(X)
+
+
+def test_connectivity_from_the_1_skeleton_sees_disconnected_class_graphs():
+    # sd^2 of the doubled triangle, even-npc: the non-side class spans six disjoint stars
+    T = double_simplex(2)
+    for _ in range(2):
+        T, carriers = barycentric(T)
+    P = scheme_partition(T, "even-npc", carriers=carriers, sides=infer_sides(T, slot_carriers(T)))
+    complexes = every_subset_complex(T, P)
+    got = [X.connected() for X in complexes]
+    assert got == [oracles.connected_by_all_incidences(X) for X in complexes]
+    assert set(got) == {True, False}
+
+
 @pytest.mark.parametrize("name", CELL_TABLE_INPUTS)
 def test_subset_complexes_read_no_face_poset_children(name, monkeypatch):
     # every subset complex takes its children from the label pass's shapes, not from `FacePoset.children`
@@ -541,6 +572,21 @@ def test_vertex_links_match_all_at_once_oracle(build):
     assert list(got) == list(want)
     for v in want:
         assert link_fields(got[v]) == link_fields(want[v])
+
+
+@pytest.mark.parametrize("kept, checks", [(0, range(430, 431)), (1, range(5, 430)), (64, range(4, 5))])
+def test_npc_check_reuses_the_verdict_of_a_repeated_link_encoding(kept, checks, monkeypatch):
+    # 430 links of four encodings, 48 of them failing; with fewer verdicts
+    # kept the rest are checked again, with the same report
+    X = balanced_join_central()
+    checked = []
+    simplicial_reason = cells_module._simplicial_reason
+    monkeypatch.setattr(cells_module, "_simplicial_reason", lambda *a: checked.append(a) or simplicial_reason(*a))
+    monkeypatch.setattr(cells_module, "_VERDICTS_KEPT", kept)
+    rep = npc_check(X)
+    assert (rep.ok, rep.all_cubes, rep.link_count, rep.degrees, rep.failures) == oracles.npc_check_all_at_once(X)
+    assert rep.link_count == 430 and len(rep.failures) == 48
+    assert len(checked) in checks
 
 
 def relabelled_sd_rp3(seed):

@@ -634,6 +634,15 @@ def test_cli_refuses_a_ceiling_that_is_not_positive(argv):
     assert (code, out, err) == (2, "", "multisect: ceiling must be positive\n")
 
 
+@pytest.mark.parametrize(
+    "value, argv", [("0", ["cover", "--orientation", TWISTED_CHAIN]), ("-1", ["subdivide", "--barycentric"])]
+)
+def test_cli_refuses_an_environment_ceiling_that_is_not_positive(value, argv, monkeypatch):
+    _, doc, _ = run(["gen", "--double-simplex", "2"])
+    monkeypatch.setenv("MULTISECT_CEILING", value)
+    assert run(argv, stdin_text=doc) == (2, "", "multisect: MULTISECT_CEILING must be positive\n")
+
+
 def test_cli_bad_stream_is_usage_error():
     code, _, err = run(["info"], stdin_text="dim 3\nfacets nope\n")
     assert code == 2
