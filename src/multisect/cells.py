@@ -21,9 +21,16 @@ dimensions and its children in CSR form, a cell's children read at
 `canon ^ bit` for each bit its shape may delete, and shares the pass's
 `local`, `shape_of` and `shapes`.  It holds its face poset, not its
 triangulation or the record, so no reference cycle keeps a dropped
-triangulation alive.  Homology goes through `gf2.betti`.  The record
-keeps the central complex once built, and `validate`'s report; complexes
-over proper subsets are rebuilt on each request.
+triangulation alive.  The record keeps the central complex once built,
+and `validate`'s report; complexes over proper subsets are rebuilt on
+each request.
+
+Homology goes through `gf2.betti`, which eliminates only the middle
+dimensions.  The outer boundary ranks are component counts: of the
+1-skeleton, and of the top cells joined across shared codimension-1
+cells, which one pairing of each codimension-1 cell with its top cells
+gives.  The same pairing, with the parity of the two transfer signs,
+decides orientability.  Both read flat arrays as long as the complex.
 
 A cube's faces are reached one way, by corner mask through its shape's
 pairs and corner templates: the face with mask `mask` in facet f sits at
@@ -47,10 +54,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
-from .unionfind import UnionFind, signed_colouring
+from .unionfind import UnionFind
 from . import gf2
 
 if TYPE_CHECKING:
@@ -176,6 +183,67 @@ def _euler(counts: Sequence[int]) -> int:
     return sum(c if d % 2 == 0 else -c for d, c in enumerate(counts))
 
 
+def _sign_bit(pairs: Sequence[Tuple[int, int]], deleted: int, phi: Sequence[int]) -> int:
+    """1 when the face without corner `deleted`, reached through corner map phi, has transfer sign -1."""
+    t = next(t for t, pair in enumerate(pairs) if deleted in pair)
+    flips = sum(1 for t2, (a, b) in enumerate(pairs) if t2 != t and phi[a] > phi[b])
+    return (flips + t + (deleted == pairs[t][0])) % 2
+
+
+def _top_walk(X: CellComplex, rel: Sequence[int]) -> Optional[Tuple[int, int, bool]]:
+    """Components of the top cells joined across shared (D-1)-cells, for D >= 1.
+
+    Each (D-1)-cell is paired with the top cells that list it as a child,
+    with repetition, in two arrays; None when some (D-1)-cell is listed
+    three times or more.  Returns (components, closed components,
+    consistent): a component is closed when none of its top cells lists
+    a (D-1)-cell that is listed once, and consistent says whether the top
+    cells take bits with bit b = bit a ^ rel[c] across every pair (a, b)
+    at the c-th (D-1)-cell.
+    """
+    dims, s, flat = X.dims, X.child_start, X.child_flat
+    D = X.dimension
+    lo, top = bisect_left(dims, D - 1), bisect_left(dims, D)
+    first, second = array("i", [-1]) * (top - lo), array("i", [-1]) * (top - lo)
+    for t in range(top, len(dims)):
+        for c in flat[s[t] : s[t + 1]]:
+            c -= lo
+            if first[c] < 0:
+                first[c] = t
+            elif second[c] < 0:
+                second[c] = t
+            else:
+                return None
+    sign = bytearray([2]) * len(dims)  # per top cell: 0, 1, or 2 before the walk reaches it
+    components = closed = 0
+    consistent = True
+    for root in range(top, len(dims)):
+        if sign[root] != 2:
+            continue
+        components += 1
+        sign[root] = 0
+        stack = [root]
+        shut = True
+        while stack:
+            x = stack.pop()
+            for c in flat[s[x] : s[x + 1]]:
+                c -= lo
+                y = second[c]
+                if y < 0:
+                    shut = False
+                    continue
+                if y == x:
+                    y = first[c]
+                want = sign[x] ^ rel[c]
+                if sign[y] == 2:
+                    sign[y] = want
+                    stack.append(y)
+                elif sign[y] != want:
+                    consistent = False
+        closed += shut
+    return components, closed, consistent
+
+
 @dataclass(eq=False)
 class CellComplex:
     """Cells indexed 0..len(cells)-1 in ambient class order (dimension ascending), in flat tables.
@@ -211,24 +279,24 @@ class CellComplex:
         return _euler(self.counts())
 
     def connected(self) -> bool:
-        return self._connected
+        return self._components == 1
 
     @cached_property
-    def _connected(self) -> bool:
-        """Decided by the 0-cells and the edge cells' two ends.
+    def _components(self) -> int:
+        """Components of the complex, decided by the 0-cells and the edge cells' two ends.
 
         Every cell reaches a 0-cell through its faces, and a product of
         simplices has a connected 1-skeleton.
         """
         if not self.cells:
-            return False
+            return 0
         dims, s, flat = self.dims, self.child_start, self.child_flat
         n0, n1 = bisect_left(dims, 1), bisect_left(dims, 2)
         uf = UnionFind(n0)
         ends = flat[s[n0] : s[n1]]
         for a, b in zip(ends[::2], ends[1::2]):
             uf.union(a, b)
-        return uf.n_sets == 1
+        return uf.n_sets
 
     def parent_counts(self) -> Tuple[int, ...]:
         counts = [0] * len(self.cells)
@@ -252,55 +320,79 @@ class CellComplex:
     def top_count(self) -> int:
         return self.counts()[-1] if self.cells else 0
 
-    def boundary_columns(self, d: int) -> List[int]:
-        """Per d-cell, its GF(2) boundary: cells run in ascending dimension, so bit j is the j-th (d-1)-cell."""
+    def boundary_columns(self, d: int) -> Iterator[int]:
+        """Per d-cell, its GF(2) boundary: cells run in ascending dimension, so bit j is the j-th (d-1)-cell.
+
+        Yields one column at a time, so an elimination holds only its basis.
+        """
         counts = self.counts()
         if d >= len(counts):
-            return []
+            return
         lo, hi = sum(counts[: max(d - 1, 0)]), sum(counts[:d])  # the first (d-1)-cell and d-cell
-        cols = []
+        s, flat = self.child_start, self.child_flat
         for i in range(hi, hi + counts[d]):
             col = 0
-            for c in self.children_of(i):
+            for c in flat[s[i] : s[i + 1]]:
                 col ^= 1 << (c - lo)
-            cols.append(col)
-        return cols
+            yield col
 
     def betti(self) -> Tuple[int, ...]:
-        return gf2.betti(self.counts(), self.boundary_columns)
+        """Mod-2 Betti numbers; the outer boundary ranks are read off component counts.
+
+        rank ∂_1 is the 0-cell count minus the components of the
+        1-skeleton, as for any graph.  For the top dimension D >= 2, pair
+        each (D-1)-cell with the top cells that list it as a child.  When
+        no (D-1)-cell is listed three times, a top chain is a cycle exactly
+        when it is constant on each component of top cells joined across a
+        shared (D-1)-cell, and zero on each component where some top cell
+        has a (D-1)-cell met by no other; a cell listed twice by one top
+        cell cancels.  So ker ∂_D is spanned by the closed components, and
+        rank ∂_D is the top cell count minus their number.  Otherwise ∂_D
+        is eliminated, and the dimensions between always are: their bases
+        can grow with the square of the complex.
+        """
+        counts = self.counts()
+        known = {1: counts[0] - self._components} if len(counts) > 1 else {}
+        if len(counts) > 2:
+            walk = _top_walk(self, bytes(counts[-2]))
+            if walk is not None:
+                known[len(counts) - 1] = counts[-1] - walk[1]
+        return gf2.betti(counts, self.boundary_columns, known)
 
     def orientable(self) -> Optional[bool]:
-        """Coherent top-cell orientations; None when cells are not all cubes."""
+        """Coherent top-cell orientations; None when cells are not all cubes.
+
+        Each (D-1)-cell must be listed exactly twice by the top cells, and
+        the walk over the pairing relates their orientations by its two
+        transfer signs: eps_b = -sa * sb * eps_a.  A sign is computed once per
+        (shape, deleted corner, corner map id), as (-1)^(t + side) times
+        one flip per other direction whose pair the corner map reverses,
+        where deleting the lower (upper) corner of direction t gives the
+        face on side 1 (0).
+        """
         if not self.all_cubes:
             return None
         D = self.dimension
         if D <= 0:
             return True
+        lo = bisect_left(self.dims, D - 1)
+        top = bisect_left(self.dims, D)
         fp = self.face_poset
-        # per codim-1 cell: list of (top cell, transfer sign)
-        incidences: Dict[int, List[Tuple[int, int]]] = {}
-        for i, d in enumerate(self.dims):
-            if d != D:
-                continue
-            pairs = self.pairs(i)
-            for t, (lo, hi) in enumerate(pairs):
-                for deleted, side in ((lo, 1), (hi, 0)):
-                    # the face without `deleted`, and its corner map, at its own entry
-                    enc = fp.cls_canon[self.cells[i]] ^ 1 << deleted
-                    phi = fp._perms[fp._map_of[enc]]
-                    # one flip per other direction whose pair the map reverses
-                    flips = sum(1 for t2, (a, b) in enumerate(pairs) if t2 != t and phi[a] > phi[b])
-                    sign = -1 if (flips + t + side) % 2 else 1
-                    incidences.setdefault(self.local[fp._table[enc]], []).append((i, sign))
-        adj: Dict[int, List[Tuple[int, int]]] = {i: [] for i, d in enumerate(self.dims) if d == D}
-        for inc in incidences.values():
-            if len(inc) != 2:
-                return False
-            (a, sa), (b, sb) = inc
-            rel = -sa * sb  # eps_b = rel * eps_a
-            adj[a].append((b, rel))
-            adj[b].append((a, rel))
-        return signed_colouring(adj.keys(), adj) is not None
+        canon, map_of, perms = fp.cls_canon, fp._map_of, fp._perms
+        cells, shape_of, shapes, s, flat = self.cells, self.shape_of, self.shapes, self.child_start, self.child_flat
+        rel = bytearray([1]) * (top - lo)  # per (D-1)-cell, 1 ^ its transfer sign bits: eps_b = -sa * sb * eps_a
+        bits: Dict[Tuple[int, int, int], int] = {}  # sign bit per (shape, child place, corner map id)
+        for i in range(top, len(cells)):
+            cid = cells[i]
+            sid, enc = shape_of[cid], canon[cid]
+            for k, bit in enumerate(shapes[sid].delete):
+                mid = map_of[enc ^ bit]
+                b = bits.get((sid, k, mid))
+                if b is None:
+                    b = bits[sid, k, mid] = _sign_bit(shapes[sid].pairs, bit.bit_length() - 1, perms[mid])
+                rel[flat[s[i] + k] - lo] ^= b
+        walk = _top_walk(self, rel)
+        return walk is not None and walk[0] == walk[1] and walk[2]
 
     def _index(self, cid: int) -> int:
         """Cell index of class cid; supports partition the classes, so the class must have this complex's."""
@@ -328,6 +420,8 @@ class CellComplex:
         ascending list of edges outside the forest.  An edge runs from the
         end at its pair's lower corner to the other; its children are
         [head, tail], as deleting the lower corner leaves the upper end.
+        The parent dict of tuples is kept on the complex, about 0.7 MiB on
+        sd²(RP³)'s central complex, several times its flat arrays.
         """
         edges = [e for e, d in enumerate(self.dims) if d == 1]
         adj: Dict[int, List[Tuple[int, int, int]]] = {}
@@ -350,33 +444,35 @@ class CellComplex:
                         order.append(w)
         return parent, [e for e in edges if e not in tree_edges]
 
-    @cached_property
-    def square_boundaries(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Per square cell of an all-cube complex: its 4-cycle as (edge, direction) steps.
+    def squares(self) -> range:
+        """The indexes of the 2-cells: cells run in ascending dimension."""
+        return range(bisect_left(self.dims, 2), bisect_left(self.dims, 3))
+
+    def square_path(self, i: int) -> List[Tuple[int, int]]:
+        """Square cell i's 4-cycle as (edge, direction) steps; the complex must be all cubes.
 
         The cycle leaves template corners 0, 2, 3, 1, that is (a1, a2), (b1, a2), (b1, b2),
         (a1, b2), along directions 0, 1, 0, 1.  A step is forward when the corner map at
         its edge's entry takes the step's start to the edge's lower corner.
         """
         fp = self.face_poset
-        table, map_of, perms, canon, M = fp._table, fp._map_of, fp._perms, fp.cls_canon, fp.M
+        table, map_of, perms = fp._table, fp._map_of, fp._perms
         local, shape_of, shapes = self.local, self.shape_of, self.shapes
-        out = {}
-        for i, d in enumerate(self.dims):
-            if d != 2:
-                continue
-            cid = self.cells[i]
-            base = canon[cid] // M * M
-            templates = shapes[shape_of[cid]].templates
-            path = []
-            for corner, t in ((0, 0), (2, 1), (3, 0), (1, 1)):
-                edge, c = templates[corner][2][t]
-                ecid = table[base + edge]
-                e = local[ecid]
-                ((lo, _),) = shapes[shape_of[ecid]].pairs
-                path.append((e, 1 if perms[map_of[base + edge]][c] == lo else -1))
-            out[i] = path
-        return out
+        cid = self.cells[i]
+        base = fp.cls_canon[cid] // fp.M * fp.M
+        templates = shapes[shape_of[cid]].templates
+        path = []
+        for corner, t in ((0, 0), (2, 1), (3, 0), (1, 1)):
+            edge, c = templates[corner][2][t]
+            ecid = table[base + edge]
+            ((lo, _),) = shapes[shape_of[ecid]].pairs
+            path.append((local[ecid], 1 if perms[map_of[base + edge]][c] == lo else -1))
+        return path
+
+    @property
+    def square_boundaries(self) -> Dict[int, List[Tuple[int, int]]]:
+        """Per square cell of an all-cube complex, its `square_path`; built on each read."""
+        return {i: self.square_path(i) for i in self.squares()}
 
     def summary(self) -> dict:
         out = {

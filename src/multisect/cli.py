@@ -26,7 +26,7 @@ from .partition import (
 )
 from .subdivide import (
     Limits,
-    barycentric,
+    _flag_subdivision,
     infer_sides,
     join,
     pachner_2n_pass,
@@ -111,7 +111,7 @@ def _limits(args) -> Limits:
 
 def _subcomplex(args) -> Tuple[Tuple[int, ...], cells_mod.CellComplex]:
     """The `--subset` labels (all of them by default) and their complex in the input."""
-    subset = _parse_subset(args.subset) if args.subset else None
+    subset = _parse_subset(args.subset) if args.subset is not None else None
     T, P = io_mod.load_stream(_read(args.file))
     P = _need_partition(P)
     if subset is None:
@@ -173,7 +173,7 @@ def cmd_subdivide(args) -> int:
         raise UsageError("--times must be at least 1")
     T, _ = io_mod.load_stream(_read(args.file))
     for _ in range(args.times):
-        T, _carriers = barycentric(T, args.limits)
+        T = _flag_subdivision(T, args.limits)
     _emit(HEADER + io_mod.save_gluing(T))
     return 0
 

@@ -8,7 +8,7 @@ array dependency.  `Basis` is the one elimination routine: `rank` and
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 
 def rank(vectors: Iterable[int]) -> int:
@@ -19,12 +19,19 @@ def rank(vectors: Iterable[int]) -> int:
     return basis.rank
 
 
-def betti(counts: Sequence[int], columns: Callable[[int], Iterable[int]]) -> Tuple[int, ...]:
+def betti(
+    counts: Sequence[int], columns: Callable[[int], Iterable[int]], known: Mapping[int, int] = {}
+) -> Tuple[int, ...]:
     """Mod-2 Betti numbers in dimensions 0..len(counts)-1, from the cell count per dimension.
 
-    columns(d) is the boundary map from dimension d, one bit-vector per d-cell.
+    `known` maps a dimension d to the rank of the boundary map from it,
+    where the caller has that rank without elimination, typically from a
+    component count.  Every other boundary map is eliminated from
+    columns(d), one bit-vector per d-cell read one at a time; each such
+    column is as wide as the cell count one dimension down, so the basis
+    of a dimension eliminated here can grow with the square of it.
     """
-    ranks = [0] + [rank(columns(d)) for d in range(1, len(counts))] + [0]
+    ranks = [0] + [known[d] if d in known else rank(columns(d)) for d in range(1, len(counts))] + [0]
     return tuple(c - ranks[d] - ranks[d + 1] for d, c in enumerate(counts))
 
 

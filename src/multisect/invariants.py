@@ -158,8 +158,8 @@ def pi1_presentation(C: cells_mod.CellComplex) -> GroupPresentation:
         raise TriangulationError("complex is disconnected")
     gen = {e: j + 1 for j, e in enumerate(cotree)}
     relators = []
-    for path in C.square_boundaries.values():
-        word = [dr * gen[e] for e, dr in path if e in gen]
+    for i in C.squares():
+        word = [dr * gen[e] for e, dr in C.square_path(i) if e in gen]
         relators.append(free_reduce(word))
     return GroupPresentation(
         generators=len(cotree),
@@ -247,7 +247,7 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
         words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
 
     relators_die = not any(
-        free_reduce([x for e, dr in path for x in edge_image(e, dr)]) for path in central.square_boundaries.values()
+        free_reduce([x for e, dr in central.square_path(i) for x in edge_image(e, dr)]) for i in central.squares()
     )
 
     rank = gf2.rank(map(_parity, words))
@@ -267,7 +267,19 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
 
     The cellular approximation sends a central edge with doubled class
     `cls` to the ambient monochromatic edge on its doubled pair, and
-    every other central edge to a constant path.
+    every other central edge to a constant path.  H_1 is onto when the
+    images of the central cycles, one per cotree edge of the spanning
+    forest, gain b_1 dimensions over the ambient boundaries.
+
+    The images are taken in the coordinates of the distinct ambient
+    edges that central edges map to, numbered as met, and reduced there
+    to a basis A; only A's vectors are rewritten in ambient edge bits
+    and added to the ambient boundary basis.  Renaming coordinates is an
+    injective linear map, so A spans what the images span and gains the
+    same rank.  rank ∂_1 is the vertex classes minus the facet
+    components.  The ∂_2 basis is eliminated on each call, from columns
+    as wide as the ambient edge count, so it can grow with the square
+    of T.
     """
     if not 0 <= cls <= P.k:
         raise TriangulationError("class label %d out of range 0..%d" % (cls, P.k))
@@ -276,11 +288,14 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     e_start = fp.dim_start[1]  # bit j of an ambient edge chain is edge class e_start + j
     # an edge's children are [head, tail]; see `CellComplex.spanning_forest`
     parent, cotree = central.spanning_forest
+    number: Dict[int, int] = {}  # ambient edge bit -> image coordinate, numbered as met
 
     def image(e: int) -> int:
         ((a, b),) = central.pairs(e)  # the corners of the edge's doubled label
         f = fp.canonical(central.cells[e])[0]
-        return 1 << (fp.class_of(f, (a, b)) - e_start) if P.labels[fp.facet_vertices[f * fp.L + a]] == cls else 0
+        if P.labels[fp.facet_vertices[f * fp.L + a]] != cls:
+            return 0
+        return 1 << number.setdefault(fp.class_of(f, (a, b)) - e_start, len(number))
 
     # image of the forest path from its root to each central vertex; the
     # fundamental cycle of a cotree edge then images to pot[va] ^ image ^ pot[vb]
@@ -292,16 +307,25 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
             e, dr = step
             vb, va = central.children_of(e)
             pot[v] = pot[va if dr == 1 else vb] ^ image(e)
+    images = gf2.Basis()
+    for e in cotree:
+        vb, va = central.children_of(e)
+        images.add(pot[va] ^ image(e) ^ pot[vb])
+    del pot  # before the ∂_2 basis, which sets the peak
+    bit_of = list(number)  # per image coordinate, its ambient edge bit
 
     # one column at a time: a list of them all, each as wide as the edge
     # count, would outweigh the basis
     base = gf2.Basis()
     for v in T.boundary_columns(2):
         base.add(v)
-    b1 = len(fp.class_ids_of_dim(1)) - gf2.rank(T.boundary_columns(1)) - base.rank
+    b1 = len(fp.class_ids_of_dim(1)) - (e_start - T._facet_components().n_sets) - base.rank
     extra = 0
-    for e in cotree:
-        vb, va = central.children_of(e)
-        if base.add(pot[va] ^ image(e) ^ pot[vb]):
-            extra += 1
+    for v in images.pivots.values():
+        ambient = 0
+        while v:
+            low = v & -v
+            ambient |= 1 << bit_of[low.bit_length() - 1]
+            v ^= low
+        extra += base.add(ambient)
     return extra == b1

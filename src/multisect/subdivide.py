@@ -52,6 +52,12 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
     reads off their corner slots.  Raises if the output would exceed the
     facet ceiling.
     """
+    out = _flag_subdivision(T, limits)
+    return out, slot_carriers(out)
+
+
+def _flag_subdivision(T: Triangulation, limits: Limits) -> Triangulation:
+    """`barycentric`'s triangulation alone: its gluing tables, with no face poset built."""
     n = T.dimension
     L = n + 1
     perms = list(permutations(range(L)))
@@ -72,8 +78,7 @@ def barycentric(T: Triangulation, limits: Limits = Limits()) -> Tuple[Triangulat
             t, sigma = T.gluing(f, rho[n])
             targets.append(t * P + pindex[compose(sigma, rho)])
     # every gluing of a flag subdivision has the identity corner map
-    out = Triangulation._from_tables(n, targets, array("B", bytes(len(targets))), [tuple(range(L))])
-    return out, slot_carriers(out)
+    return Triangulation._from_tables(n, targets, array("B", bytes(len(targets))), [tuple(range(L))])
 
 
 def pachner_2n_pass(T: Triangulation, part: VertexPartition) -> Tuple[Triangulation, VertexPartition]:

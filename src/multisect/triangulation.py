@@ -599,10 +599,20 @@ class Triangulation:
             yield col
 
     def summary(self) -> TriSummary:
-        """Face census plus connectivity, orientability, parity and homology."""
+        """Face census plus connectivity, orientability, parity and homology.
+
+        The outer boundary ranks are read off the facet components, which
+        are the components of the 1-skeleton too: rank ∂_1 is the vertex
+        classes minus the components.  Every ridge class has exactly two
+        incarnations, so an n-chain is a cycle exactly when it is constant
+        on each component, and rank ∂_n is the facets minus the components.
+        The dimensions between are eliminated, and their bases can grow
+        with the square of the face count.
+        """
         fp = self.face_poset
         n = self.dimension
         counts = fp.counts()
+        components = self._facet_components().n_sets
         pseudo = all(fp.cls_count[cid] == 2 for cid in fp.class_ids_of_dim(n - 1))
         even = True
         if n >= 2:
@@ -613,12 +623,12 @@ class Triangulation:
             facet_count=self.facet_count,
             face_counts=counts,
             euler=self.euler(),
-            connected=self.connected(),
+            connected=components == 1,
             pseudo_manifold=pseudo,
             orientable=orientation is not None,
             orientation=orientation,
             even=even,
-            betti=gf2.betti(counts, self.boundary_columns),
+            betti=gf2.betti(counts, self.boundary_columns, {1: counts[0] - components, n: self.facet_count - components}),
         )
 
     # -- links ----------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import gc
 import pathlib
 import random
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from multisect import cells
+from multisect import cells, gf2
 from multisect.io import load_stream
 from multisect.invariants import (
     euler_trisection_check,
@@ -279,6 +280,37 @@ def test_h1_onto_matches_kernel_basis_oracle():
                     assert got == oracles.h1_onto_by_kernel_basis(T, P, cls)
                     verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_h1_onto_check_peaks_with_the_ambient_boundary_basis():
+    # sd^2(RP^3) odd-bary: the ambient ∂_2 basis (4,608 columns, each as wide as
+    # the edge count) dominates; with the cycle images in ambient edge bits and
+    # rank ∂_1 eliminated too, the check peaked at 1.71 times the basis alone
+    T, carriers = barycentric(barycentric(cross_projective(3))[0])
+    P = scheme_partition(T, "odd-bary", carriers=carriers)
+    X = cells.extract(T, P, (0, 1))
+    X.spanning_forest  # kept on the complex, as every later check reads it
+
+    def boundary_basis():
+        base = gf2.Basis()
+        for v in T.boundary_columns(2):
+            base.add(v)
+        return base.rank
+
+    peaks = []
+    for ask in (boundary_basis, lambda: h1_onto_check(T, P)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert ask()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.3 * peaks[0]
+    # squares are read one at a time: the complex keeps no per-square dict
+    assert inclusion_epimorphism(T, P, 0)
+    assert not any(isinstance(v, dict) for v in vars(X).values())
 
 
 def test_report_on_projective_five():

@@ -416,6 +416,19 @@ def test_cli_subdivide_times():
     assert "facets 1152" in info
 
 
+def test_cli_subdivide_builds_no_face_poset(monkeypatch):
+    # the carriers `barycentric` reads off a face poset are not written, so no poset is built
+    from multisect import triangulation
+
+    code, doc, _ = run(["gen", "--cross-projective", "3"])
+    builds = []
+    face_poset = triangulation.FacePoset
+    monkeypatch.setattr(triangulation, "FacePoset", lambda T: builds.append(T) or face_poset(T))
+    code, sd, _ = run(["subdivide", "--barycentric", "--times", "2"], stdin_text=doc)
+    assert (code, builds) == (0, [])
+    assert sd == HEADER + io_mod.save_gluing(barycentric(barycentric(cross_projective(3))[0])[0])
+
+
 def test_cli_subdivide_requires_mode():
     code, doc, _ = run(["gen", "--double-simplex", "3"])
     code, _, err = run(["subdivide"], stdin_text=doc)
@@ -491,6 +504,19 @@ def test_cli_refuses_subset_labels_out_of_range(tmp_path):
         for subset, label in (("7", 7), ("0,2", 2), ("-1", -1)):
             code, out, err = run(command + ["--subset", subset], stdin_text=part)
             assert (code, out, err) == (2, "", "multisect: subset label %d out of range 0..1\n" % label)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "collapse", "npc-check", "export"])
+def test_cli_refuses_an_empty_subset(command, tmp_path):
+    # an empty --subset is malformed like "," is, not a request for every label
+    code, doc, _ = run(["gen", "--cross-projective", "3"])
+    code, part, _ = run(["partition", "--scheme", "pairs", "--blocks", "0,1/2,3"], stdin_text=doc)
+    out_path = tmp_path / "cells.json"
+    argv = [command] + (["--json", str(out_path)] if command == "export" else [])
+    for subset in ("", ","):
+        code, out, err = run(argv + ["--subset", subset], stdin_text=part)
+        assert (code, out, err) == (2, "", "multisect: bad subset %r, expected comma-separated class labels\n" % subset)
     assert not out_path.exists()
 
 

@@ -530,6 +530,29 @@ def test_ambient_betti_closed_forms(build, n):
     assert build(n).summary().betti == want
 
 
+def suspension_rp2():
+    return load_stream((pathlib.Path(__file__).parent / "fixtures" / "suspension_rp2.txt").read_text())[0]
+
+
+SUMMARY_BETTI_INPUTS = {
+    **{"double_simplex(%d)" % n: (lambda n=n: double_simplex(n)) for n in range(1, 5)},
+    **{"cross_sphere(%d)" % n: (lambda n=n: cross_sphere(n)) for n in range(1, 4)},
+    **{"cross_projective(%d)" % n: (lambda n=n: cross_projective(n)) for n in range(2, 5)},
+    "sd double_simplex(2)": lambda: barycentric(double_simplex(2))[0],
+    "cross_projective(3) double cover": lambda: cross_projective(3).orientation_double_cover(),
+    "twisted chain": twisted_chain,
+    "suspension of RP2": suspension_rp2,
+}
+
+
+@pytest.mark.parametrize("name", SUMMARY_BETTI_INPUTS)
+def test_summary_betti_matches_elimination(name):
+    # the outer ranks come from the facet components, the middle ones from elimination
+    T = SUMMARY_BETTI_INPUTS[name]()
+    for U in (T, relabel(T, random.Random(1))):
+        assert U.summary().betti == oracles.betti_by_elimination(U)
+
+
 def test_incarnation_maps_cover_class_degree():
     T = cross_sphere(3)
     fp = T.face_poset
