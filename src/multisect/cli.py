@@ -19,6 +19,7 @@ from . import zoo
 from .partition import (
     SCHEMES,
     VertexPartition,
+    coordinate_labels,
     labeling_cover,
     scheme_partition,
     symmetric_representation,
@@ -213,8 +214,8 @@ def cmd_partition(args) -> int:
     elif scheme == "pairs":
         if not args.blocks:
             raise UsageError("--scheme pairs needs --blocks")
-        try:  # the corner slots stand in for coordinates, so every vertex class must keep one slot
-            labels = slot_carriers(T).dims
+        try:  # the slot refusal alone takes the prefix; block errors below stay bare
+            labels = coordinate_labels(T)
         except TriangulationError as e:
             raise TriangulationError("--scheme pairs needs coordinate corner slots: %s" % e) from None
         P = scheme_partition(T, "pairs", blocks=_parse_blocks(args.blocks), labels=labels)

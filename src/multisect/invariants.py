@@ -28,11 +28,17 @@ class MultisectionReport:
     central_betti: Tuple[int, ...]
     central_genus: Optional[int]       # surface genus / crosscap number when n-k == 2
     npc_ok: Optional[bool]
-    euler_identity: Optional[bool]     # the dimension-4 identity, when applicable
     supports_multisection: bool
     supports_generalized: bool
     diagnostics: Tuple[str, ...]       # validation's, its manifold checks last
     validation: ValidationReport = field(repr=False)
+
+    @property
+    def euler_identity(self) -> Optional[bool]:
+        """chi(M) = 2 + g(central) - sum of genera, in dimension 4 with a central genus; else None."""
+        if self.n != 4 or self.central_genus is None:
+            return None
+        return self.ambient_euler == 2 + self.central_genus - sum(self.genera)
 
 
 def multisection_report(T: Triangulation, P: VertexPartition) -> MultisectionReport:
@@ -55,22 +61,16 @@ def multisection_report(T: Triangulation, P: VertexPartition) -> MultisectionRep
     npc_ok = None
     if central.all_cubes and central.cells:
         npc_ok = cells_mod.npc_check(central).ok
-    ambient_euler = T.euler()
-    genera = rep.genera()
-    identity = None
-    if n == 4 and genus is not None:
-        identity = ambient_euler == 2 + genus - sum(genera)
     return MultisectionReport(
         n=n,
         k=k,
-        ambient_euler=ambient_euler,
-        genera=genera,
+        ambient_euler=T.euler(),
+        genera=rep.genera(),
         spine_dims=tuple((r.subset, r.spine_dim) for r in rep.subsets),
         central_summary=summ,
         central_betti=betti,
         central_genus=genus,
         npc_ok=npc_ok,
-        euler_identity=identity,
         supports_multisection=rep.supports_multisection,
         supports_generalized=rep.supports_generalized,
         diagnostics=rep.diagnostics,
@@ -91,17 +91,16 @@ class TrisectionVerdict:
 
 
 def euler_trisection_check(R: MultisectionReport) -> TrisectionVerdict:
-    """The four-dimensional identity chi(M) = 2 + g(central) - sum of genera."""
+    """The report's four-dimensional `euler_identity`, with (g, k) when the genera agree."""
     if R.n != 4:
         raise TriangulationError("the trisection Euler identity needs dimension 4, got %d" % R.n)
     if R.central_genus is None:
         raise TriangulationError("central complex is not a closed connected surface")
-    ok = R.ambient_euler == 2 + R.central_genus - sum(R.genera)
     gk = None
     if len(set(R.genera)) == 1:
         gk = (R.central_genus, R.genera[0])
     return TrisectionVerdict(
-        ok=ok,
+        ok=R.euler_identity,
         ambient_euler=R.ambient_euler,
         central_genus=R.central_genus,
         genera=R.genera,

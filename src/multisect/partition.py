@@ -46,24 +46,18 @@ class VertexPartition:
 
 
 def coordinate_labels(T: Triangulation) -> Tuple[int, ...]:
-    """Per-vertex-class corner label, read off the builder's metadata."""
-    rows = T.extras.get("corner_labels")
-    if rows is None:
-        raise TriangulationError("this triangulation carries no corner labels")
+    """Per-vertex-class coordinate: the corner slot the class takes in every facet.
+
+    Raises when some vertex class sits at two different slots.
+    """
     fp = T.face_poset
-    nv = fp.dim_start[1]
-    out: List[Optional[int]] = [None] * nv
-    for f, row in enumerate(rows):
-        for v, lab in zip(fp.facet_vertices[f * fp.L : (f + 1) * fp.L], row):
-            if lab is None:
-                continue
-            if out[v] is None:
-                out[v] = lab
-            elif out[v] != lab:
-                raise TriangulationError("vertex class %s has conflicting corner labels" % fp.key(v))
-    for v, lab in enumerate(out):
-        if lab is None:
-            raise TriangulationError("vertex class %s has no corner label" % fp.key(v))
+    out: List[Optional[int]] = [None] * fp.dim_start[1]
+    for k, v in enumerate(fp.facet_vertices):
+        c = k % fp.L
+        if out[v] is None:
+            out[v] = c
+        elif out[v] != c:
+            raise TriangulationError("corner slots do not determine carriers (vertex class %s)" % T.vertex_key(v))
     return tuple(out)  # type: ignore[return-value]
 
 
@@ -81,8 +75,9 @@ def scheme_partition(
 
     odd-bary / even-bary label each barycentre by half its carrier
     dimension.  even-npc expects carriers of a second subdivision plus a
-    0/1 side for each top-dimensional carrier.  pairs groups a
-    coordinate labeling into blocks.  explicit takes the labels as-is.
+    0/1 side for each top-dimensional carrier.  pairs groups coordinates
+    into blocks: `labels` when given, else `coordinate_labels`.  explicit
+    takes the labels as-is.
     """
     n = T.dimension
     fp = T.face_poset

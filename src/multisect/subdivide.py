@@ -16,8 +16,7 @@ and that one rule drives its gluings, labels and rows:
   cover on the other side, internal slots go to the fan facet without
   that corner, and labels follow the same rows.
 - A stellar cone puts the new vertex at corner i of cone piece i and
-  keeps the facet's other corners, in gluings, vertex ids and corner
-  labels alike.
+  keeps the facet's other corners, in gluings and vertex ids alike.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .partition import VertexPartition
+from .partition import VertexPartition, coordinate_labels
 from .triangulation import Limits, Triangulation, TriangulationError
 from .perms import compose, invert
 from .unionfind import signed_colouring
@@ -194,11 +193,7 @@ def stellar_facet(T: Triangulation, facet: int) -> Triangulation:
     vertex_ids = None
     if T.vertex_ids is not None:
         vertex_ids = _cone_rows(T.vertex_ids, facet, _fresh_id(T.vertex_ids))
-    extras = {}
-    old_labels = T.extras.get("corner_labels")
-    if old_labels is not None:
-        extras["corner_labels"] = tuple(_cone_rows(old_labels, facet, None))
-    return Triangulation(n, glu_out, vertex_ids=vertex_ids, extras=extras or None)
+    return Triangulation(n, glu_out, vertex_ids=vertex_ids)
 
 
 def _cone_rows(rows: Sequence[Sequence], facet: int, value) -> List[tuple]:
@@ -241,39 +236,17 @@ def join(A: Triangulation, B: Triangulation, limits: Limits = Limits()) -> Trian
     for va in A.vertex_ids:
         for vb in B.vertex_ids:
             facets.append(tuple(va) + tuple(names[x] if isinstance(x, str) else x + offset for x in vb))
-    extras = None
-    la = A.extras.get("corner_labels")
-    lb = B.extras.get("corner_labels")
-    if la is not None and lb is not None:
-        shift = A.dimension + 1
-        rows = []
-        for fa in range(A.facet_count):
-            for fb in range(B.facet_count):
-                rows.append(
-                    tuple(la[fa])
-                    + tuple(None if x is None else x + shift for x in lb[fb])
-                )
-        extras = {"corner_labels": tuple(rows)}
-    return Triangulation.from_vertex_facets(n, facets, extras=extras)
+    return Triangulation.from_vertex_facets(n, facets)
 
 
 def slot_carriers(T: Triangulation) -> CarrierLabels:
-    """Carrier dimensions read off corner slots.
+    """Carrier dimensions read off corner slots by `coordinate_labels`.
 
     Flag subdivisions place every barycentre at the slot equal to its
     carrier dimension, in each incarnation; raises when the input does
     not have that shape.
     """
-    fp = T.face_poset
-    nv = fp.dim_start[1]
-    dims: List[Optional[int]] = [None] * nv
-    for k, v in enumerate(fp.facet_vertices):
-        c = k % fp.L
-        if dims[v] is None:
-            dims[v] = c
-        elif dims[v] != c:
-            raise TriangulationError("corner slots do not determine carriers (vertex class %s)" % T.vertex_key(v))
-    return CarrierLabels(dims=tuple(dims))  # type: ignore[arg-type]
+    return CarrierLabels(dims=coordinate_labels(T))
 
 
 def infer_sides(T: Triangulation, carriers: CarrierLabels) -> Dict[int, int]:

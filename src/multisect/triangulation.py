@@ -24,8 +24,9 @@ gluing tables and one image table per distinct map.  Each
 class's canonical incarnation, incarnation count and dimension, and each
 facet's vertex classes, are flat arrays too.  All derived orderings use
 the canonical incarnation of a face class: the lexicographically least
-(facet, sorted corner tuple) pair.  A face poset refers to its
-triangulation weakly, so dropping a triangulation frees both.
+(facet, sorted corner tuple) pair.  A face poset keeps the gluing
+tables it walks but not its triangulation, so dropping a triangulation
+frees both.
 
 When the identity is the only gluing map, as in every barycentric
 subdivision (a balanced triangulation: slot i always meets slot i), no
@@ -39,7 +40,6 @@ the involution check reads one slot column at a time.
 from __future__ import annotations
 
 import os
-import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -183,7 +183,6 @@ class FacePoset:
     """
 
     def __init__(self, tri: "Triangulation"):
-        self._tri = weakref.ref(tri)
         n = tri.dimension
         L = n + 1
         M = 1 << L
@@ -311,11 +310,6 @@ class FacePoset:
         self._perms = [identity(L)]
 
     @property
-    def tri(self) -> Optional["Triangulation"]:
-        """The triangulation, while something else keeps it alive."""
-        return self._tri()
-
-    @property
     def n_classes(self) -> int:
         return len(self.cls_canon)
 
@@ -398,8 +392,8 @@ class Triangulation:
             bijection) describing how the face opposite corner i is glued.
         vertex_ids: optional per-facet corner vertex identifiers; present
             for complexes built from vertex tuples.
-        extras: free-form metadata (coordinate corner labels, deck
-            pairings).  Never consulted by structural operations.
+        extras: free-form metadata: a cover's deck involution, or its
+            sheets and degree.  Never consulted by structural operations.
 
     The gluings are kept as three tables: `targets[f * (n+1) + i]` is the
     facet glued at slot i of facet f, and `maps[map_ids[f * (n+1) + i]]`
@@ -480,12 +474,7 @@ class Triangulation:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_vertex_facets(
-        cls,
-        dimension: int,
-        facets: Sequence[Sequence[int]],
-        extras: Optional[dict] = None,
-    ) -> "Triangulation":
+    def from_vertex_facets(cls, dimension: int, facets: Sequence[Sequence[int]]) -> "Triangulation":
         """Build a triangulation from per-facet vertex tuples.
 
         Gluings are inferred by matching codimension-1 vertex sets; every
@@ -519,7 +508,7 @@ class Triangulation:
             pi = tuple(j if c == i else pos_t[v] for c, v in enumerate(vid[f]))
             gluings[f][i] = (t, pi)
             gluings[t][j] = (f, invert(pi))
-        return cls(dimension, gluings, vertex_ids=vid, extras=extras)
+        return cls(dimension, gluings, vertex_ids=vid)
 
     # -- basic data -----------------------------------------------------
 

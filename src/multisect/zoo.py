@@ -1,7 +1,8 @@
 """Small generator families: doubled simplices and crosspolytope spheres.
 
-Every generator attaches `corner_labels` metadata giving the coordinate
-label of each facet corner; block partition schemes key off these.
+Every generator keeps each vertex class at one corner slot in every
+facet, axis i of a crosspolytope at slot i; that slot is the coordinate
+the `pairs` partition scheme reads.
 The crosspolytope generators refuse to exceed a facet ceiling, by
 default `triangulation.default_ceiling()`.
 """
@@ -14,11 +15,6 @@ from typing import Optional
 from .triangulation import Limits, Triangulation, TriangulationError
 
 
-def _constant_corner_labels(m: int, n: int):
-    row = tuple(range(n + 1))
-    return tuple(row for _ in range(m))
-
-
 def double_simplex(n: int) -> Triangulation:
     """Two n-simplices glued by the identity along all n+1 faces; PL n-sphere."""
     if n < 1:
@@ -26,11 +22,7 @@ def double_simplex(n: int) -> Triangulation:
     ident = tuple(range(n + 1))
     row0 = tuple((1, ident) for _ in range(n + 1))
     row1 = tuple((0, ident) for _ in range(n + 1))
-    return Triangulation(
-        n,
-        (row0, row1),
-        extras={"corner_labels": _constant_corner_labels(2, n)},
-    )
+    return Triangulation(n, (row0, row1))
 
 
 def cross_sphere(n: int, ceiling: Optional[int] = None) -> Triangulation:
@@ -49,8 +41,7 @@ def cross_sphere(n: int, ceiling: Optional[int] = None) -> Triangulation:
     facets = []
     for bits in product((0, 1), repeat=n + 1):
         facets.append(tuple(2 * i + b for i, b in enumerate(bits)))
-    tri = Triangulation.from_vertex_facets(n, facets, extras={"corner_labels": _constant_corner_labels(m, n)})
-    return tri
+    return Triangulation.from_vertex_facets(n, facets)
 
 
 def cross_projective(n: int, ceiling: Optional[int] = None) -> Triangulation:
@@ -78,4 +69,4 @@ def cross_projective(n: int, ceiling: Optional[int] = None) -> Triangulation:
                 target = code ^ (1 << (i - 1))
             row.append((target, ident))
         gluings.append(row)
-    return Triangulation(n, gluings, extras={"corner_labels": _constant_corner_labels(m, n)})
+    return Triangulation(n, gluings)

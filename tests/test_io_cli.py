@@ -24,10 +24,10 @@ from multisect import io as io_mod
 from multisect.cli import HEADER, main
 from multisect.io import load_stream, save_partition, save_stream, save_triangulation
 from multisect.partition import scheme_partition
-from multisect.subdivide import barycentric
-from multisect.triangulation import TriangulationError
+from multisect.subdivide import barycentric, join, stellar_facet
+from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
-from test_triangulation import relabel
+from test_triangulation import relabel, relabelling, renamed_rows
 
 ROOT = pathlib.Path(__file__).parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "cellcomplex.schema.json").read_text())
@@ -541,6 +541,76 @@ def test_cli_pairs_refuses_streams_without_coordinate_slots():
     assert (code, err) == (2, "multisect: corner slots do not determine carriers (vertex class 0:5)\n")
 
 
+@lru_cache(maxsize=None)
+def pairs_streams():
+    """Streams for the library-against-CLI `pairs` check, each with whether its corner slots are coordinates.
+
+    None marks a relabelling whose per-facet corner shuffles may or may not keep every class at one slot.
+    """
+    out = {}
+    for n in range(1, 6):
+        out["double_simplex(%d)" % n] = (save_stream(double_simplex(n)), True)
+        for layout in ("gluing", "vertex"):
+            out["cross_sphere(%d) %s" % (n, layout)] = (save_stream(cross_sphere(n), layout=layout), True)
+        if n >= 2:
+            out["cross_projective(%d)" % n] = (save_stream(cross_projective(n)), True)
+    for name, T in (("double_simplex(3)", double_simplex(3)), ("cross_sphere(3)", cross_sphere(3)),
+                    ("cross_projective(4)", cross_projective(4))):
+        m, L = T.facet_count, T.dimension + 1
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            facet, corner = relabelling(T, rng)
+            one = rng.sample(range(L), L)
+            for kind, corners, ok in (("facets", [list(range(L))] * m, True), ("one corner order", [one] * m, True),
+                                      ("facets and corners", corner, None)):
+                rows = renamed_rows(T, facet, corners)
+                out["%s, seed %d, %s shuffled" % (name, seed, kind)] = (save_stream(Triangulation(T.dimension, rows)), ok)
+    for name, T in (("double_simplex(2)", double_simplex(2)), ("cross_sphere(2)", cross_sphere(2)),
+                    ("cross_projective(3)", cross_projective(3))):
+        out["sd " + name] = (save_stream(barycentric(T)[0]), True)
+    for name, T, facet in (("cross_sphere(2)", cross_sphere(2), 0), ("cross_sphere(3)", cross_sphere(3), 5),
+                           ("double_simplex(3)", double_simplex(3), 1), ("cross_projective(2)", cross_projective(2), 3)):
+        out["stellar %s facet %d" % (name, facet)] = (save_stream(stellar_facet(T, facet)), False)
+    for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        out["join cross_sphere(%d) cross_sphere(%d)" % (a, b)] = (save_stream(join(cross_sphere(a), cross_sphere(b))), True)
+    out["twisted_chain"] = ((ROOT / "tests" / "fixtures" / "twisted_chain.txt").read_text(), False)
+    out["suspension_rp2"] = ((ROOT / "tests" / "fixtures" / "suspension_rp2.txt").read_text(), False)
+    return out
+
+
+@pytest.mark.parametrize("name", list(pairs_streams()))
+def test_library_pairs_matches_cli_pairs(name):
+    # both read each vertex class's corner slot: the same labels, or the same slot refusal,
+    # which the CLI alone prefixes; block errors stay bare on both
+    text, slots_ok = pairs_streams()[name]
+    T = load_stream(text)[0]
+    n = T.dimension
+    specs = [
+        "/".join(",".join(map(str, range(i, min(i + 2, n + 1)))) for i in range(0, n + 1, 2)),
+        "/".join(map(str, range(n + 1))),
+        ",".join(map(str, range(n + 1))),
+        ",".join(map(str, range(n))),  # coordinate n is in no block
+        "0/" + ",".join(map(str, range(n + 1))),  # coordinate 0 sits in two blocks
+    ]
+    slot_refusals = 0
+    for spec in specs:
+        code, out, err = run(["partition", "--scheme", "pairs", "--blocks", spec], stdin_text=text)
+        blocks = [[int(x) for x in part.split(",")] for part in spec.split("/")]
+        try:
+            P = scheme_partition(T, "pairs", blocks=blocks)
+        except TriangulationError as e:
+            slots = str(e).startswith("corner slots do not determine carriers")
+            slot_refusals += slots
+            prefix = "--scheme pairs needs coordinate corner slots: " if slots else ""
+            assert (code, out, err) == (2, "", "multisect: %s%s\n" % (prefix, e))
+        else:
+            assert (code, err) == (0, "")
+            got = load_stream(out)[1]
+            assert (got.k, got.labels) == (P.k, P.labels)
+    if slots_ok is not None:
+        assert slot_refusals == (0 if slots_ok else len(specs))
+
+
 def test_cli_partition_reads_a_labels_file(tmp_path):
     T = cross_projective(3)
     P = scheme_partition(T, "pairs", blocks=((0, 1), (2, 3)))
@@ -827,17 +897,33 @@ def test_cli_stellar_and_join_on_named_ids(tmp_path, rows, joined):
 # --- the documented scripts -------------------------------------------------
 
 
+# the direct route's verdict, as README states it: `pairs` on cross_projective(2)
+# fits the profile, but piece 0 keeps a one-dimensional spine
+DIRECT_PAIRS_RP2 = [
+    "direct pairs: 4 facets, <t>s",
+    "  profile ok        True",
+    "  supports          False",
+    "  genera            (1, 0)",
+    "  piece (0,): raw dim 1, spine dim 1",
+    "  piece (1,): raw dim 0, spine dim 0",
+    "  ! subset (0,) collapses to dimension 1, above the bound 0",
+    "  ! subset (0,) misses the codimension-2 spine bound 0",
+]
+
+
 @pytest.mark.parametrize(
-    "argv, header",
+    "argv, header, lines",
     [
-        (["scripts/genus_growth.py", "--rounds", "1"], "round  facets  genera"),
-        (["scripts/projective_even_scheme.py", "--dimension", "2"], "direct pairs: 4 facets"),
+        (["scripts/genus_growth.py", "--rounds", "1"], "round  facets  genera", []),
+        (["scripts/projective_even_scheme.py", "--dimension", "2"], "direct pairs: 4 facets", DIRECT_PAIRS_RP2),
     ],
     ids=["genus_growth", "projective_even_scheme"],
 )
-def test_scripts_run(argv, header):
+def test_scripts_run(argv, header, lines):
     import subprocess
 
     proc = subprocess.run([sys.executable] + argv, cwd=ROOT, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(header)
+    masked = [re.sub(r"\d+\.\d+s$", "<t>s", line) for line in proc.stdout.splitlines()]
+    assert masked[: len(lines)] == lines

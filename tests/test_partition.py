@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from multisect.io import load_stream
+from multisect.io import load_stream, save_stream
 from multisect.partition import (
     VertexPartition,
     coordinate_labels,
@@ -18,7 +18,7 @@ from multisect.partition import (
     twisted_admissible,
     validate,
 )
-from multisect.subdivide import CarrierLabels, barycentric, infer_sides, pachner_2n_pass, slot_carriers
+from multisect.subdivide import CarrierLabels, barycentric, infer_sides, pachner_2n_pass, slot_carriers, stellar_facet
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
 
@@ -43,8 +43,16 @@ def test_coordinate_labels_on_vertex_layout():
     assert sorted(labs) == [0, 1, 2, 3]
     ident = (0, 1, 2, 3)
     bare = Triangulation(3, [[(1, ident)] * 4, [(0, ident)] * 4])
-    with pytest.raises(TriangulationError):
-        coordinate_labels(bare)
+    assert coordinate_labels(bare) == (0, 1, 2, 3)
+    # the cone vertex sits at every slot of its cone pieces
+    with pytest.raises(TriangulationError, match=r"^corner slots do not determine carriers \(vertex class 6\)$"):
+        coordinate_labels(stellar_facet(cross_sphere(2), 0))
+
+
+def test_pairs_reads_corner_slots_of_a_loaded_stream():
+    # no stream carries metadata: the coordinates are the corner slots the vertex classes keep
+    T = load_stream(save_stream(cross_projective(3)))[0]
+    assert scheme_partition(T, "pairs", blocks=((0, 1), (2, 3))).labels == (0, 0, 1, 1)
 
 
 def test_odd_bary_scheme_census():

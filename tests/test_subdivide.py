@@ -280,20 +280,17 @@ def test_pachner_pass_matches_the_oracle_on_drawn_last_classes():
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("facet, ids, labels", [
-    (0, [(6, 2, 4), (0, 6, 4), (0, 2, 6)], [(None, 1, 2), (0, None, 2), (0, 1, None)]),
-    (7, [(6, 3, 5), (1, 6, 5), (1, 3, 6)], [(None, 1, 2), (0, None, 2), (0, 1, None)]),
+@pytest.mark.parametrize("facet, ids", [
+    (0, [(6, 2, 4), (0, 6, 4), (0, 2, 6)]),
+    (7, [(6, 3, 5), (1, 6, 5), (1, 3, 6)]),
 ])
-def test_stellar_rows_cone_the_facet(facet, ids, labels):
+def test_stellar_rows_cone_the_facet(facet, ids):
     # cone piece i has the fresh vertex at corner i; piece 0 keeps the facet's place, the rest are appended
     T = cross_sphere(2)
     S = stellar_facet(T, facet)
     want_ids = list(T.vertex_ids)
     want_ids[facet] = ids[0]
     assert list(S.vertex_ids) == want_ids + ids[1:]
-    want_labels = [(0, 1, 2)] * 8
-    want_labels[facet] = labels[0]
-    assert list(S.extras["corner_labels"]) == want_labels + labels[1:]
 
 
 def test_stellar_rows_on_named_ids():

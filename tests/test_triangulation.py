@@ -600,12 +600,13 @@ def check_face_table(T):
     assert list(fp.cls_dim) == [dims[cid] for cid in range(len(dims))]
     assert fp.dim_start == [sum(1 for d in dims.values() if d < k) for k in range(T.dimension + 2)]
     for cid in range(fp.n_classes):
-        check_corner_maps(fp, cid)
+        check_corner_maps(T, cid)
 
 
-def check_corner_maps(fp, cid):
+def check_corner_maps(T, cid):
     """incarnations and the face tables' corner maps agree with the oracle's breadth-first maps, also with one corner repeated."""
-    maps = oracles.incarnation_maps_by_bfs(fp.tri, fp.cls_canon[cid])
+    fp = T.face_poset
+    maps = oracles.incarnation_maps_by_bfs(T, fp.cls_canon[cid])
     assert fp.incarnations(cid) == list(maps)
     for enc, phi in maps.items():
         f, mask = divmod(enc, fp.M)
@@ -632,7 +633,7 @@ def test_corner_map_is_the_incarnation_map():
     T = relabel(cross_projective(3), random.Random(0))
     fp = T.face_poset
     for cid in range(fp.n_classes):
-        check_corner_maps(fp, cid)
+        check_corner_maps(T, cid)
     # every map is a whole corner bijection, and equal maps are one tuple
     maps = [oracles.corner_map(fp, f, [c])[1] for f in range(T.facet_count) for c in range(fp.L)]
     assert all(sorted(phi) == list(range(fp.L)) for phi in maps)
