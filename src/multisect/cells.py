@@ -12,25 +12,30 @@ over proper subsets are what the surrounding regions collapse onto, so
 their collapsed dimension bounds spine dimensions.
 
 One label pass per labelling is where a class's corners meet their
-labels.  It numbers the distinct (canonical corner mask, labels at those
-corners) keys as shapes, few and each built once, and gives every class
-its shape and its index `local` among its support's ascending class ids.
-Supports partition the classes, so that index is the class's cell index
-in the one complex it lies in.  A complex keeps its cells' class ids and
-dimensions and its children in CSR form, a cell's children read at
-`canon ^ bit` for each bit its shape may delete, and shares the pass's
-`local`, `shape_of` and `shapes`.  It holds its face poset, not its
-triangulation or the record, so no reference cycle keeps a dropped
+labels.  It keys every class by one int, its canonical corner mask above
+the labels at those corners (each facet's labels are packed once), and
+numbers the distinct keys as shapes, few and each built once; every
+class gets its shape and its index `local` among its support's
+ascending class ids.  Supports partition the classes, so that index is
+the class's cell index in the one complex it lies in.  A complex keeps
+its cells' class ids and dimensions and its children in CSR form, each
+filled by one generator straight into its array, a cell's children read
+at `canon ^ bit` for each bit its shape may delete, and shares the
+pass's `local`, `shape_of` and `shapes`.  It holds its face poset, not
+its triangulation or the record, so no reference cycle keeps a dropped
 triangulation alive.  The record keeps the central complex once built,
 and `validate`'s report; complexes over proper subsets are rebuilt on
-each request.
+each request.  A complex counts its parents once: `closed`, `collapse`
+and the top-cell pairing read the counts, and a collapse with no cell
+of one parent, as of every closed complex, stops at once.
 
 Homology goes through `gf2.betti`, which eliminates only the middle
 dimensions.  The outer boundary ranks are component counts: of the
 1-skeleton, and of the top cells joined across shared codimension-1
 cells, which one pairing of each codimension-1 cell with its top cells
-gives.  The same pairing, with the parity of the two transfer signs,
-decides orientability.  Both read flat arrays as long as the complex.
+gives.  The same pairing, kept on the complex, with the parity of the
+two transfer signs decides orientability.  The 1-skeleton's spanning
+forest, which the group checks read, is flat arrays too.
 
 A cube's faces are reached one way, by corner mask through its shape's
 pairs and corner templates: the face with mask `mask` in facet f sits at
@@ -53,7 +58,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, compress, product, repeat
+from operator import lshift, or_, sub
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
@@ -134,24 +140,28 @@ def _label_pass(T: Triangulation, labels: Tuple[int, ...]) -> Labelling:
         raise TriangulationError(
             "expected %d vertex labels, got %d" % (fp.dim_start[1], len(labels))
         )
-    canon, M, L, corners_of = fp.cls_canon, fp.M, fp.L, fp._corners_of
-    corner_labels = [labels[v] for v in fp.facet_vertices]
-    ids: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-    shapes: List[Shape] = []
-    members: List[array] = []  # per shape, its support's class ids
+    canon, L, corners_of, fv = fp.cls_canon, fp.L, fp._corners_of, fp.facet_vertices
+    # a class's key is its mask above the labels at its corners, b bits a corner:
+    # each facet's labels are packed once, and each mask keeps its corners' fields
+    b, low = max(labels).bit_length() or 1, fp.M - 1
+    top = b * L
+    word = [-1 << top] * fp.facet_count
+    for c in range(L):
+        word = list(map(or_, word, map(lshift, [labels[v] for v in fv[c::L]], repeat(b * c))))
+    fields = [mask << top | sum(((1 << b) - 1) << b * c for c in cs) for mask, cs in enumerate(corners_of)]
+    ids: Dict[int, int] = {}
+    shape_of = array("i", (ids.setdefault(fields[enc & low] & word[enc >> L], len(ids)) for enc in canon))
+    shapes = []
+    for key in ids:
+        corners = corners_of[key >> top]
+        shapes.append(_shape(corners, tuple(key >> b * c & (1 << b) - 1 for c in corners)))
     by_support: Dict[Tuple[int, ...], array] = {}
-    shape_of, local = array("i"), array("i")
-    for cid, enc in enumerate(canon):
-        f, mask = divmod(enc, M)
-        key = (mask, tuple([corner_labels[f * L + c] for c in corners_of[mask]]))
-        s = ids.get(key)
-        if s is None:
-            s = ids[key] = len(shapes)
-            shapes.append(_shape(corners_of[mask], key[1]))
-            members.append(by_support.setdefault(shapes[s].support, array("i")))
-        shape_of.append(s)
-        local.append(len(members[s]))
-        members[s].append(cid)
+    # per shape, its support's class ids
+    members = [by_support.setdefault(shape.support, array("i")) for shape in shapes]
+    local = array("i")
+    for cid, m in enumerate(map(members.__getitem__, shape_of)):
+        local.append(len(m))
+        m.append(cid)
     return Labelling(labels, shape_of, shapes, by_support, local)
 
 
@@ -159,6 +169,15 @@ def class_label_multisets(T: Triangulation, P: VertexPartition) -> List[Tuple[in
     """Sorted label multiset of every face class; index = class id; read off the shapes on each call."""
     rec = labelling(T, P)
     return [rec.shapes[s].multiset for s in rec.shape_of]
+
+
+class Forest(NamedTuple):
+    """A breadth-first spanning forest of a complex's 1-skeleton; vertex cells are 0..len(edge)-1."""
+
+    order: array                          # vertex cells, each after the one it was reached from
+    edge: array                           # per vertex cell, the edge cell that reached it; -1 at a root
+    direction: array                      # per vertex cell, 1 when reached from its edge's tail, -1 from the head, 0 at a root
+    cotree: array                         # the edge cells outside the forest, ascending
 
 
 class Cube(NamedTuple):
@@ -172,11 +191,9 @@ class Cube(NamedTuple):
 
 
 def _counts(dims: Sequence[int]) -> Tuple[int, ...]:
-    """Cells per dimension, from 0 up to the largest of `dims`."""
-    out = [0] * (max(dims, default=-1) + 1)
-    for d in dims:
-        out[d] += 1
-    return tuple(out)
+    """Cells per dimension, from 0 up to the last of the ascending `dims`."""
+    top = dims[-1] if dims else -1
+    return tuple(bisect_left(dims, d + 1) - bisect_left(dims, d) for d in range(top + 1))
 
 
 def _euler(counts: Sequence[int]) -> int:
@@ -193,27 +210,18 @@ def _sign_bit(pairs: Sequence[Tuple[int, int]], deleted: int, phi: Sequence[int]
 def _top_walk(X: CellComplex, rel: Sequence[int]) -> Optional[Tuple[int, int, bool]]:
     """Components of the top cells joined across shared (D-1)-cells, for D >= 1.
 
-    Each (D-1)-cell is paired with the top cells that list it as a child,
-    with repetition, in two arrays; None when some (D-1)-cell is listed
+    Reads the complex's `_pairing`, so None when some (D-1)-cell is listed
     three times or more.  Returns (components, closed components,
     consistent): a component is closed when none of its top cells lists
     a (D-1)-cell that is listed once, and consistent says whether the top
     cells take bits with bit b = bit a ^ rel[c] across every pair (a, b)
     at the c-th (D-1)-cell.
     """
+    if X._pairing is None:
+        return None
+    first, second = X._pairing
     dims, s, flat = X.dims, X.child_start, X.child_flat
-    D = X.dimension
-    lo, top = bisect_left(dims, D - 1), bisect_left(dims, D)
-    first, second = array("i", [-1]) * (top - lo), array("i", [-1]) * (top - lo)
-    for t in range(top, len(dims)):
-        for c in flat[s[t] : s[t + 1]]:
-            c -= lo
-            if first[c] < 0:
-                first[c] = t
-            elif second[c] < 0:
-                second[c] = t
-            else:
-                return None
+    lo, top = bisect_left(dims, X.dimension - 1), bisect_left(dims, X.dimension)
     sign = bytearray([2]) * len(dims)  # per top cell: 0, 1, or 2 before the walk reaches it
     components = closed = 0
     consistent = True
@@ -298,24 +306,40 @@ class CellComplex:
             uf.union(a, b)
         return uf.n_sets
 
-    def parent_counts(self) -> Tuple[int, ...]:
-        counts = [0] * len(self.cells)
+    @cached_property
+    def _parent_counts(self) -> array:
+        """Per cell, the cells that list it as a child, with repetition; counted once per complex."""
+        counts = array("i", bytes(4 * len(self.cells)))
         for c in self.child_flat:
             counts[c] += 1
-        return tuple(counts)
+        return counts
+
+    def parent_counts(self) -> array:
+        return self._parent_counts
+
+    @cached_property
+    def _pairing(self) -> Optional[Tuple[array, array]]:
+        """Per (D-1)-cell, the first and second top cell listing it (-1 for none); None if one is listed 3+ times."""
+        dims, s, flat = self.dims, self.child_start, self.child_flat
+        lo, top = bisect_left(dims, self.dimension - 1), bisect_left(dims, self.dimension)
+        if max(self._parent_counts[lo:top], default=0) > 2:
+            return None
+        first, second = array("i", [-1]) * (top - lo), array("i", [-1]) * (top - lo)
+        for t in range(top, len(dims)):
+            for c in flat[s[t] : s[t + 1]]:
+                if first[c - lo] < 0:
+                    first[c - lo] = t
+                else:
+                    second[c - lo] = t
+        return first, second
 
     def closed(self) -> bool:
         """Every codimension-1 cell bounds exactly two top cells; no stray cells."""
         if not self.cells:
             return False
-        D = self.dimension
-        pc = self.parent_counts()
-        for i, d in enumerate(self.dims):
-            if d == D - 1 and pc[i] != 2:
-                return False
-            if d < D and pc[i] == 0:
-                return False
-        return True
+        lo, top = bisect_left(self.dims, self.dimension - 1), bisect_left(self.dims, self.dimension)
+        pc = self._parent_counts
+        return pc[lo:top].count(2) == top - lo and 0 not in pc[:top]
 
     def top_count(self) -> int:
         return self.counts()[-1] if self.cells else 0
@@ -325,12 +349,9 @@ class CellComplex:
 
         Yields one column at a time, so an elimination holds only its basis.
         """
-        counts = self.counts()
-        if d >= len(counts):
-            return
-        lo, hi = sum(counts[: max(d - 1, 0)]), sum(counts[:d])  # the first (d-1)-cell and d-cell
-        s, flat = self.child_start, self.child_flat
-        for i in range(hi, hi + counts[d]):
+        dims, s, flat = self.dims, self.child_start, self.child_flat
+        lo = bisect_left(dims, d - 1)  # the first (d-1)-cell
+        for i in range(bisect_left(dims, d), bisect_left(dims, d + 1)):
             col = 0
             for c in flat[s[i] : s[i + 1]]:
                 col ^= 1 << (c - lo)
@@ -406,43 +427,37 @@ class CellComplex:
         shape = self.shapes[self.shape_of[cid]]
         return Cube(self.face_poset.cls_canon[cid] // self.face_poset.M, shape.corners, shape.fixed, shape.dirs, shape.pairs)
 
-    def pairs(self, i: int) -> Tuple[Tuple[int, int], ...]:
-        """Cell i's (lo, hi) corners of each doubled label, read off its shape; an edge has one pair."""
-        return self.shapes[self.shape_of[self.cells[i]]].pairs
-
     @cached_property
-    def spanning_forest(self) -> Tuple[Dict[int, Optional[Tuple[int, int]]], List[int]]:
-        """Breadth-first forest from the least vertex cell of each component.
+    def spanning_forest(self) -> Forest:
+        """Breadth-first forest from the least vertex cell of each component, in flat arrays.
 
-        (parent, cotree): parent maps each vertex cell to the (edge,
-        direction into it) it was reached by, or to None at a root, and
-        lists each vertex after the one it was reached from; cotree is the
-        ascending list of edges outside the forest.  An edge runs from the
-        end at its pair's lower corner to the other; its children are
-        [head, tail], as deleting the lower corner leaves the upper end.
-        The parent dict of tuples is kept on the complex, about 0.7 MiB on
-        sd²(RP³)'s central complex, several times its flat arrays.
+        An edge runs from the end at its pair's lower corner to the other;
+        its children are [head, tail], as deleting the lower corner leaves
+        the upper end.  A vertex's steps are its edges in ascending order.
         """
-        edges = [e for e, d in enumerate(self.dims) if d == 1]
-        adj: Dict[int, List[Tuple[int, int, int]]] = {}
-        for e in edges:
-            vb, va = self.children_of(e)
-            adj.setdefault(va, []).append((e, vb, 1))
-            adj.setdefault(vb, []).append((e, va, -1))
-        parent: Dict[int, Optional[Tuple[int, int]]] = {}
-        tree_edges = set()
-        for root in (i for i, d in enumerate(self.dims) if d == 0):
-            if root in parent:
+        dims, flat = self.dims, self.child_flat
+        n0, n1 = bisect_left(dims, 1), bisect_left(dims, 2)
+        # vertices have no children, so edge e's [head, tail] open the flat children at
+        # 2 (e - n0); half-edge j leaves ends[j] for ends[j ^ 1], forward when j is odd
+        ends = flat[: 2 * (n1 - n0)]
+        steps = array("i", sorted(range(len(ends)), key=ends.__getitem__))  # by vertex, then edge
+        at = array("i", map(bisect_left, repeat(sorted(ends)), range(n0 + 1)))  # each vertex's first step
+        order, edge, direction = array("i"), array("i", [-1]) * n0, array("b", bytes(n0))
+        seen, tree = bytearray(n0), bytearray(n1 - n0)
+        for root in range(n0):
+            if seen[root]:
                 continue
-            parent[root] = None
-            order = [root]
-            for v in order:  # the walk appends to `order` as it goes
-                for e, w, dr in adj.get(v, ()):
-                    if w not in parent:
-                        parent[w] = (e, dr)
-                        tree_edges.add(e)
-                        order.append(w)
-        return parent, [e for e in edges if e not in tree_edges]
+            seen[root] = 1
+            walk = [root]
+            for v in walk:  # the walk appends as it goes
+                for j in steps[at[v] : at[v + 1]]:
+                    w = ends[j ^ 1]
+                    if not seen[w]:
+                        seen[w] = tree[j >> 1] = 1
+                        edge[w], direction[w] = n0 + (j >> 1), 1 if j & 1 else -1
+                        walk.append(w)
+            order.extend(walk)
+        return Forest(order, edge, direction, array("i", [n0 + i for i, t in enumerate(tree) if not t]))
 
     def squares(self) -> range:
         """The indexes of the 2-cells: cells run in ascending dimension."""
@@ -523,12 +538,11 @@ def _subset_complex(fp: FacePoset, rec: Labelling, S: Tuple[int, ...]) -> CellCo
     """
     cells = rec.by_support.get(S, array("i"))
     table, canon, local, shape_of, shapes = fp._table, fp.cls_canon, rec.local, rec.shape_of, rec.shapes
-    start, flat = array("i", [0]), array("i")
-    for cid in cells:
-        enc = canon[cid]
-        flat.extend([local[table[enc ^ bit]] for bit in shapes[shape_of[cid]].delete])
-        start.append(len(flat))
-    dims = array("b", [fp.cls_dim[cid] + 1 - len(S) for cid in cells])
+    delete = [shape.delete for shape in shapes]
+    sids = array("i", map(shape_of.__getitem__, cells))
+    flat = array("i", (local[table[enc ^ bit]] for enc, s in zip(map(canon.__getitem__, cells), sids) for bit in delete[s]))
+    start = array("i", accumulate(map(len, map(delete.__getitem__, sids)), initial=0))
+    dims = array("b", map(sub, map(fp.cls_dim.__getitem__, cells), repeat(len(S) - 1)))
     all_cubes = all(shape.cube for shape in shapes if shape.support == S)
     return CellComplex(fp, rec.labels, S, cells, dims, start, flat, local, shape_of, shapes, all_cubes)
 
@@ -551,18 +565,19 @@ def collapse(X: CellComplex) -> CollapseResult:
     """
     ncells = len(X.cells)
     s, flat, dims = X.child_start, X.child_flat, X.dims
-    # per cell, its live parents counted with repetition and the sum of their
-    # indexes, so the sum names the parent once the count is down to one
-    pcount, psum = [0] * ncells, [0] * ncells
-    for i in range(ncells):
-        for c in flat[s[i] : s[i + 1]]:
-            pcount[c] += 1
-            psum[c] += i
-    alive = bytearray([1]) * ncells
-    # a free face i waits as one int: highest parent dimension first, then lowest i
     D = X.dimension
-    heap = [(D - dims[psum[i]]) * ncells + i for i in range(ncells) if pcount[i] == 1]
-    heapq.heapify(heap)
+    alive = bytearray([1]) * ncells
+    heap: List[int] = []
+    if 1 in X._parent_counts:  # else no face is free, as in every closed complex
+        # per cell, its live parents counted with repetition and the sum of their
+        # indexes, so the sum names the parent once the count is down to one
+        pcount, psum = array("i", X._parent_counts), array("q", bytes(8 * ncells))
+        for i in range(ncells):
+            for c in flat[s[i] : s[i + 1]]:
+                psum[c] += i
+        # a free face i waits as one int: highest parent dimension first, then lowest i
+        heap = [(D - dims[psum[i]]) * ncells + i for i in range(ncells) if pcount[i] == 1]
+        heapq.heapify(heap)
     removed = 0
     while heap:
         i = heapq.heappop(heap) % ncells
@@ -579,8 +594,8 @@ def collapse(X: CellComplex) -> CollapseResult:
                     psum[c] -= dead
                     if pcount[c] == 1:
                         heapq.heappush(heap, (D - dims[psum[c]]) * ncells + c)
-    spine = tuple(i for i in range(ncells) if alive[i])
-    counts = _counts([X.dims[i] for i in spine])
+    spine = tuple(compress(range(ncells), alive))
+    counts = _counts(array("b", compress(dims, alive)))
     return CollapseResult(
         pairs_removed=removed,
         spine_cells=spine,

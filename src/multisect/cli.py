@@ -19,8 +19,8 @@ from . import zoo
 from .partition import (
     SCHEMES,
     VertexPartition,
-    coordinate_labels,
     labeling_cover,
+    pairs_coordinates,
     scheme_partition,
     symmetric_representation,
     validate,
@@ -214,10 +214,10 @@ def cmd_partition(args) -> int:
     elif scheme == "pairs":
         if not args.blocks:
             raise UsageError("--scheme pairs needs --blocks")
-        try:  # the slot refusal alone takes the prefix; block errors below stay bare
-            labels = coordinate_labels(T)
+        try:  # the slot refusal alone names the flag; block errors below stay bare
+            labels = pairs_coordinates(T)
         except TriangulationError as e:
-            raise TriangulationError("--scheme pairs needs coordinate corner slots: %s" % e) from None
+            raise TriangulationError("--scheme %s" % e) from None
         P = scheme_partition(T, "pairs", blocks=_parse_blocks(args.blocks), labels=labels)
     elif scheme == "explicit":
         if args.labels:

@@ -8,6 +8,7 @@ central complex into the ambient manifold.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -149,21 +150,20 @@ def pi1_presentation(C: cells_mod.CellComplex) -> GroupPresentation:
         raise TriangulationError("presentations are computed for cube complexes only")
     if C.dimension < 1:
         raise TriangulationError("complex has no edges")
-    parent, cotree = C.spanning_forest
-    roots = [v for v, step in parent.items() if step is None]
-    if not roots:
+    forest = C.spanning_forest
+    if not forest.order:
         raise TriangulationError("complex has no vertices")
-    if len(roots) > 1:
+    if forest.edge.count(-1) > 1:
         raise TriangulationError("complex is disconnected")
-    gen = {e: j + 1 for j, e in enumerate(cotree)}
+    gen = {e: j + 1 for j, e in enumerate(forest.cotree)}
     relators = []
     for i in C.squares():
         word = [dr * gen[e] for e, dr in C.square_path(i) if e in gen]
         relators.append(free_reduce(word))
     return GroupPresentation(
-        generators=len(cotree),
+        generators=len(forest.cotree),
         relators=tuple(relators),
-        provenance="subset=%s root=%d" % (",".join(map(str, C.subset)), roots[0]),
+        provenance="subset=%s root=%d" % (",".join(map(str, C.subset)), forest.order[0]),
     )
 
 
@@ -187,7 +187,10 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
     central edge maps to the monochromatic edge between its doubled
     vertices when the doubled class is `label`, else to a constant
     path.  Every relator of the central complex must die in the free
-    group of the graph, and the abelianized images must span it.
+    group of the graph, and the abelianized images must span it.  Each
+    central edge's letter is computed once, into a list indexed by edge,
+    and a square whose four edges all have letter 0 is skipped: its
+    relator is empty.
     """
     k = P.k
     if not 0 <= label <= k:
@@ -203,54 +206,56 @@ def inclusion_epimorphism(T: Triangulation, P: VertexPartition, label: int) -> I
         raise TriangulationError("presentations are computed for cube complexes only")
 
     # an edge's children are [head, tail]; see `CellComplex.spanning_forest`
-    c_parent, c_cotree = central.spanning_forest
-    _, g_cotree = graph.spanning_forest
-    g_gen = {e: j + 1 for j, e in enumerate(g_cotree)}
-
-    def letter(e: int) -> int:
-        """The letter central edge e maps to along its canonical direction, 0 for none."""
-        f, _, _, (doubled,), ((a, b),) = central.cube(e)
-        if doubled != label:
-            return 0
-        gi = graph._index(fp.class_of(f, (a, b)))
+    cs, cflat, gs, gflat = central.child_start, central.child_flat, graph.child_start, graph.child_flat
+    g_cotree = graph.spanning_forest.cotree
+    gen = [0] * len(graph.cells)  # per graph edge outside its forest, its generator
+    for j, e in enumerate(g_cotree):
+        gen[e] = j + 1
+    table, canon, fv, L = fp._table, fp.cls_canon, fp.facet_vertices, fp.L
+    local, shape_of = central.local, central.shape_of
+    pair = [shape.pairs[0] if shape.dirs == (label,) else None for shape in central.shapes]
+    # per central edge, the letter it maps to along its canonical direction, 0 for none
+    n0, n1 = bisect_left(central.dims, 1), bisect_left(central.dims, 2)
+    letters = [0] * n1
+    for e, cid in enumerate(central.cells[n0:n1], n0):
+        if pair[shape_of[cid]] is None:
+            continue
+        (a, b), f = pair[shape_of[cid]], canon[cid] >> L
+        gi = local[table[f << L | 1 << a | 1 << b]]
         # its ends lie on the graph vertices at corners a and b
-        tail, head = graph._index(fp.facet_vertices[f * fp.L + a]), graph._index(fp.facet_vertices[f * fp.L + b])
-        gvb, gva = graph.children_of(gi)
-        if head not in (gva, gvb) or tail not in (gva, gvb):
+        tail, head = local[fv[f * L + a]], local[fv[f * L + b]]
+        ends = gflat[gs[gi] : gs[gi] + 2]
+        if head not in ends or tail not in ends:
             raise TriangulationError("inclusion image of an edge misses its endpoints")
-        sign = 1 if tail == gva else -1
-        return sign * g_gen[gi] if gi in g_gen else 0
+        letters[e] = gen[gi] if tail == ends[1] else -gen[gi]
 
-    # once per edge; paths cross edges many times
-    letters = {e: letter(e) for e, d in enumerate(central.dims) if d == 1}
-
-    def edge_image(e: int, dr: int) -> Tuple[int, ...]:
-        return (dr * letters[e],) if letters[e] else ()
-
-    # image of the tree path from the root to each central vertex, reduced;
-    # the spanning forest lists each vertex after the one it was reached from
-    pot: Dict[int, Tuple[int, ...]] = {}
-    for v, step in c_parent.items():
-        if step is None:
-            pot[v] = ()
-        else:
-            e, dr = step
-            vb, va = central.children_of(e)
-            pot[v] = free_reduce(pot[va if dr == 1 else vb] + edge_image(e, dr))
+    # image of the tree path from the root to each central vertex, reduced; the
+    # forest lists each vertex after the one it was reached from, its edge's
+    # tail when the direction is 1 and its head otherwise
+    forest = central.spanning_forest
+    pot: List[Tuple[int, ...]] = [()] * n0
+    for v in forest.order:
+        e = forest.edge[v]
+        if e >= 0:
+            dr = forest.direction[v]
+            w, x = pot[cflat[cs[e] + (dr > 0)]], dr * letters[e]
+            pot[v] = free_reduce(w + (x,)) if x else w
 
     # generator words: tree path to tail, the edge, tree path back
     words = []
-    for e in c_cotree:
-        vb, va = central.children_of(e)
-        back = tuple(-x for x in reversed(pot[vb]))
-        words.append(free_reduce(pot[va] + edge_image(e, 1) + back))
+    for e in forest.cotree:
+        head, tail = cflat[cs[e]], cflat[cs[e] + 1]
+        back = tuple(-x for x in reversed(pot[head]))
+        words.append(free_reduce(pot[tail] + ((letters[e],) if letters[e] else ()) + back))
 
     relators_die = not any(
-        free_reduce([x for e, dr in central.square_path(i) for x in edge_image(e, dr)]) for i in central.squares()
+        free_reduce([dr * letters[e] for e, dr in central.square_path(i) if letters[e]])
+        for i in central.squares()
+        if any(map(letters.__getitem__, cflat[cs[i] : cs[i + 1]]))
     )
 
     rank = gf2.rank(map(_parity, words))
-    target = len(g_gen)
+    target = len(g_cotree)
     return InclusionReport(
         label=label,
         target_rank=target,
@@ -270,9 +275,11 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     images of the central cycles, one per cotree edge of the spanning
     forest, gain b_1 dimensions over the ambient boundaries.
 
-    The images are taken in the coordinates of the distinct ambient
-    edges that central edges map to, numbered as met, and reduced there
-    to a basis A; only A's vectors are rewritten in ambient edge bits
+    Each central edge's image is computed once, into a list indexed by
+    edge, and the tree-path images into a list indexed by vertex.  The
+    images are taken in the coordinates of the distinct ambient edges
+    that central edges map to, numbered as met, and reduced there to a
+    basis A; only A's vectors are rewritten in ambient edge bits
     and added to the ambient boundary basis.  Renaming coordinates is an
     injective linear map, so A spans what the images span and gains the
     same rank.  rank ∂_1 is the vertex classes minus the facet
@@ -285,32 +292,30 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     fp = T.face_poset
     central = cells_mod.extract(T, P, tuple(range(P.k + 1)))
     e_start = fp.dim_start[1]  # bit j of an ambient edge chain is edge class e_start + j
-    # an edge's children are [head, tail]; see `CellComplex.spanning_forest`
-    parent, cotree = central.spanning_forest
+    table, canon, L, shape_of = fp._table, fp.cls_canon, fp.L, central.shape_of
+    # the corner mask of each edge shape's doubled pair, when its label is cls
+    pair = [sum(1 << c for c in shape.pairs[0]) if shape.dirs == (cls,) else 0 for shape in central.shapes]
     number: Dict[int, int] = {}  # ambient edge bit -> image coordinate, numbered as met
-
-    def image(e: int) -> int:
-        ((a, b),) = central.pairs(e)  # the corners of the edge's doubled label
-        f = fp.canonical(central.cells[e])[0]
-        if P.labels[fp.facet_vertices[f * fp.L + a]] != cls:
-            return 0
-        return 1 << number.setdefault(fp.class_of(f, (a, b)) - e_start, len(number))
+    n0, n1 = bisect_left(central.dims, 1), bisect_left(central.dims, 2)
+    image = [0] * n1  # per central edge, its image: one coordinate bit, or 0
+    for e, cid in enumerate(central.cells[n0:n1], n0):
+        if pair[shape_of[cid]]:
+            image[e] = 1 << number.setdefault(table[canon[cid] >> L << L | pair[shape_of[cid]]] - e_start, len(number))
 
     # image of the forest path from its root to each central vertex; the
-    # fundamental cycle of a cotree edge then images to pot[va] ^ image ^ pot[vb]
-    pot: Dict[int, int] = {}
-    for v, step in parent.items():
-        if step is None:
-            pot[v] = 0
-        else:
-            e, dr = step
-            vb, va = central.children_of(e)
-            pot[v] = pot[va if dr == 1 else vb] ^ image(e)
+    # fundamental cycle of a cotree edge then images to pot[tail] ^ image ^ pot[head].
+    # An edge's children are [head, tail], and a vertex was reached from the tail
+    # of its edge when its direction is 1; see `CellComplex.spanning_forest`
+    forest, cs, cflat = central.spanning_forest, central.child_start, central.child_flat
+    pot = [0] * n0
+    for v in forest.order:
+        e = forest.edge[v]
+        if e >= 0:
+            pot[v] = pot[cflat[cs[e] + (forest.direction[v] > 0)]] ^ image[e]
     images = gf2.Basis()
-    for e in cotree:
-        vb, va = central.children_of(e)
-        images.add(pot[va] ^ image(e) ^ pot[vb])
-    del pot  # before the ∂_2 basis, which sets the peak
+    for e in forest.cotree:
+        images.add(pot[cflat[cs[e]]] ^ image[e] ^ pot[cflat[cs[e] + 1]])
+    del pot, image  # before the ∂_2 basis, which sets the peak
     bit_of = list(number)  # per image coordinate, its ambient edge bit
 
     # one column at a time: a list of them all, each as wide as the edge

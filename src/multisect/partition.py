@@ -61,6 +61,14 @@ def coordinate_labels(T: Triangulation) -> Tuple[int, ...]:
     return tuple(out)  # type: ignore[return-value]
 
 
+def pairs_coordinates(T: Triangulation) -> Tuple[int, ...]:
+    """`coordinate_labels` for the `pairs` scheme, whose refusal names what it needs."""
+    try:
+        return coordinate_labels(T)
+    except TriangulationError as e:
+        raise TriangulationError("pairs needs coordinate corner slots: %s" % e) from None
+
+
 def scheme_partition(
     T: Triangulation,
     scheme: str,
@@ -76,7 +84,7 @@ def scheme_partition(
     odd-bary / even-bary label each barycentre by half its carrier
     dimension.  even-npc expects carriers of a second subdivision plus a
     0/1 side for each top-dimensional carrier.  pairs groups coordinates
-    into blocks: `labels` when given, else `coordinate_labels`.  explicit
+    into blocks: `labels` when given, else `pairs_coordinates`.  explicit
     takes the labels as-is.
     """
     n = T.dimension
@@ -115,7 +123,7 @@ def scheme_partition(
     if scheme == "pairs":
         if blocks is None:
             raise TriangulationError("pairs needs blocks over the coordinate labels")
-        coord = tuple(labels) if labels is not None else coordinate_labels(T)
+        coord = tuple(labels) if labels is not None else pairs_coordinates(T)
         if len(coord) != nv:
             raise TriangulationError("coordinate labels cover %d vertex classes, expected %d" % (len(coord), nv))
         block_of: Dict[int, int] = {}

@@ -580,11 +580,13 @@ class Triangulation:
         if d > self.dimension:
             return
         fp = self.face_poset
-        start = fp.dim_start[d - 1]
-        for cid in fp.class_ids_of_dim(d):
+        table, start, low = fp._table, fp.dim_start[d - 1], fp.M - 1
+        # a class's faces are read at its canonical entry with one corner bit cleared
+        bits = [tuple(1 << c for c in cs) if d else () for cs in fp._corners_of]
+        for enc in fp.cls_canon[fp.dim_start[d] : fp.dim_start[d + 1]]:
             col = 0
-            for child in fp.children(cid):
-                col ^= 1 << (child - start)
+            for bit in bits[enc & low]:
+                col ^= 1 << (table[enc ^ bit] - start)
             yield col
 
     def summary(self) -> TriSummary:

@@ -719,6 +719,42 @@ def sides_by_dual_bipartition(intermediate, S):
     return sides
 
 
+# --- spanning forests in dicts of tuples ------------------------------------
+
+
+def spanning_forest_by_dicts(X):
+    """`CellComplex.spanning_forest` as the dict of (edge, direction) steps it replaced.
+
+    The slow path the flat forest arrays are checked against: per-vertex
+    lists of (edge, other end, direction) in ascending edge order, walked
+    breadth first from the least unreached vertex.  Returns (parent,
+    cotree): parent maps each vertex cell to the (edge, direction into
+    it) it was reached by, or to None at a root, in the order the walk
+    reaches them; cotree is the ascending list of edges outside the
+    forest.  Uses the library's cell complex tables.
+    """
+    edges = [e for e, d in enumerate(X.dims) if d == 1]
+    adj = {}
+    for e in edges:
+        vb, va = X.children_of(e)  # [head, tail]
+        adj.setdefault(va, []).append((e, vb, 1))
+        adj.setdefault(vb, []).append((e, va, -1))
+    parent = {}
+    tree_edges = set()
+    for root in (i for i, d in enumerate(X.dims) if d == 0):
+        if root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:
+            for e, w, dr in adj.get(v, ()):
+                if w not in parent:
+                    parent[w] = (e, dr)
+                    tree_edges.add(e)
+                    order.append(w)
+    return parent, [e for e in edges if e not in tree_edges]
+
+
 # --- generator words by explicit tree paths ---------------------------------
 
 
@@ -729,8 +765,8 @@ def generator_words_by_tree_paths(T, P, label):
     generator's cycle (tree path to its tail, the edge, tree path back) is
     spelled out edge by edge, every edge is pushed into the region graph
     through the class-`label` vertex of its ends' canonical incarnations,
-    and the whole word is reduced once.  Uses the library's cell complexes
-    and spanning forests, and edge ends found by class lookups.
+    and the whole word is reduced once.  Uses the library's cell complexes,
+    `spanning_forest_by_dicts` and edge ends found by class lookups.
     """
     from multisect import cells
 
@@ -738,9 +774,9 @@ def generator_words_by_tree_paths(T, P, label):
     central = cells.extract(T, P, tuple(range(P.k + 1)))
     graph = cells.extract(T, P, (label,))
     c_ends = edge_ends_by_lookup(central)
-    c_parent, c_cotree = central.spanning_forest
+    c_parent, c_cotree = spanning_forest_by_dicts(central)
     g_ends = edge_ends_by_lookup(graph)
-    _, g_cotree = graph.spanning_forest
+    _, g_cotree = spanning_forest_by_dicts(graph)
     g_gen = {e: j for j, e in enumerate(g_cotree)}
     graph_vertex_of = {graph.cells[i]: i for i, d in enumerate(graph.dims) if d == 0}
     cubes = cubes_by_grouping(central)

@@ -177,7 +177,7 @@ def check_cell_tables(T, P, S):
             got._index(cid)
     assert oracles.cell_cubes(got) == oracles.cubes_by_grouping(got)
     # an edge's ends are its children, [head, tail], and its corners its shape's one pair
-    ends = {e: (*reversed(got.children_of(e)), *got.pairs(e)[0]) for e, d in enumerate(got.dims) if d == 1}
+    ends = {e: (*reversed(got.children_of(e)), *got.cube(e).pairs[0]) for e, d in enumerate(got.dims) if d == 1}
     assert ends == oracles.edge_ends_by_lookup(got)
     res = collapse(got)
     assert (res.pairs_removed, res.spine_cells) == oracles.collapse_by_parent_lists(got)
@@ -433,8 +433,12 @@ def test_cell_tables_match_per_element_oracles(name):
         assert list(ids) == sorted(ids) and [ids[rec.local[cid]] for cid in ids] == list(ids)
 
 
+def every_subset(P):
+    return [S for r in range(1, P.k + 2) for S in combinations(range(P.k + 1), r)]
+
+
 def every_subset_complex(T, P):
-    return [extract(T, P, S) for r in range(1, P.k + 2) for S in combinations(range(P.k + 1), r)]
+    return [extract(T, P, S) for S in every_subset(P)]
 
 
 def relabelled_copies(T0, P0):
@@ -461,6 +465,55 @@ def test_betti_and_orientation_match_elimination_and_corner_maps(name):
         for X in every_subset_complex(T, P):
             assert X.betti() == oracles.betti_by_elimination(X)
             assert X.orientable() == oracles.orientable_by_corner_map(X)
+
+
+def test_collapse_matches_parent_lists_with_and_without_free_faces():
+    # with no cell of one parent the collapse stops at once; the lollipop graph of
+    # sd(RP^2) has a single free face, which must not stop it
+    T = barycentric(cross_projective(2))[0]
+    rng = random.Random(0)
+    P = VertexPartition(k=3, labels=tuple(rng.randrange(4) for _ in range(T.face_poset.dim_start[1])))
+    lollipop = extract(T, P, (3,))
+    assert lollipop.parent_counts().count(1) == 1
+    free = []
+    copies = [copy for build in CELL_TABLE_INPUTS.values() for copy in relabelled_copies(*build())]
+    complexes = [X for T, P in copies for X in every_subset_complex(T, P)]
+    for X in complexes + [lollipop]:
+        res = collapse(X)
+        assert (res.pairs_removed, res.spine_cells) == oracles.collapse_by_parent_lists(X)
+        free.append(1 in X.parent_counts())
+    assert set(free[:-1]) == {True, False}
+
+
+@pytest.mark.parametrize("name", CELL_TABLE_INPUTS)
+def test_spanning_forest_arrays_match_dict_oracle(name):
+    # the same parents, in the same order, and the same cotree as the dict of (edge, direction) steps
+    for T, P in relabelled_copies(*CELL_TABLE_INPUTS[name]()):
+        for X in every_subset_complex(T, P):
+            forest = X.spanning_forest
+            parent, cotree = oracles.spanning_forest_by_dicts(X)
+            steps = {v: (forest.edge[v], forest.direction[v]) if forest.edge[v] >= 0 else None for v in forest.order}
+            assert (list(forest.order), steps, list(forest.cotree)) == (list(parent), parent, cotree)
+
+
+def test_label_pass_and_complexes_peak_near_what_they_keep():
+    # sd of the 4-sphere as the boundary of the 5-crosspolytope, even-npc: building the label
+    # record and every subset complex holds no per-class list on top of the arrays they keep
+    T, carriers = barycentric(cross_sphere(4))
+    P = scheme_partition(T, "even-npc", carriers=carriers, sides=infer_sides(T, carriers))
+    fp = T.face_poset
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        rec = cells_module._label_pass(T, P.labels)
+        complexes = [cells_module._subset_complex(fp, rec, S) for S in every_subset(P)]
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    kept = [rec.shape_of, rec.local, *rec.by_support.values()]
+    kept += [a for X in complexes for a in (X.dims, X.child_start, X.child_flat)]
+    assert peak <= 1.5 * sum(a.itemsize * len(a) for a in kept)
 
 
 def test_betti_takes_the_top_rank_from_components_or_eliminates(monkeypatch):

@@ -24,8 +24,9 @@ from multisect.invariants import (
 )
 from multisect.partition import VertexPartition, scheme_partition, validate
 from multisect.subdivide import barycentric, pachner_2n_pass
-from multisect.triangulation import TriangulationError
+from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
+from test_triangulation import relabelling, renamed_rows
 
 
 def sd3():
@@ -202,7 +203,27 @@ def test_inclusion_relators_always_die():
             assert inclusion_epimorphism(T, P, i).relators_die
 
 
-WORD_BUILDS = {"rp3 pairs": rp3, "rp5 pairs": rp5, "d5 pairs": d5, "sd3 odd-bary": sd3, "sd rp3 odd-bary": sd_rp3}
+def relabelled_sd_rp3():
+    """sd(RP^3) odd-bary with its facets and corners renamed, each vertex class keeping its label."""
+    T0, P0 = sd_rp3()
+    facet, corner = relabelling(T0, random.Random(3))
+    T = Triangulation(T0.dimension, renamed_rows(T0, facet, corner))
+    L, fv0, fv = T.dimension + 1, T0.face_poset.facet_vertices, T.face_poset.facet_vertices
+    labels = [0] * T.face_poset.dim_start[1]
+    for f in range(T0.facet_count):
+        for c in range(L):
+            labels[fv[facet[f] * L + corner[f][c]]] = P0.labels[fv0[f * L + c]]
+    return T, VertexPartition(k=P0.k, labels=tuple(labels))
+
+
+WORD_BUILDS = {
+    "rp3 pairs": rp3,
+    "rp5 pairs": rp5,
+    "d5 pairs": d5,
+    "sd3 odd-bary": sd3,
+    "sd rp3 odd-bary": sd_rp3,
+    "relabelled sd rp3 odd-bary": relabelled_sd_rp3,
+}
 
 
 def count_label_work(monkeypatch):
@@ -226,6 +247,33 @@ def test_generator_words_match_tree_path_oracle(name, monkeypatch):
         assert builds == ([full] if label == 0 else []) + [(label,)]
         assert words == oracles.generator_words_by_tree_paths(T, P, label)
     assert passes == [P.labels]
+
+
+def test_inclusion_reads_the_relator_of_every_square_with_a_letter(monkeypatch):
+    # a central edge has a letter when its doubled label is the region's and its image edge
+    # lies outside the region graph's forest; a square with no such edge has the empty relator
+    read = []
+    square_path = cells.CellComplex.square_path
+    monkeypatch.setattr(cells.CellComplex, "square_path", lambda X, i: read.append(i) or square_path(X, i))
+    seen = set()
+    for build in WORD_BUILDS.values():
+        T, P = build()
+        fp = T.face_poset
+        central = cells.extract(T, P, tuple(range(P.k + 1)))
+        for label in range(P.k + 1):
+            graph = cells.extract(T, P, (label,))
+            cotree = set(oracles.spanning_forest_by_dicts(graph)[1])
+
+            def has_letter(e):
+                f, _, _, dirs, pairs = central.cube(e)
+                return dirs == (label,) and graph._index(fp.class_of(f, pairs[0])) in cotree
+
+            want = [i for i in central.squares() if any(map(has_letter, central.children_of(i)))]
+            read.clear()
+            assert inclusion_epimorphism(T, P, label).relators_die
+            assert read == want
+            seen |= {i in want for i in central.squares()}
+    assert seen == {True, False}  # squares were read and squares were skipped
 
 
 def test_inclusion_refuses_non_cube_central():

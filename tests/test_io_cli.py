@@ -581,7 +581,7 @@ def pairs_streams():
 @pytest.mark.parametrize("name", list(pairs_streams()))
 def test_library_pairs_matches_cli_pairs(name):
     # both read each vertex class's corner slot: the same labels, or the same slot refusal,
-    # which the CLI alone prefixes; block errors stay bare on both
+    # to which the CLI adds only its flag; block errors stay bare on both
     text, slots_ok = pairs_streams()[name]
     T = load_stream(text)[0]
     n = T.dimension
@@ -599,9 +599,9 @@ def test_library_pairs_matches_cli_pairs(name):
         try:
             P = scheme_partition(T, "pairs", blocks=blocks)
         except TriangulationError as e:
-            slots = str(e).startswith("corner slots do not determine carriers")
+            slots = str(e).startswith("pairs needs coordinate corner slots: corner slots do not determine carriers")
             slot_refusals += slots
-            prefix = "--scheme pairs needs coordinate corner slots: " if slots else ""
+            prefix = "--scheme " if slots else ""
             assert (code, out, err) == (2, "", "multisect: %s%s\n" % (prefix, e))
         else:
             assert (code, err) == (0, "")

@@ -55,6 +55,15 @@ def test_pairs_reads_corner_slots_of_a_loaded_stream():
     assert scheme_partition(T, "pairs", blocks=((0, 1), (2, 3))).labels == (0, 0, 1, 1)
 
 
+def test_pairs_refuses_slots_that_are_not_coordinates():
+    # the cone vertex sits at every slot of its cone pieces; the refusal names the scheme's need
+    with pytest.raises(
+        TriangulationError,
+        match=r"^pairs needs coordinate corner slots: corner slots do not determine carriers \(vertex class 6\)$",
+    ):
+        scheme_partition(stellar_facet(cross_sphere(2), 0), "pairs", blocks=((0, 1), (2,)))
+
+
 def test_odd_bary_scheme_census():
     T, carriers = barycentric(double_simplex(3))
     P = scheme_partition(T, "odd-bary", carriers=carriers)
