@@ -26,16 +26,18 @@ its triangulation or the record, so no reference cycle keeps a dropped
 triangulation alive.  The record keeps the central complex once built,
 and `validate`'s report; complexes over proper subsets are rebuilt on
 each request.  A complex counts its parents once: `closed`, `collapse`
-and the top-cell pairing read the counts, and a collapse with no cell
-of one parent, as of every closed complex, stops at once.
+and the top cells' slot table read the counts, and a collapse with no
+cell of one parent, as of every closed complex, stops at once.
 
 Homology goes through `gf2.betti`, which eliminates only the middle
 dimensions.  The outer boundary ranks are component counts: of the
 1-skeleton, and of the top cells joined across shared codimension-1
-cells, which one pairing of each codimension-1 cell with its top cells
-gives.  The same pairing, kept on the complex, with the parity of the
-two transfer signs decides orientability.  The 1-skeleton's spanning
-forest, which the group checks read, is flat arrays too.
+cells.  For the latter the complex keeps, per child slot of each top
+cell, the other top cell at that codimension-1 cell.  `signed_walk`
+reads this table for `betti`'s closed components, and with the parity
+of the two transfer signs as relation bits for `orientable`.  The
+1-skeleton's spanning forest, which the group checks read, is flat
+arrays too.
 
 A cube's faces are reached one way, by corner mask through its shape's
 pairs and corner templates: the face with mask `mask` in facet f sits at
@@ -58,12 +60,12 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from operator import lshift, or_, sub
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
-from .unionfind import UnionFind
+from .unionfind import UnionFind, signed_walk
 from . import gf2
 
 if TYPE_CHECKING:
@@ -207,51 +209,6 @@ def _sign_bit(pairs: Sequence[Tuple[int, int]], deleted: int, phi: Sequence[int]
     return (flips + t + (deleted == pairs[t][0])) % 2
 
 
-def _top_walk(X: CellComplex, rel: Sequence[int]) -> Optional[Tuple[int, int, bool]]:
-    """Components of the top cells joined across shared (D-1)-cells, for D >= 1.
-
-    Reads the complex's `_pairing`, so None when some (D-1)-cell is listed
-    three times or more.  Returns (components, closed components,
-    consistent): a component is closed when none of its top cells lists
-    a (D-1)-cell that is listed once, and consistent says whether the top
-    cells take bits with bit b = bit a ^ rel[c] across every pair (a, b)
-    at the c-th (D-1)-cell.
-    """
-    if X._pairing is None:
-        return None
-    first, second = X._pairing
-    dims, s, flat = X.dims, X.child_start, X.child_flat
-    lo, top = bisect_left(dims, X.dimension - 1), bisect_left(dims, X.dimension)
-    sign = bytearray([2]) * len(dims)  # per top cell: 0, 1, or 2 before the walk reaches it
-    components = closed = 0
-    consistent = True
-    for root in range(top, len(dims)):
-        if sign[root] != 2:
-            continue
-        components += 1
-        sign[root] = 0
-        stack = [root]
-        shut = True
-        while stack:
-            x = stack.pop()
-            for c in flat[s[x] : s[x + 1]]:
-                c -= lo
-                y = second[c]
-                if y < 0:
-                    shut = False
-                    continue
-                if y == x:
-                    y = first[c]
-                want = sign[x] ^ rel[c]
-                if sign[y] == 2:
-                    sign[y] = want
-                    stack.append(y)
-                elif sign[y] != want:
-                    consistent = False
-        closed += shut
-    return components, closed, consistent
-
-
 @dataclass(eq=False)
 class CellComplex:
     """Cells indexed 0..len(cells)-1 in ambient class order (dimension ascending), in flat tables.
@@ -318,20 +275,30 @@ class CellComplex:
         return self._parent_counts
 
     @cached_property
-    def _pairing(self) -> Optional[Tuple[array, array]]:
-        """Per (D-1)-cell, the first and second top cell listing it (-1 for none); None if one is listed 3+ times."""
+    def _across(self) -> Optional[Tuple[array, array]]:
+        """`signed_walk`'s (start, nbr) over the top cells; None if some (D-1)-cell is listed 3+ times.
+
+        Top cell x, numbered from 0, has the child slots start[x]..start[x+1]-1
+        from the first top cell's on; slot j leads to the other top cell
+        listing its (D-1)-cell, x when x lists it twice, or -1 for none.
+        """
         dims, s, flat = self.dims, self.child_start, self.child_flat
         lo, top = bisect_left(dims, self.dimension - 1), bisect_left(dims, self.dimension)
         if max(self._parent_counts[lo:top], default=0) > 2:
             return None
-        first, second = array("i", [-1]) * (top - lo), array("i", [-1]) * (top - lo)
-        for t in range(top, len(dims)):
-            for c in flat[s[t] : s[t + 1]]:
-                if first[c - lo] < 0:
-                    first[c - lo] = t
-                else:
-                    second[c - lo] = t
-        return first, second
+        s0 = s[top]
+        start = array("i", map(sub, s[top:], repeat(s0)))
+        # per slot, its top cell
+        owner = array("i", chain.from_iterable(map(repeat, range(len(start) - 1), map(sub, start[1:], start))))
+        across = array("i", [-1]) * (len(flat) - s0)
+        first = array("i", [-1]) * (top - lo)  # per (D-1)-cell, the first slot listing it
+        for j, c in enumerate(flat[s0:]):
+            i = first[c - lo]
+            if i < 0:
+                first[c - lo] = j
+            else:
+                across[i], across[j] = owner[j], owner[i]
+        return start, across
 
     def closed(self) -> bool:
         """Every codimension-1 cell bounds exactly two top cells; no stray cells."""
@@ -374,34 +341,35 @@ class CellComplex:
         """
         counts = self.counts()
         known = {1: counts[0] - self._components} if len(counts) > 1 else {}
-        if len(counts) > 2:
-            walk = _top_walk(self, bytes(counts[-2]))
-            if walk is not None:
-                known[len(counts) - 1] = counts[-1] - walk[1]
+        if len(counts) > 2 and self._across is not None:
+            start, across = self._across
+            walk = signed_walk(len(start) - 1, start, across, bytes(len(across)))
+            known[len(counts) - 1] = counts[-1] - sum(walk.closed)
         return gf2.betti(counts, self.boundary_columns, known)
 
     def orientable(self) -> Optional[bool]:
         """Coherent top-cell orientations; None when cells are not all cubes.
 
         Each (D-1)-cell must be listed exactly twice by the top cells, and
-        the walk over the pairing relates their orientations by its two
-        transfer signs: eps_b = -sa * sb * eps_a.  A sign is computed once per
-        (shape, deleted corner, corner map id), as (-1)^(t + side) times
-        one flip per other direction whose pair the corner map reverses,
-        where deleting the lower (upper) corner of direction t gives the
-        face on side 1 (0).
+        the signed walk across the top cells' slots relates orientations by
+        the two transfer signs there: eps_b = -sa * sb * eps_a.  A sign is
+        computed once per (shape, deleted corner, corner map id), as
+        (-1)^(t + side) times one flip per other direction whose pair the
+        corner map reverses, where deleting the lower (upper) corner of
+        direction t gives the face on side 1 (0).
         """
         if not self.all_cubes:
             return None
         D = self.dimension
         if D <= 0:
             return True
-        lo = bisect_left(self.dims, D - 1)
+        if self._across is None:
+            return False
         top = bisect_left(self.dims, D)
         fp = self.face_poset
         canon, map_of, perms = fp.cls_canon, fp._map_of, fp._perms
         cells, shape_of, shapes, s, flat = self.cells, self.shape_of, self.shapes, self.child_start, self.child_flat
-        rel = bytearray([1]) * (top - lo)  # per (D-1)-cell, 1 ^ its transfer sign bits: eps_b = -sa * sb * eps_a
+        rel = bytearray([1]) * top  # per (D-1)-cell c at rel[c], 1 ^ its transfer sign bits: eps_b = -sa * sb * eps_a
         bits: Dict[Tuple[int, int, int], int] = {}  # sign bit per (shape, child place, corner map id)
         for i in range(top, len(cells)):
             cid = cells[i]
@@ -411,9 +379,10 @@ class CellComplex:
                 b = bits.get((sid, k, mid))
                 if b is None:
                     b = bits[sid, k, mid] = _sign_bit(shapes[sid].pairs, bit.bit_length() - 1, perms[mid])
-                rel[flat[s[i] + k] - lo] ^= b
-        walk = _top_walk(self, rel)
-        return walk is not None and walk[0] == walk[1] and walk[2]
+                rel[flat[s[i] + k]] ^= b
+        start, across = self._across
+        walk = signed_walk(len(start) - 1, start, across, bytes(map(rel.__getitem__, flat[s[top] :])))
+        return all(walk.closed) and walk.consistent
 
     def _index(self, cid: int) -> int:
         """Cell index of class cid; supports partition the classes, so the class must have this complex's."""

@@ -153,7 +153,7 @@ def pi1_presentation(C: cells_mod.CellComplex) -> GroupPresentation:
     forest = C.spanning_forest
     if not forest.order:
         raise TriangulationError("complex has no vertices")
-    if forest.edge.count(-1) > 1:
+    if not C.connected():
         raise TriangulationError("complex is disconnected")
     gen = {e: j + 1 for j, e in enumerate(forest.cotree)}
     relators = []
@@ -323,7 +323,7 @@ def h1_onto_check(T: Triangulation, P: VertexPartition, cls: int = 0) -> bool:
     base = gf2.Basis()
     for v in T.boundary_columns(2):
         base.add(v)
-    b1 = len(fp.class_ids_of_dim(1)) - (e_start - T._facet_components().n_sets) - base.rank
+    b1 = len(fp.class_ids_of_dim(1)) - (e_start - len(T._facet_walk().closed)) - base.rank
     extra = 0
     for v in images.pivots.values():
         ambient = 0

@@ -514,11 +514,10 @@ def twisted_admissible(T: Triangulation, P: VertexPartition, R: SymRep) -> Twist
             for b in range(a + 1, L):
                 if P.labels[lab[f][a]] == P.labels[lab[f][b]]:
                     uf.union(fp.facet_vertices[f * L + a], fp.facet_vertices[f * L + b])
-    roots = {uf.find(v) for v in range(fp.dim_start[1])}
     return TwistedReport(
         admissible=admissible,
         blocks=blocks,
         block_action=tuple(action),
-        union_connected=len(roots) == 1,
+        union_connected=uf.n_sets == 1,
         reason=reason,
     )

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import accumulate, chain, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .partition import VertexPartition, coordinate_labels
 from .triangulation import Limits, Triangulation, TriangulationError
 from .perms import compose, invert
-from .unionfind import signed_colouring
+from .unionfind import signed_walk
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,9 @@ def infer_sides(T: Triangulation, carriers: CarrierLabels) -> Dict[int, int]:
     """Deterministic 0/1 sides for top-carrier vertex classes.
 
     Each codimension-1 barycentre is joined to exactly two facet
-    barycentres; 2-colouring that adjacency recovers the dual
-    bipartition of the subdivided triangulation.
+    barycentres; a signed walk over that adjacency, every relation bit
+    1, recovers the dual bipartition of the subdivided triangulation,
+    with side 0 at the least top of each component.
     """
     n = T.dimension
     fp = T.face_poset
@@ -267,7 +268,8 @@ def infer_sides(T: Triangulation, carriers: CarrierLabels) -> Dict[int, int]:
             a, b = b, a
         if (dims[a], dims[b]) == (n - 1, n):
             hinge.setdefault(a, set()).add(b)
-    adj: Dict[int, set] = {v: set() for v in tops}
+    index = {v: i for i, v in enumerate(tops)}
+    adj: List[List[int]] = [[] for _ in tops]
     for w, ts in sorted(hinge.items()):
         if len(ts) == 1:
             raise TriangulationError(
@@ -277,10 +279,11 @@ def infer_sides(T: Triangulation, carriers: CarrierLabels) -> Dict[int, int]:
             raise TriangulationError(
                 "codimension-1 barycentre %s meets %d facet barycentres" % (fp.key(w), len(ts))
             )
-        x, y = sorted(ts)
-        adj[x].add((y, -1))
-        adj[y].add((x, -1))
-    sign = signed_colouring(tops, adj)
-    if sign is None:
+        x, y = map(index.__getitem__, ts)
+        adj[x].append(y)
+        adj[y].append(x)
+    nbr = array("i", chain.from_iterable(adj))
+    walk = signed_walk(len(tops), list(accumulate(map(len, adj), initial=0)), nbr, b"\x01" * len(nbr))
+    if not walk.consistent:
         raise TriangulationError("facet adjacency graph is not 2-colorable")
-    return {v: 0 if s == 1 else 1 for v, s in sign.items()}
+    return dict(zip(tops, walk.side))

@@ -50,7 +50,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import gf2
 from .perms import compose, identity, invert, sign
-from .unionfind import UnionFind, signed_colouring
+from .unionfind import Walk, signed_walk
 
 Gluing = Tuple[int, Tuple[int, ...]]
 
@@ -548,27 +548,26 @@ class Triangulation:
 
     # -- invariants -----------------------------------------------------
 
-    def _facet_components(self) -> UnionFind:
-        uf = UnionFind(self.facet_count)
-        L = self.dimension + 1
-        for k, t in enumerate(self.targets):
-            uf.union(k // L, t)
-        return uf
+    def _facet_walk(self, oriented: bool = False) -> Walk:
+        """The facets walked across their gluings; without `oriented` all relation bits are 0.
+
+        With it, a gluing with corner map pi relates orientation signs by
+        eps_t = -sign(pi) * eps_f: a slot's bit is 1 when sign(pi) is 1.
+        """
+        m, L = self.facet_count, self.dimension + 1
+        if oriented:
+            flip = [sign(pi) == 1 for pi in self.maps]
+            rel = bytes(map(flip.__getitem__, self.map_ids))
+        else:
+            rel = bytes(len(self.targets))
+        return signed_walk(m, range(0, m * L + 1, L), self.targets, rel)
 
     def connected(self) -> bool:
-        return self._facet_components().n_sets == 1
+        return len(self._facet_walk().closed) == 1
 
     def euler(self) -> int:
         """Alternating sum of the face-class counts."""
         return sum(c if d % 2 == 0 else -c for d, c in enumerate(self.face_poset.counts()))
-
-    def _orientation(self) -> Optional[Tuple[int, ...]]:
-        """Cross a gluing with corner map pi: signs satisfy eps_t = -sign(pi) * eps_f."""
-        m, L = self.facet_count, self.dimension + 1
-        signs = [sign(pi) for pi in self.maps]
-        adj = [[(self.targets[k], -signs[self.map_ids[k]]) for k in range(b, b + L)] for b in range(0, m * L, L)]
-        eps = signed_colouring(range(m), adj)
-        return None if eps is None else tuple(eps[f] for f in range(m))
 
     def boundary_columns(self, d: int) -> Iterator[int]:
         """The GF(2) boundary map C_d -> C_{d-1}: per d-face class, the bits of its (d-1)-faces.
@@ -592,6 +591,8 @@ class Triangulation:
     def summary(self) -> TriSummary:
         """Face census plus connectivity, orientability, parity and homology.
 
+        One signed walk of the facets gives the components and, with the
+        corner maps' signs as relation bits, the orientation: side 0 is +1.
         The outer boundary ranks are read off the facet components, which
         are the components of the 1-skeleton too: rank ∂_1 is the vertex
         classes minus the components.  Every ridge class has exactly two
@@ -603,12 +604,13 @@ class Triangulation:
         fp = self.face_poset
         n = self.dimension
         counts = fp.counts()
-        components = self._facet_components().n_sets
+        walk = self._facet_walk(oriented=True)
+        components = len(walk.closed)
         pseudo = all(fp.cls_count[cid] == 2 for cid in fp.class_ids_of_dim(n - 1))
         even = True
         if n >= 2:
             even = all(fp.cls_count[cid] % 2 == 0 for cid in fp.class_ids_of_dim(n - 2))
-        orientation = self._orientation()
+        orientation = tuple(1 - 2 * s for s in walk.side) if walk.consistent else None
         return TriSummary(
             dimension=n,
             facet_count=self.facet_count,
@@ -685,11 +687,11 @@ class Triangulation:
 
     def _components(self) -> List[List[int]]:
         """Facets grouped by connected component, each group in ascending order."""
-        uf = self._facet_components()
-        comps: Dict[int, List[int]] = {}
-        for f in range(self.facet_count):
-            comps.setdefault(uf.find(f), []).append(f)
-        return list(comps.values())
+        walk = self._facet_walk()
+        comps: List[List[int]] = [[] for _ in walk.closed]
+        for f, k in enumerate(walk.component):
+            comps[k].append(f)
+        return comps
 
     def _component_rep(self, f0: int, rho0: Tuple[int, ...]) -> Iterator[Tuple]:
         """Rows of the component of f0, relabelled by a walk from the start flag (f0, rho0).

@@ -1,8 +1,14 @@
-"""Graph primitives: array-backed union-find and signed 2-colouring."""
+"""Graph primitives: union-find over pairs, and one signed walk over slot tables.
+
+`signed_walk` serves every ±1 propagation: facet components and
+orientations across gluings, the closed components and orientability of
+a cell complex's top cells, and the dual bipartition of `infer_sides`.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from array import array
+from typing import NamedTuple, Sequence
 
 
 class UnionFind:
@@ -36,26 +42,45 @@ class UnionFind:
         return True
 
 
-def signed_colouring(nodes: Iterable[int], adj) -> Optional[Dict[int, int]]:
-    """Signs +1/-1 with sign[y] == rel * sign[x] for every (y, rel) in adj[x].
+class Walk(NamedTuple):
+    """What `signed_walk` finds: components, sides, and whether the relations hold."""
 
-    The first node of each component, in `nodes` order, gets +1.  Returns
-    None when no such signs exist; a loop with rel -1 is such a conflict.
+    component: array      # per node, its component; components are numbered by their least nodes
+    side: bytearray       # per node, 0 or 1; 0 at each component's least node
+    closed: bytearray     # per component, 1 when none of its slots is open
+    consistent: bool      # some sides satisfy every slot's relation; only then do `side` satisfy them
+
+
+def signed_walk(n: int, start: Sequence[int], nbr: Sequence[int], rel: Sequence[int]) -> Walk:
+    """Walk nodes 0..n-1 across their slots, giving side[nbr[j]] = side[x] ^ rel[j].
+
+    Node x's slots are start[x]..start[x+1]-1; slot j leads to node
+    nbr[j], or nowhere when that is -1 (an open slot), with relation bit
+    rel[j].  Each component is walked from its least node, which takes
+    side 0.  A slot whose relation the sides so far break, a loop with
+    bit 1 among them, makes the walk inconsistent; it still walks on.
     """
-    sign: Dict[int, int] = {}
-    for root in nodes:
-        if root in sign:
+    component = array("i", [-1]) * n
+    side = bytearray(n)
+    closed = bytearray()
+    consistent = True
+    for root in range(n):
+        if component[root] >= 0:
             continue
-        sign[root] = 1
+        k = len(closed)
+        component[root] = k
+        closed.append(1)
         stack = [root]
         while stack:
             x = stack.pop()
-            for y, rel in adj[x]:
-                want = rel * sign[x]
-                got = sign.get(y)
-                if got is None:
-                    sign[y] = want
+            a, b, sx = start[x], start[x + 1], side[x]
+            for y, r in zip(nbr[a:b], rel[a:b]):
+                if y < 0:
+                    closed[k] = 0
+                elif component[y] < 0:
+                    component[y] = k
+                    side[y] = sx ^ r
                     stack.append(y)
-                elif got != want:
-                    return None
-    return sign
+                elif side[y] != sx ^ r:
+                    consistent = False
+    return Walk(component, side, closed, consistent)

@@ -1058,6 +1058,86 @@ def edge_ends_by_lookup(X):
     return ends
 
 
+# --- signed 2-colouring and facet components in dicts ----------------------
+
+
+def signed_colouring(nodes, adj):
+    """Signs +1/-1 with sign[y] == rel * sign[x] for every (y, rel) in adj[x], in a dict.
+
+    The walk `unionfind.signed_walk` replaced, kept as its reference: the
+    first node of each component, in `nodes` order, gets +1.  Returns
+    None when no such signs exist; a loop with rel -1 is such a conflict.
+    """
+    sign = {}
+    for root in nodes:
+        if root in sign:
+            continue
+        sign[root] = 1
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, rel in adj[x]:
+                want = rel * sign[x]
+                got = sign.get(y)
+                if got is None:
+                    sign[y] = want
+                    stack.append(y)
+                elif got != want:
+                    return None
+    return sign
+
+
+def facet_walk_by_dicts(T):
+    """Facet components and orientation the way `Triangulation.summary` found them before its one walk.
+
+    Components come from a `UnionFind` over every gluing slot, grouped by
+    least facet; the orientation from `signed_colouring` over per-facet
+    lists of (target, -sign(pi)).  Returns (components, orientation or
+    None).
+    """
+    from multisect.perms import sign
+    from multisect.unionfind import UnionFind
+
+    m = T.facet_count
+    uf = UnionFind(m)
+    adj = [[] for _ in range(m)]
+    for f, row in enumerate(T.gluings):
+        for t, pi in row:
+            uf.union(f, t)
+            adj[f].append((t, -sign(pi)))
+    comps = {}
+    for f in range(m):
+        comps.setdefault(uf.find(f), []).append(f)
+    eps = signed_colouring(range(m), adj)
+    return list(comps.values()), None if eps is None else tuple(eps[f] for f in range(m))
+
+
+def sides_by_signed_colouring(T, carriers):
+    """`infer_sides` as a dict 2-colouring of the top barycentres across their hinges.
+
+    A hinge is an edge class from a codimension-1 barycentre to a facet
+    barycentre; two facet barycentres at one codimension-1 barycentre are
+    neighbours with rel -1.  The least top of each component takes side
+    0.  Returns None when the colouring fails.
+    """
+    n = T.dimension
+    fp = T.face_poset
+    dims = carriers.dims
+    tops = sorted(v for v in range(len(dims)) if dims[v] == n)
+    hinge = {}
+    for eid in fp.class_ids_of_dim(1):
+        a, b = sorted(fp.children(eid), key=lambda v: dims[v])
+        if (dims[a], dims[b]) == (n - 1, n):
+            hinge.setdefault(a, set()).add(b)
+    adj = {v: [] for v in tops}
+    for ts in hinge.values():
+        x, y = ts
+        adj[x].append((y, -1))
+        adj[y].append((x, -1))
+    sign = signed_colouring(tops, adj)
+    return None if sign is None else {v: 0 if s == 1 else 1 for v, s in sign.items()}
+
+
 # --- cube faces through corner maps -----------------------------------------
 
 
@@ -1105,11 +1185,8 @@ def orientable_by_corner_map(X):
 
     Deleting corner lo (hi) of direction t gives the face on side 1 (0);
     its transfer sign is (-1)^(t + side) times one flip per other direction
-    whose corner map reverses its pair.  Uses the library's signed
-    2-colouring.
+    whose corner map reverses its pair.  Uses the dict `signed_colouring`.
     """
-    from multisect.unionfind import signed_colouring
-
     if not X.all_cubes:
         return None
     D = X.dimension

@@ -371,10 +371,31 @@ def test_infer_sides_matches_two_coloring():
 def test_npc_sides_from_dual_bipartition():
     T1, _ = barycentric(double_simplex(2))
     T, carriers = barycentric(T1)
-    sides = oracles.sides_by_dual_bipartition(T1, T)
-    assert sides == infer_sides(T, carriers) or sides == {
-        v: 1 - s for v, s in infer_sides(T, carriers).items()
-    }
+    # facet 0 of T1 has the least barycentre, so both give it side 0: no global flip
+    assert infer_sides(T, carriers) == oracles.sides_by_dual_bipartition(T1, T)
+
+
+SIDES_INPUTS = {
+    "sd² double_simplex(2)": lambda: barycentric(barycentric(double_simplex(2))[0])[0],
+    "sd double_simplex(3)": lambda: barycentric(double_simplex(3))[0],
+    "sd cross_sphere(3)": lambda: barycentric(cross_sphere(3))[0],
+    "sd cross_projective(3)": lambda: barycentric(cross_projective(3))[0],
+    "sd² cross_projective(2)": lambda: barycentric(barycentric(cross_projective(2))[0])[0],
+}
+
+
+@pytest.mark.parametrize("name", SIDES_INPUTS)
+def test_infer_sides_matches_dict_colouring(name):
+    # the signed walk over the hinge adjacency gives exactly the dict
+    # colouring's sides, least top on side 0, and fails where it fails
+    T = SIDES_INPUTS[name]()
+    carriers = slot_carriers(T)
+    want = oracles.sides_by_signed_colouring(T, carriers)
+    if want is None:
+        with pytest.raises(TriangulationError, match="not 2-colorable"):
+            infer_sides(T, carriers)
+    else:
+        assert infer_sides(T, carriers) == want
 
 
 def test_infer_sides_rejects_unsplittable_tops():

@@ -628,6 +628,48 @@ def test_face_table_matches_union_find(name, seed):
     check_face_table(relabel(T, random.Random(seed)))
 
 
+FACET_WALK_INPUTS = {
+    **FACE_TABLE_INPUTS,
+    "suspension of RP2": suspension_rp2,
+    **{
+        "cross_projective(%d) double cover" % n: (lambda n=n: cross_projective(n).orientation_double_cover())
+        for n in (2, 3, 4)
+    },
+    "twisted_chain double cover": lambda: twisted_chain().orientation_double_cover(),
+}
+
+
+@pytest.mark.parametrize("name", FACET_WALK_INPUTS)
+def test_facet_walk_matches_union_find_and_dict_colouring(name):
+    # summary()'s components and orientation, and the grouping isomorphic_to
+    # reads, all come from one signed walk of the facets
+    T0 = FACET_WALK_INPUTS[name]()
+    for T in (T0, relabel(T0, random.Random(2))):
+        components, orientation = oracles.facet_walk_by_dicts(T)
+        s = T.summary()
+        assert (s.connected, s.orientable, s.orientation) == (len(components) == 1, orientation is not None, orientation)
+        assert T.connected() == s.connected
+        assert T._components() == components
+
+
+def test_facet_walk_holds_a_few_bytes_per_slot():
+    # sd(∂ 5-crosspolytope), 3,840 facets and 19,200 gluing slots: summary()'s
+    # facet pass as a union-find over every slot and then a colouring over
+    # per-facet lists of tuples peaked at 2.27 MiB, 124 B a slot; one signed
+    # walk over the slot tables peaks at 0.11 MiB
+    T = barycentric(cross_sphere(4))[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        walk = T._facet_walk(oriented=True)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert walk.consistent and len(walk.closed) == 1
+    assert peak <= 16 * len(T.targets)
+
+
 def test_corner_map_is_the_incarnation_map():
     # relabelled, so the corner maps are not all the identity
     T = relabel(cross_projective(3), random.Random(0))
