@@ -38,7 +38,6 @@ from .cells import (
     class_label_multisets,
     vertex_links,
     vertex_link,
-    graph_genus,
     LinkComplex,
     npc_check,
     NpcReport,
@@ -93,7 +92,6 @@ __all__ = [
     "class_label_multisets",
     "vertex_links",
     "vertex_link",
-    "graph_genus",
     "LinkComplex",
     "npc_check",
     "NpcReport",

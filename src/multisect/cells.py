@@ -31,8 +31,9 @@ cell of one parent, as of every closed complex, stops at once.
 
 Homology goes through `gf2.betti`, which eliminates only the middle
 dimensions.  The outer boundary ranks are component counts: of the
-1-skeleton, and of the top cells joined across shared codimension-1
-cells.  For the latter the complex keeps, per child slot of each top
+1-skeleton, which `components` reads off the edge cells' two ends, and
+of the top cells joined across shared codimension-1 cells.  For the
+latter the complex keeps, per child slot of each top
 cell, the other top cell at that codimension-1 cell.  `signed_walk`
 reads this table for `betti`'s closed components, and with the parity
 of the two transfer signs as relation bits for `orientable`.  The
@@ -65,7 +66,7 @@ from operator import lshift, or_, sub
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .triangulation import FacePoset, Triangulation, TriangulationError
-from .unionfind import UnionFind, signed_walk
+from .unionfind import components, signed_walk
 from . import gf2
 
 if TYPE_CHECKING:
@@ -257,11 +258,8 @@ class CellComplex:
             return 0
         dims, s, flat = self.dims, self.child_start, self.child_flat
         n0, n1 = bisect_left(dims, 1), bisect_left(dims, 2)
-        uf = UnionFind(n0)
         ends = flat[s[n0] : s[n1]]
-        for a, b in zip(ends[::2], ends[1::2]):
-            uf.union(a, b)
-        return uf.n_sets
+        return components(n0, ends[::2], ends[1::2])[1]
 
     @cached_property
     def _parent_counts(self) -> array:
@@ -855,11 +853,3 @@ def vertex_link(C: CellComplex, v) -> LinkComplex:
         raise TriangulationError("cell %r is not a vertex of this complex" % (v,))
     return _link_complex(C, C.dimension, i, _codes(C)[i])
 
-
-def graph_genus(C: CellComplex) -> int:
-    """Rank of the first homology of a connected graph complex."""
-    if C.dimension > 1:
-        raise TriangulationError("genus is defined for graphs; this complex has dimension %d" % C.dimension)
-    if not C.connected():
-        raise TriangulationError("genus is defined for connected graphs")
-    return 1 - C.euler()

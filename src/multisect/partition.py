@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import cells as cells_mod
 from .perms import compose, identity, invert
 from .triangulation import Limits, Triangulation, TriangulationError
-from .unionfind import UnionFind
+from .unionfind import components
 
 SCHEMES = ("odd-bary", "even-bary", "even-npc", "pairs", "explicit")
 
@@ -408,14 +408,9 @@ def symmetric_representation(T: Triangulation) -> SymRep:
         if g != ident and g not in seen:
             seen.add(g)
             gens.append(g)
-    uf = UnionFind(L)
-    for g in gens:
-        for x in range(L):
-            uf.union(x, g[x])
-    orbit_map: Dict[int, List[int]] = {}
-    for x in range(L):
-        orbit_map.setdefault(uf.find(x), []).append(x)
-    orbits = tuple(tuple(v) for _, v in sorted(orbit_map.items(), key=lambda kv: kv[1][0]))
+    # orbits are numbered by their least labels
+    orbit, count = components(L, list(range(L)) * len(gens), [y for g in gens for y in g])
+    orbits = tuple(tuple(x for x in range(L) if orbit[x] == k) for k in range(count))
     trivial = not gens
     return SymRep(
         base=0,
@@ -508,16 +503,19 @@ def twisted_admissible(T: Triangulation, P: VertexPartition, R: SymRep) -> Twist
         action.append(tuple(row))
 
     lab, _ = _propagate_tree(T)
-    uf = UnionFind(fp.dim_start[1])
-    for f in range(T.facet_count):
-        for a in range(L):
-            for b in range(a + 1, L):
-                if P.labels[lab[f][a]] == P.labels[lab[f][b]]:
-                    uf.union(fp.facet_vertices[f * L + a], fp.facet_vertices[f * L + b])
+    # the two end classes of each edge whose corner labels share a block, flat
+    ends = [
+        fp.facet_vertices[f * L + c]
+        for f in range(T.facet_count)
+        for a, b in combinations(range(L), 2)
+        if P.labels[lab[f][a]] == P.labels[lab[f][b]]
+        for c in (a, b)
+    ]
+    _, count = components(fp.dim_start[1], ends[::2], ends[1::2])
     return TwistedReport(
         admissible=admissible,
         blocks=blocks,
         block_action=tuple(action),
-        union_connected=uf.n_sets == 1,
+        union_connected=count == 1,
         reason=reason,
     )

@@ -1,45 +1,46 @@
-"""Graph primitives: union-find over pairs, and one signed walk over slot tables.
+"""Graph primitives, one per input form, numbering components alike.
 
-`signed_walk` serves every ±1 propagation: facet components and
-orientations across gluings, the closed components and orientability of
-a cell complex's top cells, and the dual bipartition of `infer_sides`.
+`components` takes edges as pairs: the 1-skeleton's edge cells,
+`symmetric_representation`'s orbits and `twisted_admissible`'s union
+graph.  `signed_walk` takes a table of what lies across each slot and
+serves every ±1 propagation: facet components and orientations across
+gluings, the closed components and orientability of a cell complex's top
+cells, and the dual bipartition of `infer_sides`.  Both number each
+component by its least node.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 
-class UnionFind:
-    """Disjoint sets over the integers 0..n-1."""
+def components(n: int, a: Iterable[int], b: Iterable[int]) -> Tuple[array, int]:
+    """Components of nodes 0..n-1 joined by the pairs (a[j], b[j]), and how many there are.
 
-    __slots__ = ("parent", "size", "n_sets")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.n_sets = n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
+    Components are numbered by their least nodes, as in `Walk.component`.
+    Union-find with path halving that keeps each root at the least node of
+    its set: every parent is then at most its child, so one ascending pass
+    numbers the components in place.
+    """
+    parent = list(range(n))
+    for x, y in zip(a, b):
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b.  Returns True if they were distinct."""
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.n_sets -= 1
-        return True
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    count = 0
+    for x, p in enumerate(parent):
+        if p == x:
+            parent[x] = count
+            count += 1
+        else:
+            parent[x] = parent[p]
+    return array("i", parent), count
 
 
 class Walk(NamedTuple):

@@ -1058,6 +1058,73 @@ def edge_ends_by_lookup(X):
     return ends
 
 
+# --- union-find over pairs -------------------------------------------------
+
+# The class `unionfind.components` replaced, kept as its reference.
+
+
+class UnionFind:
+    """Disjoint sets over the integers 0..n-1."""
+
+    __slots__ = ("parent", "size", "n_sets")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.n_sets = n
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b.  Returns True if they were distinct."""
+        ra = self.find(a)
+        rb = self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.n_sets -= 1
+        return True
+
+
+def union_connected_by_union_find(T, P):
+    """`twisted_admissible`'s `union_connected`, from the raw gluing table.
+
+    Corner labelings spread breadth-first from facet 0 with the identity,
+    across slots in order, as the reflection walk spreads them: crossing
+    slot i of f with map pi, corner pi[c] of the target takes corner c's
+    label.  A `UnionFind` over the vertex classes of
+    `face_classes_by_union_find` joins the two ends of every facet edge
+    whose two corner labels lie in one block of P.
+    """
+    L = T.dimension + 1
+    classes = face_classes_by_union_find(T)
+    lab = {0: tuple(range(L))}
+    order = [0]
+    for f in order:
+        for t, pi in T.gluings[f]:
+            if t not in lab:
+                row = [0] * L
+                for c in range(L):
+                    row[pi[c]] = lab[f][c]
+                lab[t] = tuple(row)
+                order.append(t)
+    # classes are numbered by dimension first, so the vertex classes are 0..nv-1
+    uf = UnionFind(len({cid for (_, mask), cid in classes.items() if mask & mask - 1 == 0}))
+    for f in range(T.facet_count):
+        for a, b in combinations(range(L), 2):
+            if P.labels[lab[f][a]] == P.labels[lab[f][b]]:
+                uf.union(classes[f, 1 << a], classes[f, 1 << b])
+    return uf.n_sets == 1
+
+
 # --- signed 2-colouring and facet components in dicts ----------------------
 
 
@@ -1096,7 +1163,6 @@ def facet_walk_by_dicts(T):
     None).
     """
     from multisect.perms import sign
-    from multisect.unionfind import UnionFind
 
     m = T.facet_count
     uf = UnionFind(m)

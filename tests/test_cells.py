@@ -19,13 +19,12 @@ from multisect.cells import (
     collapse,
     labelling,
     extract,
-    graph_genus,
     npc_check,
     vertex_link,
     vertex_links,
 )
 from multisect.io import load_stream
-from multisect.partition import VertexPartition, scheme_partition
+from multisect.partition import VertexPartition, scheme_partition, validate
 from multisect.subdivide import barycentric, infer_sides, slot_carriers
 from multisect.triangulation import Triangulation, TriangulationError
 from multisect.zoo import cross_projective, cross_sphere, double_simplex
@@ -883,24 +882,18 @@ def test_collapse_never_removes_last_vertex():
 def test_graph_genus_values():
     T3 = cross_projective(3)
     P3 = scheme_partition(T3, "pairs", blocks=((0, 1), (2, 3)))
-    assert graph_genus(extract(T3, P3, (0,))) == 1
-    assert graph_genus(extract(T3, P3, (1,))) == 1
+    graphs = validate(T3, P3).class_graphs
+    assert graphs[0].genus == 1
+    assert graphs[1].genus == 1
 
     T5, P5 = pairs_partition(5, ((0, 1), (2, 3), (4, 5)))
-    assert graph_genus(extract(T5, P5, (0,))) == 0
+    assert validate(T5, P5).class_graphs[0].genus == 0
 
     T1, c1 = barycentric(double_simplex(3))
     P1 = scheme_partition(T1, "odd-bary", carriers=c1)
-    G = extract(T1, P1, (0,))
-    assert G.counts() == (10, 12)
-    assert graph_genus(G) == 3
-
-
-def test_graph_genus_guards():
-    T, P = pairs_partition(4, ((0, 1), (2, 3), (4,)))
-    central = extract(T, P, (0, 1, 2))
-    with pytest.raises(TriangulationError):
-        graph_genus(central)
+    G = validate(T1, P1).class_graphs[0]
+    assert (G.vertices, G.edges) == (10, 12)
+    assert G.genus == 3
 
 
 def test_central_tops_match_facets():

@@ -396,15 +396,15 @@ def test_report_builds_each_subset_complex_once(build, monkeypatch):
 def test_each_complex_computes_its_connectivity_once(build, monkeypatch):
     T, P = build()
     _, builds = count_label_work(monkeypatch)
-    unions = []
-    union_find = cells.UnionFind
-    monkeypatch.setattr(cells, "UnionFind", lambda n: unions.append(n) or union_find(n))
+    counts = []
+    components = cells.components
+    monkeypatch.setattr(cells, "components", lambda n, a, b: counts.append(n) or components(n, a, b))
     validate(T, P)
     multisection_report(T, P)
     for label in range(P.k + 1):
         inclusion_epimorphism(T, P, label)
-    # the kept central complex is asked by every call, yet answers from its first union-find
-    assert len(unions) == len(builds)
+    # the kept central complex is asked by every call, yet answers from its first component count
+    assert len(counts) == len(builds)
 
 
 def verdicts(T, P):

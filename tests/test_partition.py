@@ -423,6 +423,31 @@ def test_twisted_admissible_aligned_blocks():
     assert rep.block_action == ((0, 1, 2),)
 
 
+UNION_GRAPH_INPUTS = {
+    "twisted fixture": twisted_fixture,
+    "sd double_simplex(3)": lambda: barycentric(double_simplex(3))[0],
+}
+
+
+@pytest.mark.parametrize(
+    "name, labels, connected",
+    [
+        ("twisted fixture", (0, 1, 2, 3), False),
+        ("twisted fixture", (0, 0, 1, 1), True),
+        ("twisted fixture", (0, 1, 1, 2), False),
+        ("twisted fixture", (0, 1, 0, 1), True),
+        ("sd double_simplex(3)", (0, 0, 0, 0), True),
+        ("sd double_simplex(3)", (0, 0, 1, 1), False),
+        ("sd double_simplex(3)", (0, 1, 1, 1), False),
+    ],
+)
+def test_twisted_union_connected_matches_union_find(name, labels, connected):
+    T = UNION_GRAPH_INPUTS[name]()
+    P = VertexPartition(k=max(labels), labels=labels)
+    assert oracles.union_connected_by_union_find(T, P) == connected
+    assert twisted_admissible(T, P, symmetric_representation(T)).union_connected == connected
+
+
 def test_twisted_admissible_needs_alphabet_partition():
     T = twisted_fixture()
     R = symmetric_representation(T)
